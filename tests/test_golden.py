@@ -1,0 +1,129 @@
+"""Byte-level guard on CLI outputs: one SHA-256 digest per fixed-seed run.
+
+A run's digest covers the relative path and the contents of every file the
+run writes; ``manifest.json`` is digested without its ``created`` timestamp.
+The runs are small, fixed-seed and path-independent (they execute inside the
+temporary directory with relative paths), so a refactor that claims to keep
+outputs byte-identical must leave every constant below unchanged.  A
+deliberate output change re-records the constants (``pytest -k golden -s``
+prints the digests of failing runs) and says so in CHANGES.md.
+
+The constants were recorded with numpy 2.4 and scipy 1.17; other versions
+may legitimately produce different bytes.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from coppit.cli import main
+
+
+def _ensemble_lines(rng, n, m, d):
+    lines = []
+    for _ in range(n):
+        pts = rng.standard_normal((m, d)).round(1).tolist()  # rounding forces ties
+        y = rng.standard_normal(d).round(1).tolist()
+        lines.append({"forecast": {"type": "ensemble", "points": pts}, "y": y})
+    return lines
+
+
+def _write_archives(root):
+    rng = np.random.default_rng(2024)
+    (root / "ensemble.jsonl").write_text(
+        "".join(json.dumps(obj) + "\n" for obj in _ensemble_lines(rng, 40, 7, 2)))
+
+    m, d = 6, 3
+    header = [f"y{i}" for i in range(1, d + 1)] + [
+        f"x{k}_{i}" for k in range(1, m + 1) for i in range(1, d + 1)]
+    rows = [",".join(header)]
+    for _ in range(30):
+        rows.append(",".join(repr(float(x)) for x in rng.standard_normal(d + m * d).round(2)))
+    (root / "ensemble.csv").write_text("\n".join(rows) + "\n")
+
+    mixed = []
+    families = [("gumbel", 1.8), ("clayton", 2.5), ("frank", 4.0), ("joe", 1.6)]
+    for i in range(36):
+        kind = i % 3
+        if kind == 0:
+            mixed += _ensemble_lines(rng, 1, 5, 2)
+            continue
+        mean = rng.standard_normal(2).round(3)
+        y = (mean + rng.standard_normal(2)).round(3).tolist()
+        if kind == 1:
+            fc = {"type": "mvgauss", "mean": mean.tolist(), "cov": [[1.0, 0.5], [0.5, 2.0]]}
+        else:
+            family, theta = families[(i // 3) % 4]
+            fc = {"type": "copula_marginal", "copula": {"family": family, "theta": theta,
+                                                         "dim": 2},
+                  "margins": [{"dist": "normal", "mu": float(mean[0]), "sigma": 1.0},
+                              {"dist": "normal", "mu": float(mean[1]), "sigma": 1.5}]}
+        mixed.append({"forecast": fc, "y": y})
+    (root / "mixed.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in mixed))
+
+
+def _digest(out):
+    total = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "manifest.json":
+            doc = json.loads(data)
+            doc.pop("created")
+            data = json.dumps(doc, sort_keys=True).encode()
+        total.update(path.relative_to(out).as_posix().encode() + b"\0")
+        total.update(hashlib.sha256(data).digest())
+    return total.hexdigest()
+
+
+HIGHDIM = ["--j", "20", "--d", "4", "--m", "5", "--kendall-n", "300", "--bins", "5"]
+DEMO = ["--j", "120", "--m", "6", "--kendall-n", "2000", "--bins", "8"]
+
+RUNS = {
+    "coppit-ensemble": (
+        [["coppit", "--in", "ensemble.jsonl", "--bins", "10"]],
+        "3f922adbd079aada5946293550f65d7d9f523828dc5ac98b2182833d943c69a7"),
+    "coppit-csv": (
+        [["coppit", "--in", "ensemble.csv"]],
+        "0fd5776ab7aa4f3b4301eacb9901a7d684d24efc77d6e4f03bfe2ea0e5dd5511"),
+    "coppit-mixed": (
+        [["coppit", "--in", "mixed.jsonl", "--kendall-n", "500"]],
+        "d5e57e901e2f6b4118a4ab5ba3ee1a41d7b5aed9c764ef4c4b801526bbf7da2d"),
+    "coppit-cone": (
+        [["coppit", "--in", "mixed.jsonl", "--kendall-n", "500", "--cone", "se"]],
+        "1c1b3d37bc261d46df8ce42555660be7007f5a53257eb5f96a9524d95255d2a1"),
+    "pit": (
+        [["pit", "--in", "mixed.jsonl", "--margin", "2", "--bins", "6"]],
+        "4307fc2e427e39ad5e69e0c9c8376ec77c9b1f0abe0a9ba26d8c1272ef7c821d"),
+    "rank-hist": (
+        [["rank-hist", "--in", "ensemble.jsonl"]],
+        "8a8b9b4c77fa0c1fc73f71d4473dc54c82ddea5898e9728646736397367769de"),
+    "clical": (
+        [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21"]],
+        "67e860544471e491b76be87511ba6f80be7f05e8c7750b8d9ebb1966019f8342"),
+    "bivariate-directional": (
+        [["simulate", "bivariate", "--directional", "--j", "12", "--directional-n", "300",
+          "--bins", "5"]],
+        "3e5f65cfad61aae5cfc7deaf5c1d801675bf25b4d8008ca52e9773bdd4b62fe0"),
+    "highdim": (
+        [["simulate", "highdim", "--variant", v, *HIGHDIM] for v in
+         ("true-frank", "shrunk-frank", "joe-swap")],
+        "19fe4b1998bbb92a6c01089314f70c13aebc3232d3ea589fe72c831080fd3ae2"),
+    "demo-emos": (
+        [["simulate", "demo-emos", "--variant", v, *DEMO] for v in
+         ("correct", "independent", "ensemble")],
+        "8ff096bd7ef94cc32565000232d09b46fc6cae9197c5a86d7c5dc956306976c7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_digest(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_archives(tmp_path)
+    commands, expected = RUNS[name]
+    for i, argv in enumerate(commands):
+        assert main([*argv, "--out", f"out/{i}", "--seed", "5"]) == 0
+    got = _digest(tmp_path / "out")
+    print(f"{name}: {got}")
+    assert got == expected
