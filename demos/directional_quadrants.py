@@ -37,7 +37,7 @@ def main():
     for fb in study.forecasters:
         cells = []
         for q in QUADRANTS:
-            chi2 = histogram(fb.directional[q]["u"], bins=20).chi2
+            chi2 = histogram(fb.directional[q].u, bins=20).chi2
             mark = "*" if chi2 > CHI2_999 else " "
             cells.append(f" {chi2:>9.1f}{mark}")
         print(f"{fb.label:<6}" + "".join(cells))

@@ -39,8 +39,8 @@ def main():
         scale = 30.0 / hist.counts.max()
         for i, c in enumerate(hist.counts):
             print(f"  ({i / 10:.1f},{(i + 1) / 10:.1f}] {c:>5} {_bar(c, scale)}")
-        if b.ranks is not None:
-            rh = rank_histogram(b.ranks, b.m)
+        if b.rank is not None:
+            rh = rank_histogram(b.rank, b.m)
             print(f"  rank histogram (m={b.m}): chi2={rh.chi2:.1f} (df {rh.chi2_df})")
             scale = 30.0 / rh.counts.max()
             for r, c in enumerate(rh.counts, start=1):

@@ -34,7 +34,7 @@ def main():
     for variant in HIGHDIM_VARIANTS:
         b = run_highdim(variant, j=args.j, seed=args.seed, d=args.d,
                         kendall_n=args.kendall_n)
-        rh = rank_histogram(b.ranks, b.m)
+        rh = rank_histogram(b.rank, b.m)
         ch = histogram(b.u, bins=20)
         print(f"{variant:<14} {rh.chi2 / rh.chi2_df:>13.2f} {rh.chi2_pvalue:>8.3f} "
               f"{ch.chi2 / ch.chi2_df:>15.2f} {ch.chi2_pvalue:>9.1e}")

@@ -13,8 +13,9 @@ calibration curves.  Sub-modules:
 - forecasts: forecast objects (ensemble, bivariate Gaussian,
   copula + margins) with joint/orthant CDFs and sampling
 - kendall: Kendall distribution function estimators and evaluators
-- calibration: copula PIT, randomized PIT, multivariate ranks, histograms,
-  climatological calibration curves, directional (orthant) variants
+- calibration: the columnar ``Records`` result type, copula PIT, randomized
+  PIT, multivariate ranks, histograms, climatological calibration curves,
+  directional (orthant) variants
 - simstudy: packaged simulation studies (bivariate forecaster suite,
   high-dimensional rank-vs-copula-PIT contrast, ensemble demo)
 - io: case archives, result tables, SVG rendering

@@ -36,6 +36,7 @@ _GL_RULES = (
                0.1527533871307259])),
 )
 _X20, _W20 = _GL_RULES[2][1], _GL_RULES[2][2]
+_SATURATE = 40.0
 
 
 def _bvnu_moderate(h, k, r, x, w):
@@ -97,6 +98,10 @@ def bvn_upper(h, k, rho):
         raise ValueError("bvn bounds must be finite")
     if np.any(np.abs(r_arr) > 1.0) or not np.all(np.isfinite(r_arr)):
         raise ValueError("correlation must lie in [-1, 1]")
+    # Phi is exactly 0 or 1 in double beyond |x| = 38.5: saturating the bounds
+    # there changes no probability and keeps their squares and products finite
+    h_arr = np.clip(h_arr, -_SATURATE, _SATURATE)
+    k_arr = np.clip(k_arr, -_SATURATE, _SATURATE)
     out = np.empty(h_arr.shape)
     ar = np.abs(r_arr)
     done = np.zeros(h_arr.shape, dtype=bool)

@@ -11,7 +11,9 @@ a histogram of u values exactly as univariate PIT miscalibration does.  The
 same machinery supports orthant directions other than the lower-left one
 (``signs``), multivariate rank histograms with randomized tie-breaking, and
 a climatological calibration curve that compares the pooled distribution of
-h values against the average Kendall function.
+h values against the average Kendall function.  Every producer of copula PIT
+values returns them as ``Records`` columns (h, k_left, k_right, v, u, rank),
+and ``randomize`` is the one place u is computed.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,13 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
+from .forecasts import _as_members, dominance_counts
+
 __all__ = [
-    "CopPitRecord",
+    "Records",
     "HistogramResult",
     "ClicalCurve",
+    "randomize",
     "pit",
     "coppit",
     "coppit_interval",
@@ -42,17 +47,60 @@ _QUADRANTS = {
 }
 
 
-@dataclass
-class CopPitRecord:
-    """One copula PIT evaluation: jump interval [k_left, k_right] and the
-    randomized value u drawn at position v inside it."""
+def randomize(lo, hi, v):
+    """The point lo + v * (hi - lo) of the jump interval [lo, hi].
 
-    h: float
-    k_left: float
-    k_right: float
-    v: float
-    u: float
-    rank: Optional[int] = None
+    The single place where a (copula) PIT is randomized across a jump;
+    scalars and arrays alike.
+    """
+    return lo + v * (hi - lo)
+
+
+def _same(a, b):
+    return a is b if a is None or b is None else np.array_equal(a, b)
+
+
+@dataclass(eq=False)
+class Records:
+    """Copula PIT records as columns: row i is the jump interval
+    [k_left[i], k_right[i]] of a Kendall function at h[i] = H(y_i) and the
+    value u[i] randomized inside it at position v[i].
+
+    ``u`` defaults to ``randomize(k_left, k_right, v)``.  ``rank`` is None
+    when no row has a multivariate rank; otherwise an integer column in
+    which 0 marks a row without one.  ``coppit`` returns a one-case record
+    whose fields are plain floats.
+    """
+
+    COLUMNS = ("h", "k_left", "k_right", "v", "u", "rank")
+
+    h: np.ndarray
+    k_left: np.ndarray
+    k_right: np.ndarray
+    v: np.ndarray
+    u: Optional[np.ndarray] = None
+    rank: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.u is None:
+            self.u = randomize(self.k_left, self.k_right, self.v)
+
+    def __len__(self):
+        return int(np.size(self.h))
+
+    def __eq__(self, other):
+        if not isinstance(other, Records):
+            return NotImplemented
+        return all(_same(getattr(self, c), getattr(other, c)) for c in self.COLUMNS)
+
+    @classmethod
+    def stack(cls, rows):
+        """Records of a sequence of one-case records, in order."""
+        rows = list(rows)
+        cols = {c: np.array([getattr(r, c) for r in rows], dtype=float) for c in cls.COLUMNS[:5]}
+        if any(r.rank is not None for r in rows):
+            cols["rank"] = np.array([0 if r.rank is None else r.rank for r in rows], dtype=int)
+        return cls(**cols)
 
 
 @dataclass
@@ -76,9 +124,9 @@ class ClicalCurve:
 
 
 def _check_v(v):
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"randomization draw v must lie in [0, 1], got {v}")
+    v = np.asarray(v, dtype=float)
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise ValueError("randomization draws v must lie in [0, 1]")
     return v
 
 
@@ -109,36 +157,24 @@ def cone_signs(spec, dim=None):
 
 def pit(forecast, y, v):
     """Randomized univariate PIT, F(y-) + v * (F(y) - F(y-))."""
-    v = np.asarray(v, dtype=float)
-    if not np.all((v >= 0.0) & (v <= 1.0)):
-        raise ValueError("randomization draws v must lie in [0, 1]")
-    lo = forecast.cdf_left(y)
-    hi = forecast.cdf(y)
-    out = lo + v * (hi - lo)
+    v = _check_v(v)
+    out = randomize(forecast.cdf_left(y), forecast.cdf(y), v)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def coppit(forecast, kendall_fn, y, v, signs=None):
-    """Copula PIT of one observation under one forecast.
+    """Copula PIT of one observation under one forecast, as a one-case record.
 
     ``kendall_fn`` must describe the same direction as ``signs``; use
     ``select_kendall`` with matching arguments to build it.
     """
-    v = _check_v(v)
-    h = forecast.cdf(y) if signs is None else forecast.orthant_cdf(signs, y)
-    h = float(h)
-    k_left = float(kendall_fn.eval_left(h))
-    k_right = float(kendall_fn.eval(h))
-    u = k_left + v * (k_right - k_left)
-    return CopPitRecord(h=h, k_left=k_left, k_right=k_right, v=v, u=u)
+    v = float(_check_v(v))
+    h = float(forecast.cdf(y) if signs is None else forecast.orthant_cdf(signs, y))
+    return Records(h, float(kendall_fn.eval_left(h)), float(kendall_fn.eval(h)), v)
 
 
 def _prerank_setup(points, y, signs):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must have shape (m, d), got {np.shape(points)}")
+    pts = _as_members(points)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if yv.size != pts.shape[1]:
         raise ValueError(f"observation has {yv.size} coordinates, ensemble has {pts.shape[1]}")
@@ -146,17 +182,11 @@ def _prerank_setup(points, y, signs):
         refl = -cone_signs(signs, dim=pts.shape[1]).astype(float)
         pts = pts * refl
         yv = yv * refl
-    m = pts.shape[0]
-    c0 = int(np.all(pts <= yv, axis=1).sum())
-    y_dom = np.all(yv <= pts, axis=1).astype(int)
-    chunk = max(1, 4_000_000 // max(1, pts.size))
-    cnt = np.empty(m, dtype=int)
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        cnt[lo:hi] = np.all(pts[None, :, :] <= pts[lo:hi, None, :], axis=2).sum(axis=1)
-    rho0 = 1 + c0
-    rho = y_dom + cnt
-    return m, rho0, rho, y_dom
+    y_row = yv[None, :]
+    rho0 = 1 + int(dominance_counts(pts, y_row)[0])
+    y_dom = dominance_counts(y_row, pts)
+    rho = y_dom + dominance_counts(pts, pts)
+    return pts.shape[0], rho0, rho, y_dom
 
 
 def multivariate_rank(points, y, rng, signs=None):

@@ -24,13 +24,12 @@ import numpy as np
 
 from . import __version__, simstudy
 from .calibration import (
-    CopPitRecord,
+    Records,
     clical_curve,
     cone_signs,
     coppit,
     histogram,
     multivariate_rank,
-    pit,
     rank_histogram,
 )
 from .forecasts import EnsembleForecast, margin_forecast
@@ -243,7 +242,7 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads):
         return rec, kfn
 
     results = _map_cases(work, len(archive.cases), threads)
-    return [r for r, _ in results], [k for _, k in results]
+    return Records.stack(r for r, _ in results), [k for _, k in results]
 
 
 def _write_hist(values, bins, out, stem, outputs, ranks_m=None):
@@ -256,14 +255,22 @@ def _write_hist(values, bins, out, stem, outputs, ranks_m=None):
     outputs += [f"{stem}.csv", f"{stem}.svg"]
 
 
+def _write_pit(recs, bins, out, outputs, suffix="", ranks_m=None):
+    """records{suffix}.csv, the u histogram hist{suffix}, and with ranks_m the rank histogram."""
+    write_records(recs, out / f"records{suffix}.csv")
+    outputs.append(f"records{suffix}.csv")
+    _write_hist(recs.u, bins, out, f"hist{suffix}", outputs)
+    if ranks_m is not None:
+        _write_hist(recs.rank, None, out, "rank_hist", outputs, ranks_m=ranks_m)
+
+
 def _cmd_coppit(args, seed, argv):
     archive = read_archive(args.inp)
     signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
     recs, _ = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
     out = _out_dir(args)
-    write_records(recs, out / "records.csv")
-    outputs = ["records.csv"]
-    _write_hist([r.u for r in recs], args.bins, out, "hist", outputs)
+    outputs = []
+    _write_pit(recs, args.bins, out, outputs)
     _finish(args, seed, out, outputs, argv, len(recs))
     return 0
 
@@ -279,19 +286,16 @@ def _cmd_pit(args, seed, argv):
         fc, y = archive.cases[i]
         mfc = margin_forecast(fc, k)
         yk = float(np.asarray(y).reshape(-1)[k])
-        hi = float(np.atleast_1d(mfc.cdf(yk))[0])
-        lo = float(np.atleast_1d(mfc.cdf_left(yk))[0])
-        rec = CopPitRecord(h=hi, k_left=lo, k_right=hi, v=float(v[i]),
-                           u=pit(mfc, yk, float(v[i])))
+        hi = float(mfc.cdf(yk))
+        rank = None
         if isinstance(mfc, EnsembleForecast):
-            rec.rank = multivariate_rank(mfc.points, [yk], substream(seed, 2, i))
-        return rec
+            rank = multivariate_rank(mfc.points, [yk], substream(seed, 2, i))
+        return Records(hi, float(mfc.cdf_left(yk)), hi, float(v[i]), rank=rank)
 
-    recs = _map_cases(work, len(archive.cases), args.threads)
+    recs = Records.stack(_map_cases(work, len(archive.cases), args.threads))
     out = _out_dir(args)
-    write_records(recs, out / "records.csv")
-    outputs = ["records.csv"]
-    _write_hist([r.u for r in recs], args.bins, out, "hist", outputs)
+    outputs = []
+    _write_pit(recs, args.bins, out, outputs)
     _finish(args, seed, out, outputs, argv, len(recs))
     return 0
 
@@ -329,23 +333,12 @@ def _cmd_clical(args, seed, argv):
     archive = read_archive(args.inp)
     signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
     recs, kfns = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
-    curve = clical_curve(np.array([r.h for r in recs]), kfns,
-                         grid=np.linspace(0.0, 1.0, args.grid))
+    curve = clical_curve(recs.h, kfns, grid=np.linspace(0.0, 1.0, args.grid))
     out = _out_dir(args)
     write_curve(curve, out / "curve.csv")
     render_svg(curve, out / "curve.svg")
     _finish(args, seed, out, ["curve.csv", "curve.svg"], argv, len(recs))
     return 0
-
-
-def _records_from_arrays(h, k_left, k_right, v, u, ranks=None):
-    out = []
-    for i in range(len(h)):
-        out.append(CopPitRecord(
-            h=float(h[i]), k_left=float(k_left[i]), k_right=float(k_right[i]),
-            v=float(v[i]), u=float(u[i]),
-            rank=None if ranks is None else int(ranks[i])))
-    return out
 
 
 def _cmd_simulate_bivariate(args, seed, argv):
@@ -357,22 +350,14 @@ def _cmd_simulate_bivariate(args, seed, argv):
     for fb in study.forecasters:
         sub = out / fb.label
         sub.mkdir(exist_ok=True)
-        write_records(_records_from_arrays(fb.h, fb.k_left, fb.k_right, fb.v, fb.u),
-                      sub / "records.csv")
-        outputs.append(f"{fb.label}/records.csv")
         sub_outputs = []
-        _write_hist(fb.u, args.bins, sub, "hist", sub_outputs)
+        _write_pit(fb, args.bins, sub, sub_outputs)
         curve = simstudy.bivariate_clical(study, fb.label)
         write_curve(curve, sub / "curve.csv")
         render_svg(curve, sub / "curve.svg")
         sub_outputs += ["curve.csv", "curve.svg"]
-        if fb.directional is not None:
-            for quadrant, rec in fb.directional.items():
-                write_records(_records_from_arrays(
-                    rec["h"], rec["k_left"], rec["k_right"], fb.v, rec["u"]),
-                    sub / f"records_{quadrant}.csv")
-                _write_hist(rec["u"], args.bins, sub, f"hist_{quadrant}", sub_outputs)
-                sub_outputs.append(f"records_{quadrant}.csv")
+        for quadrant, rec in (fb.directional or {}).items():
+            _write_pit(rec, args.bins, sub, sub_outputs, f"_{quadrant}")
         outputs += [f"{fb.label}/{name}" for name in sub_outputs]
     _finish(args, seed, out, outputs, argv, study.j * len(study.forecasters))
     return 0
@@ -382,12 +367,8 @@ def _cmd_simulate_highdim(args, seed, argv):
     batch = simstudy.run_highdim(args.variant, j=args.j, seed=seed, d=args.d,
                                  m=args.m, kendall_n=args.kendall_n)
     out = _out_dir(args)
-    write_records(_records_from_arrays(batch.h, batch.k_left, batch.k_right,
-                                       batch.v, batch.u, batch.ranks),
-                  out / "records.csv")
-    outputs = ["records.csv"]
-    _write_hist(batch.u, args.bins, out, "hist", outputs)
-    _write_hist(batch.ranks, None, out, "rank_hist", outputs, ranks_m=batch.m)
+    outputs = []
+    _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
     _finish(args, seed, out, outputs, argv, batch.j)
     return 0
 
@@ -396,13 +377,8 @@ def _cmd_simulate_demo(args, seed, argv):
     batch = simstudy.run_demo_emos(args.variant, j=args.j, seed=seed,
                                    m=args.m, kendall_n=args.kendall_n)
     out = _out_dir(args)
-    write_records(_records_from_arrays(batch.h, batch.k_left, batch.k_right,
-                                       batch.v, batch.u, batch.ranks),
-                  out / "records.csv")
-    outputs = ["records.csv"]
-    _write_hist(batch.u, args.bins, out, "hist", outputs)
-    if batch.ranks is not None:
-        _write_hist(batch.ranks, None, out, "rank_hist", outputs, ranks_m=batch.m)
+    outputs = []
+    _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
     _finish(args, seed, out, outputs, argv, batch.j)
     return 0
 

@@ -226,11 +226,6 @@ class _Frank:
             raise ValueError(f"frank requires theta > 0, got {theta!r}")
 
     @staticmethod
-    def _log_neg_expm1(x):
-        """log(1 - exp(-x)) for x >= 0 (alias of _log1mexp on arrays)."""
-        return _log1mexp(x)
-
-    @staticmethod
     def phi(t, theta):
         # -log( (e^{-theta t} - 1) / (e^{-theta} - 1) )
         t = np.asarray(t, dtype=float)

@@ -39,6 +39,7 @@ __all__ = [
     "apply_monotone",
     "apply_permutation",
     "margin_forecast",
+    "dominance_counts",
 ]
 
 
@@ -128,6 +129,33 @@ def _as_points(y, dim, what="y"):
     raise ValueError(f"{what} must have shape ({dim},) or (n, {dim}), got {arr.shape}")
 
 
+def _as_members(points):
+    """Coerce ensemble members to an (m, d) float array; 1-d input is m scalars."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError(f"ensemble points must have shape (m, d) with m >= 1, got {np.shape(points)}")
+    return pts
+
+
+def dominance_counts(points, queries):
+    """#{j : points_j <= q coordinatewise} for each row q of ``queries``.
+
+    Both arguments are 2-d with the same number of columns.  The (n, m, d)
+    comparison runs in chunks of at most ~4M elements; counts are exact
+    integers.
+    """
+    m, d = points.shape
+    n = queries.shape[0]
+    chunk = max(1, 4_000_000 // max(1, m * d))
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        out[lo:hi] = np.all(points[None, :, :] <= queries[lo:hi, None, :], axis=2).sum(axis=1)
+    return out
+
+
 def _check_signs(signs, dim):
     s = np.asarray(signs, dtype=float)
     if s.shape != (dim,) or not np.all(np.isin(s, (-1.0, 1.0))):
@@ -144,30 +172,16 @@ class EnsembleForecast:
     kind = "ensemble"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"ensemble points must have shape (m, d) with m >= 1, got {np.shape(points)}")
+        pts = _as_members(points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("ensemble points must be finite")
         self.points = pts.copy()
         self.m = pts.shape[0]
         self.dim = pts.shape[1]
 
-    def _counts(self, y_mat):
-        # chunked (n, m, d) comparison; counts are exact small integers
-        n = y_mat.shape[0]
-        chunk = max(1, 4_000_000 // max(1, self.m * self.dim))
-        out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            out[lo:hi] = np.all(self.points[None, :, :] <= y_mat[lo:hi, None, :], axis=2).sum(axis=1)
-        return out
-
     def cdf(self, y):
         y_mat, single = _as_points(y, self.dim)
-        vals = self._counts(y_mat) / self.m
+        vals = dominance_counts(self.points, y_mat) / self.m
         return float(vals[0]) if single else vals
 
     def cdf_left(self, y):
@@ -181,8 +195,7 @@ class EnsembleForecast:
     def orthant_cdf(self, signs, y):
         s = _check_signs(signs, self.dim)
         y_mat, single = _as_points(y, self.dim)
-        reflected = EnsembleForecast(self.points * -s)
-        vals = reflected.cdf(y_mat * -s)
+        vals = dominance_counts(self.points * -s, y_mat * -s) / self.m
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n=None):

@@ -11,7 +11,7 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
   every case is an m-member ensemble.
 
-Result writers serialize copula PIT record batches, histograms, and
+Result writers serialize copula PIT ``Records``, histograms, and
 calibration curves to CSV or JSON with 17-significant-digit floats, so a
 read/write cycle is value-exact.  ``render_svg`` emits standalone fixed-size
 SVG: histogram bars with a dashed flat-reference line, or a curve with the
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from .calibration import ClicalCurve, CopPitRecord, HistogramResult
+from .calibration import ClicalCurve, HistogramResult, Records
 from .forecasts import EnsembleForecast, forecast_from_dict
 
 __all__ = [
@@ -65,6 +65,10 @@ class CaseArchive:
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _check_case(forecast, y, dim, lineno):
@@ -110,11 +114,14 @@ def _read_archive_jsonl(path):
                 continue
             if set(obj) != {"forecast", "y"}:
                 raise ArchiveError("expected exactly the keys 'forecast' and 'y'", lineno)
+            y = obj["y"]
+            if not (_is_number(y) or isinstance(y, list) and all(map(_is_number, y))):
+                raise ArchiveError("'y' must be a number or a flat list of numbers", lineno)
             try:
                 fc = forecast_from_dict(obj["forecast"])
             except (ValueError, TypeError, KeyError) as exc:
                 raise ArchiveError(f"bad forecast descriptor: {exc}", lineno) from None
-            dim, y = _check_case(fc, obj["y"], dim, lineno)
+            dim, y = _check_case(fc, y, dim, lineno)
             cases.append((fc, y))
     if not cases:
         raise ArchiveError("archive contains no cases")
@@ -197,50 +204,59 @@ def _write_archive_csv(archive, path):
 # --- result files -----------------------------------------------------------
 
 
+def _lines(text):
+    """(line number, text) of each non-blank line."""
+    return [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
+
+
+def _parse_rows(lines, header, what, convert):
+    """Convert each CSV row under ``header``; a bad row raises ArchiveError
+    with its line number."""
+    if not lines or lines[0][1] != header:
+        raise ArchiveError(f"unexpected {what} layout", 1)
+    width = header.count(",") + 1
+    out = []
+    for lineno, text in lines[1:]:
+        fields = text.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError
+            out.append(convert(fields))
+        except ValueError:
+            raise ArchiveError(f"malformed {what} row", lineno) from None
+    return out
+
+
 def write_records(records, path, format="csv"):
-    """Persist a batch of copula PIT records (columns h,k_left,k_right,v,u,rank)."""
-    records = list(records)
+    """Persist ``Records`` (columns h,k_left,k_right,v,u,rank; no rank is empty)."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    cols = [np.atleast_1d(getattr(records, c)).tolist() for c in Records.COLUMNS[:5]]
+    ranks = [0] * len(records) if records.rank is None else np.atleast_1d(records.rank).tolist()
     path = Path(path)
     if format == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["h", "k_left", "k_right", "v", "u", "rank"])
-            for r in records:
-                writer.writerow([_fmt(r.h), _fmt(r.k_left), _fmt(r.k_right),
-                                 _fmt(r.v), _fmt(r.u),
-                                 "" if r.rank is None else int(r.rank)])
-    elif format == "json":
-        doc = [{"h": r.h, "k_left": r.k_left, "k_right": r.k_right,
-                "v": r.v, "u": r.u, "rank": None if r.rank is None else int(r.rank)}
-               for r in records]
-        Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+            writer.writerow(Records.COLUMNS)
+            for *vals, rank in zip(*cols, ranks):
+                writer.writerow([_fmt(x) for x in vals] + [rank or ""])
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        doc = [dict(zip(Records.COLUMNS, (*vals, rank or None)))
+               for *vals, rank in zip(*cols, ranks)]
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
 
 
 def read_records(path):
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    """Load ``Records`` written by ``write_records`` (CSV or JSON)."""
+    text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("["):
-        return [CopPitRecord(h=r["h"], k_left=r["k_left"], k_right=r["k_right"],
-                             v=r["v"], u=r["u"], rank=r["rank"])
-                for r in json.loads(text)]
-    out = []
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
-    if header != ["h", "k_left", "k_right", "v", "u", "rank"]:
-        raise ArchiveError("unexpected record header", 1)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            out.append(CopPitRecord(
-                h=float(row[0]), k_left=float(row[1]), k_right=float(row[2]),
-                v=float(row[3]), u=float(row[4]),
-                rank=None if row[5] == "" else int(row[5])))
-        except (ValueError, IndexError):
-            raise ArchiveError("malformed record row", lineno) from None
-    return out
+        rows = [[r[c] for c in Records.COLUMNS[:5]] + [r["rank"] or 0] for r in json.loads(text)]
+    else:
+        rows = _parse_rows(_lines(text), ",".join(Records.COLUMNS), "record",
+                           lambda f: [float(c) for c in f[:5]] + [int(f[5]) if f[5] else 0])
+    h, k_left, k_right, v, u, rank = np.array(rows, dtype=float).reshape(-1, 6).T.copy()
+    rank = rank.astype(int)
+    return Records(h, k_left, k_right, v, u, rank if rank.any() else None)
 
 
 def write_histogram(hist, path, format="csv"):
@@ -273,22 +289,21 @@ def read_histogram(path):
             counts=np.array(doc["counts"]), edges=np.array(doc["edges"], dtype=float),
             n=doc["n"], chi2=doc["chi2"], chi2_df=doc["chi2_df"],
             chi2_pvalue=doc["chi2_pvalue"], ks=doc["ks"], ks_pvalue=doc["ks_pvalue"])
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != "bin_lo,bin_hi,count" or not lines[-1].startswith("# "):
+    lines = _lines(text)
+    if not lines or not lines[-1][1].startswith("# "):
         raise ArchiveError("unexpected histogram layout", 1)
-    counts, edges = [], []
-    for lineno, ln in enumerate(lines[1:-1], start=2):
-        lo, hi, cnt = ln.split(",")
-        edges.append(float(lo))
-        counts.append(int(cnt))
-        last_hi = float(hi)
-    edges.append(last_hi)
-    trailer = dict(part.split("=", 1) for part in lines[-1][2:].split(","))
-    counts = np.array(counts)
+    rows = _parse_rows(lines[:-1], "bin_lo,bin_hi,count", "histogram",
+                       lambda f: (float(f[0]), float(f[1]), int(f[2])))
+    edges = [lo for lo, _, _ in rows] + [hi for _, hi, _ in rows[-1:]]
+    counts = np.array([c for _, _, c in rows])
+    try:
+        trailer = dict(part.split("=", 1) for part in lines[-1][1][2:].split(","))
+        chi2 = float(trailer["chi2"])
+        df = int(trailer["df"])
+        ks = None if trailer["ks"] == "" else float(trailer["ks"])
+    except (ValueError, KeyError):
+        raise ArchiveError("malformed histogram trailer", lines[-1][0]) from None
     n = int(counts.sum())
-    chi2 = float(trailer["chi2"])
-    df = int(trailer["df"])
-    ks = None if trailer["ks"] == "" else float(trailer["ks"])
     return HistogramResult(
         counts=counts, edges=np.array(edges), n=n, chi2=chi2, chi2_df=df,
         chi2_pvalue=float(stats.chi2.sf(chi2, df)), ks=ks,
@@ -321,11 +336,8 @@ def read_curve(path):
         lhs = np.array(doc["lhs"], dtype=float)
         rhs = np.array(doc["rhs"], dtype=float)
     else:
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != "w,lhs,rhs":
-            raise ArchiveError("unexpected curve layout", 1)
-        rows = [tuple(float(c) for c in ln.split(",")) for ln in lines[1:]]
-        grid, lhs, rhs = (np.array(col) for col in zip(*rows))
+        rows = _parse_rows(_lines(text), "w,lhs,rhs", "curve", lambda f: [float(c) for c in f])
+        grid, lhs, rhs = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
     return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs,
                        max_abs_gap=float(np.max(np.abs(lhs - rhs))))
 
@@ -336,7 +348,7 @@ def write_results(obj, path, format="csv"):
         write_histogram(obj, path, format)
     elif isinstance(obj, ClicalCurve):
         write_curve(obj, path, format)
-    elif isinstance(obj, (list, tuple)) and all(isinstance(r, CopPitRecord) for r in obj):
+    elif isinstance(obj, Records):
         write_records(obj, path, format)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

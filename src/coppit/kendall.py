@@ -10,6 +10,10 @@ Construction routes:
 - analytic_kendall: bivariate Archimedean closed form w - phi(w)/phi'(w).
 - monte_carlo_kendall: empirical CDF of H(X_1..n) for X_i sampled from the
   forecast; works for any forecast and any orthant direction.
+- archimedean_mc_kendall: the same for a d-dimensional Archimedean copula,
+  sampled through the frailty identity.
+- empirical_kendall: the empirical CDF of a given sample of H values; the
+  Monte Carlo routes are built on it.
 - pseudo_kendall: the empirical Kendall function of an ensemble, built from
   pseudo-observations w_k = (1/m) #{j : x_j <= x_k coordinatewise}.
 
@@ -21,7 +25,13 @@ for bivariate copula-marginal forecasts, Monte Carlo otherwise.
 import numpy as np
 
 from .copulas import ArchimedeanCopula, kendall_sample
-from .forecasts import CopulaMarginalForecast, EnsembleForecast, UnivariateForecast
+from .forecasts import (
+    CopulaMarginalForecast,
+    EnsembleForecast,
+    UnivariateForecast,
+    _as_members,
+    dominance_counts,
+)
 
 DEFAULT_MC_SIZE = 10_000
 
@@ -30,6 +40,7 @@ __all__ = [
     "KendallFn",
     "uniform_kendall",
     "analytic_kendall",
+    "empirical_kendall",
     "monte_carlo_kendall",
     "archimedean_mc_kendall",
     "pseudo_kendall",
@@ -114,6 +125,11 @@ def analytic_kendall(copula):
     return _Analytic(copula)
 
 
+def empirical_kendall(values):
+    """Empirical Kendall function of a Monte Carlo sample of H values in [0, 1]."""
+    return _Empirical(values, "mc")
+
+
 def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
     """Empirical Kendall function of H(X) from n forecast draws.
 
@@ -125,7 +141,7 @@ def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
         raise ValueError(f"Monte Carlo sample size must be positive, got {n}")
     x = forecast.sample(rng, n)
     h = forecast.cdf(x) if signs is None else forecast.orthant_cdf(signs, x)
-    return _Empirical(h, "mc")
+    return empirical_kendall(h)
 
 
 def archimedean_mc_kendall(family, theta, dim, rng, n=DEFAULT_MC_SIZE):
@@ -139,23 +155,13 @@ def archimedean_mc_kendall(family, theta, dim, rng, n=DEFAULT_MC_SIZE):
     n = int(n)
     if n < 1:
         raise ValueError(f"Monte Carlo sample size must be positive, got {n}")
-    return _Empirical(kendall_sample(family, rng, theta=theta, dim=dim, n=n), "mc")
+    return empirical_kendall(kendall_sample(family, rng, theta=theta, dim=dim, n=n))
 
 
 def pseudo_observations(points):
     """w_k = (1/m) #{j : x_j <= x_k coordinatewise} for an (m, d) point set."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"points must have shape (m, d), got {np.shape(points)}")
-    m, d = pts.shape
-    chunk = max(1, 4_000_000 // max(1, m * d))
-    out = np.empty(m)
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
-        out[lo:hi] = np.all(pts[None, :, :] <= pts[lo:hi, None, :], axis=2).sum(axis=1) / m
-    return out
+    pts = _as_members(points)
+    return dominance_counts(pts, pts) / pts.shape[0]
 
 
 def pseudo_kendall(points):
@@ -171,33 +177,28 @@ def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs
     analytic for bivariate copula-marginal forecasts evaluated on the plain
     CDF, and Monte Carlo otherwise.
     """
+    plain = signs is None or bool(np.all(np.asarray(signs) == -1))
     if strategy == "auto":
         if isinstance(forecast, UnivariateForecast):
             return uniform_kendall()
         if isinstance(forecast, EnsembleForecast):
-            if forecast.dim == 1:
-                return pseudo_kendall(forecast.points)
-            if signs is None or np.all(np.asarray(signs) == -1):
-                return pseudo_kendall(forecast.points)
-            refl = -np.asarray(signs, dtype=float)
-            return pseudo_kendall(forecast.points * refl[None, :])
-        if isinstance(forecast, CopulaMarginalForecast) and forecast.dim == 2 and (
-                signs is None or np.all(np.asarray(signs) == -1)):
-            return analytic_kendall(forecast.copula)
-        strategy = "mc"
+            strategy = "pseudo"
+        elif isinstance(forecast, CopulaMarginalForecast) and forecast.dim == 2 and plain:
+            strategy = "analytic"
+        else:
+            strategy = "mc"
     if strategy == "analytic":
         if not isinstance(forecast, CopulaMarginalForecast) or forecast.dim != 2:
             raise ValueError("analytic Kendall functions require a bivariate copula-marginal forecast")
-        if signs is not None and not np.all(np.asarray(signs) == -1):
+        if not plain:
             raise ValueError("the closed form covers the plain CDF direction only; use mc for other cones")
         return analytic_kendall(forecast.copula)
     if strategy == "pseudo":
         if not isinstance(forecast, EnsembleForecast):
             raise ValueError("pseudo-observation Kendall functions require an ensemble forecast")
-        if signs is None or np.all(np.asarray(signs) == -1):
-            return pseudo_kendall(forecast.points)
-        refl = -np.asarray(signs, dtype=float)
-        return pseudo_kendall(forecast.points * refl[None, :])
+        # a cone CDF is the plain CDF of the ensemble reflected along the '+' axes
+        pts = forecast.points if plain else forecast.points * -np.asarray(signs, dtype=float)
+        return pseudo_kendall(pts)
     if strategy == "mc":
         if rng is None:
             raise ValueError("Monte Carlo Kendall estimation needs an rng")

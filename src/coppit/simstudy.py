@@ -14,10 +14,11 @@ latent-parameter truth together with the full set of calibration records:
 - ``run_demo_emos``: a bivariate Gaussian truth with a correct forecast, a
   zero-correlation variant, and an underdispersed m=8 ensemble.
 
-All randomness flows through fixed sub-streams of the run seed (latent
-draws, the shared randomization draws v, rank tie-breaking, per-forecaster
-Monte Carlo), so any subset of forecasters reproduces the full run's values
-bit for bit and reruns are deterministic.
+Each result is a ``Records`` batch (one row per case) extended with the
+scenario's own fields.  All randomness flows through fixed sub-streams of
+the run seed (latent draws, the shared randomization draws v, rank
+tie-breaking, per-forecaster Monte Carlo), so any subset of forecasters
+reproduces the full run's values bit for bit and reruns are deterministic.
 """
 
 import hashlib
@@ -27,17 +28,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .bvn import bvn_cdf
-from .calibration import ClicalCurve, multivariate_rank
-from .copulas import (
-    ArchimedeanCopula,
-    copula_cdf,
-    kendall_cdf,
-    kendall_sample,
-    sample_copula,
-    tau_to_theta,
-)
-from .forecasts import CopulaMarginalForecast, GaussianForecast, Normal
+from .calibration import Records, clical_curve, coppit_interval, multivariate_rank
+from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
+from .forecasts import CopulaMarginalForecast, EnsembleForecast, GaussianForecast, Normal
+from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream, uniform01
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
@@ -65,19 +59,15 @@ __all__ = [
 ]
 
 
-@dataclass
-class ForecasterBatch:
-    """Per-case records of one bivariate-study forecaster."""
+@dataclass(eq=False, kw_only=True)
+class ForecasterBatch(Records):
+    """Per-case records of one bivariate-study forecaster; ``directional``
+    maps each quadrant to its orthant records when they were computed."""
 
     label: str
     mu1: np.ndarray
     sd2: np.ndarray
     theta: np.ndarray
-    h: np.ndarray
-    k_left: np.ndarray
-    k_right: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
     pit1: np.ndarray
     pit2: np.ndarray
     directional: Optional[dict] = None
@@ -157,8 +147,7 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
         pit1 = ndtr(y1 - mu1)
         pit2 = ndtr(y2 / sd2)
         h = copula_cdf("gumbel", np.column_stack([pit1, pit2]), theta_hat)
-        k = kendall_cdf("gumbel", h, theta_hat)
-        u = k + v * (k - k)  # continuous case: the jump interval is a point
+        k = kendall_cdf("gumbel", h, theta_hat)  # continuous: the jump interval is a point
 
         directional = None
         if include_directional:
@@ -166,8 +155,7 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
                 substream(seed, 3, f_idx), theta_hat, pit1, pit2, h, v, int(directional_n))
 
         batches.append(ForecasterBatch(
-            label=label, mu1=mu1, sd2=sd2, theta=theta_hat,
-            h=h, k_left=k.copy(), k_right=k.copy(), v=v, u=u,
+            h, k, k, v, label=label, mu1=mu1, sd2=sd2, theta=theta_hat,
             pit1=pit1, pit2=pit2, directional=directional))
 
     return BivariateStudy(j=j, seed=int(seed), b1=b1, b2=b2, tau=tau, y=y,
@@ -178,10 +166,8 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
     """Quadrant orthant records; Kendall functions by per-case Monte Carlo."""
     if n < 1:
         raise ValueError(f"directional Monte Carlo size must be positive, got {n}")
-    j = h.size
-    out = {q: {key: np.empty(j) for key in ("h", "k_left", "k_right", "u")}
-           for q in QUADRANTS}
-    for i in range(j):
+    cols = {q: np.empty((3, h.size)) for q in QUADRANTS}  # h, k_left, k_right
+    for i in range(h.size):
         draws = sample_copula("gumbel", rng, theta=float(theta_hat[i]), dim=2, n=n)
         c = copula_cdf("gumbel", draws, float(theta_hat[i]))
         # orthant value at the outcome and at each copula draw, per quadrant
@@ -192,16 +178,20 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
             "nw": (pit1[i] - h[i], draws[:, 0] - c),
         }
         for q, (hq, g) in pairs.items():
-            g = np.sort(np.clip(g, 0.0, 1.0))
+            kfn = empirical_kendall(np.clip(g, 0.0, 1.0))
             hq = min(max(hq, 0.0), 1.0)
-            kl = np.searchsorted(g, hq, side="left") / n
-            kr = np.searchsorted(g, hq, side="right") / n
-            rec = out[q]
-            rec["h"][i] = hq
-            rec["k_left"][i] = kl
-            rec["k_right"][i] = kr
-            rec["u"][i] = kl + v[i] * (kr - kl)
-    return out
+            cols[q][:, i] = hq, kfn.eval_left(hq), kfn.eval(hq)
+    return {q: Records(*cols[q], v) for q in QUADRANTS}
+
+
+class _MeanGumbelKendall:
+    """Case average of closed-form Gumbel Kendall functions, one theta per case."""
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    def eval(self, w):
+        return kendall_cdf("gumbel", w[None, :], self.theta[:, None]).mean(axis=0)
 
 
 def bivariate_clical(study, label, grid=None):
@@ -211,19 +201,11 @@ def bivariate_clical(study, label, grid=None):
     closed-form Gumbel Kendall functions over the study.
     """
     fb = study.batch(label)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    else:
-        grid = np.asarray(grid, dtype=float)
-    srt = np.sort(fb.h)
-    lhs = np.searchsorted(srt, grid, side="right") / fb.h.size
-    rhs = kendall_cdf("gumbel", grid[None, :], fb.theta[:, None]).mean(axis=0)
-    gap = float(np.max(np.abs(lhs - rhs)))
-    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs, max_abs_gap=gap)
+    return clical_curve(fb.h, _MeanGumbelKendall(fb.theta), grid)
 
 
-@dataclass
-class HighDimBatch:
+@dataclass(eq=False, kw_only=True)
+class HighDimBatch(Records):
     variant: str
     family: str
     j: int
@@ -233,12 +215,6 @@ class HighDimBatch:
     kendall_n: int
     theta_true: np.ndarray
     theta_hat: np.ndarray
-    h: np.ndarray
-    k_left: np.ndarray
-    k_right: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    ranks: np.ndarray
 
 
 def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000):
@@ -293,30 +269,20 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         th = float(theta_hat[i])
         ens = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
         ranks[i] = multivariate_rank(ens, y[i], ties)
-        g = np.sort(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
-        k_left[i] = np.searchsorted(g, h[i], side="left") / kendall_n
-        k_right[i] = np.searchsorted(g, h[i], side="right") / kendall_n
-    u = k_left + v * (k_right - k_left)
+        kfn = archimedean_mc_kendall(family, th, d, rng_f, kendall_n)
+        k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
 
-    return HighDimBatch(variant=variant, family=family, j=j, d=d, m=m,
-                        seed=int(seed), kendall_n=kendall_n,
-                        theta_true=theta_true, theta_hat=theta_hat,
-                        h=h, k_left=k_left, k_right=k_right, v=v, u=u,
-                        ranks=ranks)
+    return HighDimBatch(h, k_left, k_right, v, rank=ranks, variant=variant, family=family,
+                        j=j, d=d, m=m, seed=int(seed), kendall_n=kendall_n,
+                        theta_true=theta_true, theta_hat=theta_hat)
 
 
-@dataclass
-class DemoBatch:
+@dataclass(eq=False, kw_only=True)
+class DemoBatch(Records):
     variant: str
     j: int
     m: Optional[int]
     seed: int
-    h: np.ndarray
-    k_left: np.ndarray
-    k_right: np.ndarray
-    v: np.ndarray
-    u: np.ndarray
-    ranks: Optional[np.ndarray] = None
 
 
 def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
@@ -348,17 +314,13 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
 
     ranks = None
     if variant == "correct":
-        h = bvn_cdf(resid[:, 0], resid[:, 1], rho)
-        rng_f = substream(seed, 3, 0)
-        draws = rng_f.normal(size=(kendall_n, 2)) @ chol.T
-        g = np.sort(bvn_cdf(draws[:, 0], draws[:, 1], rho))
-        k_left = np.searchsorted(g, h, side="left") / kendall_n
-        k_right = np.searchsorted(g, h, side="right") / kendall_n
+        truth = demo_truth_forecast(np.zeros(2), rho)
+        h = truth.cdf(resid)
+        kfn = monte_carlo_kendall(truth, substream(seed, 3, 0), kendall_n)
+        k_left, k_right = kfn.eval_left(h), kfn.eval(h)
     elif variant == "independent":
         h = ndtr(resid[:, 0]) * ndtr(resid[:, 1])
-        k = kendall_cdf("independence", h)
-        k_left = k.copy()
-        k_right = k.copy()
+        k_left = k_right = kendall_cdf("independence", h)
     else:
         rng_f = substream(seed, 3, 2)
         h = np.empty(j)
@@ -366,19 +328,14 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         k_right = np.empty(j)
         ranks = np.empty(j, dtype=int)
         scale = (_DEMO_SHRINK * chol).T
-        from .calibration import coppit_interval
-        from .forecasts import EnsembleForecast
-
         for i in range(j):
             pts = mu[i] + rng_f.normal(size=(m, 2)) @ scale
             h[i] = EnsembleForecast(pts).cdf(y[i])
             k_left[i], k_right[i] = coppit_interval(pts, y[i])
             ranks[i] = multivariate_rank(pts, y[i], ties)
-    u = k_left + v * (k_right - k_left)
 
-    return DemoBatch(variant=variant, j=j, m=m if variant == "ensemble" else None,
-                     seed=int(seed), h=h, k_left=k_left, k_right=k_right,
-                     v=v, u=u, ranks=ranks)
+    return DemoBatch(h, k_left, k_right, v, rank=ranks, variant=variant, j=j,
+                     m=m if variant == "ensemble" else None, seed=int(seed))
 
 
 def demo_truth_forecast(mu, rho=_DEMO_RHO):
@@ -388,7 +345,7 @@ def demo_truth_forecast(mu, rho=_DEMO_RHO):
 
 
 def batch_digest(obj):
-    """Hex digest of every array field of a result dataclass, field order fixed."""
+    """Hex digest of every field of a result dataclass, field order fixed."""
     hasher = hashlib.sha256()
     for f in fields(obj):
         val = getattr(obj, f.name)
@@ -397,11 +354,7 @@ def batch_digest(obj):
             hasher.update(np.ascontiguousarray(val).tobytes())
         elif isinstance(val, dict):
             for key in sorted(val):
-                hasher.update(str(key).encode())
-                sub = val[key]
-                for k2 in sorted(sub):
-                    hasher.update(k2.encode())
-                    hasher.update(np.ascontiguousarray(sub[k2]).tobytes())
+                hasher.update(f"{key}:{batch_digest(val[key])}".encode())
         elif isinstance(val, tuple):
             for item in val:
                 hasher.update(batch_digest(item).encode())

@@ -103,7 +103,7 @@ def test_04_highdim_coppit_beats_rank_histogram():
     for variant in ("shrunk-frank", "joe-swap"):
         b = batches[variant]
         coppit_hist = histogram(b.u, bins=20)
-        rank_counts = np.bincount(b.ranks, minlength=b.m + 2)[1:]
+        rank_counts = np.bincount(b.rank, minlength=b.m + 2)[1:]
         expected = b.j / (b.m + 1)
         rank_chi2 = ((rank_counts - expected) ** 2 / expected).sum()
         ratios[variant] = (coppit_hist.chi2 / coppit_hist.chi2_df) / (rank_chi2 / b.m)

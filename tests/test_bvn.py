@@ -1,9 +1,12 @@
 """Bivariate normal CDF tests: identities, reference values, branch behaviour."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
+from scipy.special import ndtr
 
 from coppit.bvn import _GL_RULES, bvn_cdf, bvn_upper
 
@@ -89,6 +92,15 @@ def test_vector_rho_and_scalars():
     assert out.shape == (4,)
     assert out == pytest.approx(0.25 + np.arcsin(rho) / (2 * np.pi), abs=1e-8)
     assert isinstance(bvn_cdf(0.0, 0.0, 0.5), float)
+
+
+def test_large_finite_bounds_saturate():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bvn_cdf(1e155, 1e155, 0.3) == 1.0
+        assert bvn_cdf(1e160, 3.0, 0.99) == pytest.approx(ndtr(3.0), abs=2e-16)
+        assert bvn_cdf(-1e300, 1e300, -0.5) == 0.0
+        assert bvn_upper(-1e300, -1e300, 0.5) == 1.0
 
 
 def test_validation():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coppit.calibration import ClicalCurve, CopPitRecord, histogram, rank_histogram
+from coppit.calibration import ClicalCurve, Records, histogram, rank_histogram
 from coppit.forecasts import (
     CopulaMarginalForecast,
     EnsembleForecast,
@@ -33,11 +33,11 @@ def _random_records(rng, n, with_rank):
     for _ in range(n):
         k_left, k_right = np.sort(rng.random(2))
         v = float(rng.random())
-        out.append(CopPitRecord(
+        out.append(Records(
             h=float(rng.random()), k_left=float(k_left), k_right=float(k_right),
             v=v, u=float(k_left + v * (k_right - k_left)),
             rank=int(rng.integers(1, 9)) if with_rank else None))
-    return out
+    return Records.stack(out)
 
 
 def _hist_equal(a, b):
@@ -59,8 +59,8 @@ def test_records_roundtrip_exact(tmp_path):
 
 
 def test_records_csv_layout(tmp_path):
-    recs = [CopPitRecord(h=0.5, k_left=0.25, k_right=0.75, v=0.5, u=0.5, rank=None),
-            CopPitRecord(h=0.1, k_left=0.1, k_right=0.1, v=0.3, u=0.1, rank=4)]
+    recs = Records.stack([Records(h=0.5, k_left=0.25, k_right=0.75, v=0.5, u=0.5, rank=None),
+                          Records(h=0.1, k_left=0.1, k_right=0.1, v=0.3, u=0.1, rank=4)])
     path = tmp_path / "records.csv"
     write_records(recs, path)
     lines = path.read_text().splitlines()
@@ -116,7 +116,7 @@ def test_write_results_dispatch(tmp_path):
     write_results(histogram(rng.random(100), bins=5), tmp_path / "h.csv")
     grid = np.array([0.0, 1.0])
     write_results(ClicalCurve(grid, grid, grid, 0.0), tmp_path / "c.csv")
-    assert read_records(tmp_path / "r.csv")[0].rank is not None
+    assert read_records(tmp_path / "r.csv").rank[0] >= 1
     assert read_histogram(tmp_path / "h.csv").n == 100
     with pytest.raises(TypeError):
         write_results({"not": "a result"}, tmp_path / "x.csv")
@@ -178,6 +178,12 @@ def test_jsonl_archive_errors(tmp_path):
     with pytest.raises(ArchiveError, match="line 1.*coordinates"):
         read_archive(path)
 
+    for y in ("[[0], [1]]", "[true, false]", '["a", "b"]', "true"):
+        path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": %s}\n' % y)
+        with pytest.raises(ArchiveError, match="line 2.*'y'"):
+            read_archive(path)
+
     path.write_text("\n")
     with pytest.raises(ArchiveError, match="no cases"):
         read_archive(path)
@@ -234,6 +240,28 @@ def test_csv_archive_errors(tmp_path):
         (GaussianForecast([0.0, 0.0], np.eye(2)), np.zeros(2))), metadata={})
     with pytest.raises(ValueError, match="ensemble"):
         write_archive(mixed, tmp_path / "mixed.csv")
+
+
+def test_result_file_row_errors(tmp_path):
+    hist = tmp_path / "hist.csv"
+    write_histogram(histogram(np.random.default_rng(4).random(50), bins=4), hist)
+    lines = hist.read_text().splitlines()
+    hist.write_text("\n".join(lines[:2] + ["0.25,0.5"] + lines[3:]) + "\n")
+    with pytest.raises(ArchiveError, match="line 3.*histogram row"):
+        read_histogram(hist)
+    hist.write_text("\n".join(lines[:-1] + ["# chi2=1.5"]) + "\n")
+    with pytest.raises(ArchiveError, match="line 6.*trailer"):
+        read_histogram(hist)
+
+    curve = tmp_path / "curve.csv"
+    curve.write_text("w,lhs,rhs\n0,0,0\n\n0.5,0.5\n1,1,1\n")
+    with pytest.raises(ArchiveError, match="line 4.*curve row"):
+        read_curve(curve)
+
+    records = tmp_path / "records.csv"
+    records.write_text("h,k_left,k_right,v,u,rank\n0.5,0.5,0.5,0.1,0.5,\n0.5,0.5,0.5,0.1\n")
+    with pytest.raises(ArchiveError, match="line 3.*record row"):
+        read_records(records)
 
 
 def test_svg_histogram_structure(tmp_path):

@@ -146,6 +146,11 @@ def test_select_auto_routes():
     gauss = GaussianForecast([0.0, 0.0], np.eye(2))
     assert select_kendall(gauss, rng=substream(3, 5), n=500).source == "mc"
 
+    # auto reflects a cone exactly as 'pseudo' does, also for tied 1-d ensembles
+    tied = EnsembleForecast([0.0, 0.0, 1.0])
+    assert np.array_equal(select_kendall(tied, signs=(1,)).values,
+                          select_kendall(tied, "pseudo", signs=(1,)).values)
+
 
 def test_select_explicit_strategies():
     cm = _gumbel_cm()

@@ -89,14 +89,14 @@ def test_bivariate_directional_records():
     fb = study.batch("TTT")
     assert set(fb.directional) == set(ss.QUADRANTS)
     sw, ne = fb.directional["sw"], fb.directional["ne"]
-    assert np.array_equal(sw["h"], fb.h)  # lower-left orthant is the plain CDF
+    assert np.array_equal(sw.h, fb.h)  # lower-left orthant is the plain CDF
     expect_ne = np.clip(1.0 - fb.pit1 - fb.pit2 + fb.h, 0.0, 1.0)
-    assert np.allclose(ne["h"], expect_ne, atol=1e-12)
+    assert np.allclose(ne.h, expect_ne, atol=1e-12)
     for q in ss.QUADRANTS:
         rec = fb.directional[q]
-        assert np.all(rec["k_left"] <= rec["k_right"])
+        assert np.all(rec.k_left <= rec.k_right)
         for key in ("h", "k_left", "k_right", "u"):
-            assert np.all((rec[key] >= 0) & (rec[key] <= 1))
+            assert np.all((getattr(rec, key) >= 0) & (getattr(rec, key) <= 1))
     again = ss.run_bivariate(j=150, seed=31, labels=("TTT",),
                              include_directional=True, directional_n=2000)
     assert ss.batch_digest(again.batch("TTT")) == ss.batch_digest(fb)
@@ -108,8 +108,8 @@ def test_highdim_shapes_and_shared_truth():
     assert np.array_equal(a.theta_true, b.theta_true)
     assert a.family == "frank" and b.family == "joe"
     assert np.array_equal(a.theta_hat, a.theta_true)
-    assert a.ranks.shape == (120,)
-    assert np.all((a.ranks >= 1) & (a.ranks <= 9))
+    assert a.rank.shape == (120,)
+    assert np.all((a.rank >= 1) & (a.rank <= 9))
     for arr in (a.h, a.u, a.k_left, a.k_right):
         assert np.all((arr >= 0) & (arr <= 1))
     assert np.all(a.k_left <= a.k_right)
@@ -131,7 +131,7 @@ def test_highdim_discrimination_smoke():
     g, s = histogram(good.u, 20), histogram(swap.u, 20)
     assert g.ks_pvalue > 0.001
     assert s.chi2 > 5 * g.chi2
-    ranks = rank_histogram(swap.ranks, swap.m)
+    ranks = rank_histogram(swap.rank, swap.m)
     assert (s.chi2 / s.chi2_df) > 3 * (ranks.chi2 / ranks.chi2_df)
 
 
@@ -141,8 +141,8 @@ def test_demo_variants():
     ens = ss.run_demo_emos("ensemble", j=1500, seed=2, m=8)
     assert histogram(correct.u, 20).ks_pvalue > 0.001
     assert histogram(indep.u, 20).chi2 > 43.8
-    assert correct.ranks is None and indep.ranks is None
-    assert np.all((ens.ranks >= 1) & (ens.ranks <= 9))
+    assert correct.rank is None and indep.rank is None
+    assert np.all((ens.rank >= 1) & (ens.rank <= 9))
     res = histogram(ens.u, 20)
     mid = res.counts[1:19].mean()
     assert res.counts[0] > 1.3 * mid  # underdispersed: U-shape
