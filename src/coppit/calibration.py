@@ -124,9 +124,9 @@ class ClicalCurve:
 
 
 def _check_v(v):
-    v = np.asarray(v, dtype=float)
-    if not np.all((v >= 0.0) & (v <= 1.0)):
-        raise ValueError("randomization draws v must lie in [0, 1]")
+    v = float(v)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"randomization draw v must lie in [0, 1], got {v}")
     return v
 
 
@@ -157,7 +157,9 @@ def cone_signs(spec, dim=None):
 
 def pit(forecast, y, v):
     """Randomized univariate PIT, F(y-) + v * (F(y) - F(y-))."""
-    v = _check_v(v)
+    v = np.asarray(v, dtype=float)
+    if not np.all((v >= 0.0) & (v <= 1.0)):
+        raise ValueError("randomization draws v must lie in [0, 1]")
     out = randomize(forecast.cdf_left(y), forecast.cdf(y), v)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -168,25 +170,21 @@ def coppit(forecast, kendall_fn, y, v, signs=None):
     ``kendall_fn`` must describe the same direction as ``signs``; use
     ``select_kendall`` with matching arguments to build it.
     """
-    v = float(_check_v(v))
+    v = _check_v(v)
     h = float(forecast.cdf(y) if signs is None else forecast.orthant_cdf(signs, y))
     return Records(h, float(kendall_fn.eval_left(h)), float(kendall_fn.eval(h)), v)
 
 
-def _prerank_setup(points, y, signs):
+def _pooled(points, y, signs):
+    """Ensemble members stacked over the observation, reflected into the cone."""
     pts = _as_members(points)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if yv.size != pts.shape[1]:
         raise ValueError(f"observation has {yv.size} coordinates, ensemble has {pts.shape[1]}")
+    pooled = np.concatenate([pts, yv[None, :]])
     if signs is not None:
-        refl = -cone_signs(signs, dim=pts.shape[1]).astype(float)
-        pts = pts * refl
-        yv = yv * refl
-    y_row = yv[None, :]
-    rho0 = 1 + int(dominance_counts(pts, y_row)[0])
-    y_dom = dominance_counts(y_row, pts)
-    rho = y_dom + dominance_counts(pts, pts)
-    return pts.shape[0], rho0, rho, y_dom
+        pooled = pooled * -cone_signs(signs, dim=pts.shape[1]).astype(float)
+    return pooled
 
 
 def multivariate_rank(points, y, rng, signs=None):
@@ -196,24 +194,26 @@ def multivariate_rank(points, y, rng, signs=None):
     returned rank is uniform over the positions the observation could take
     among tied pre-ranks, an integer in 1..m+1.
     """
-    m, rho0, rho, _ = _prerank_setup(points, y, signs)
-    below = int((rho < rho0).sum())
-    tied = int((rho == rho0).sum())
+    pooled = _pooled(points, y, signs)
+    rho = dominance_counts(pooled, pooled)  # the observation's pre-rank is last
+    below = int((rho[:-1] < rho[-1]).sum())
+    tied = int((rho[:-1] == rho[-1]).sum())
     return int(1 + below + rng.integers(0, tied + 1))
 
 
 def coppit_interval(points, y, signs=None):
     """Jump interval of the ensemble copula PIT, computed from pre-ranks.
 
-    Removing the observation's own contribution from each ensemble pre-rank
-    and comparing against rho0 - 1 yields exactly the pair
-    (K_m(H(y)-), K_m(H(y))) under the ensemble's own empirical Kendall
-    function.
+    Removing the observation's own contribution from each pre-rank leaves
+    the member counts below each member and below the observation; comparing
+    them yields exactly the pair (K_m(H(y)-), K_m(H(y))) under the ensemble's
+    own empirical Kendall function.
     """
-    m, rho0, rho, y_dom = _prerank_setup(points, y, signs)
-    base = rho - y_dom
-    lo = int((base < rho0 - 1).sum())
-    hi = int((base <= rho0 - 1).sum())
+    pooled = _pooled(points, y, signs)
+    m = pooled.shape[0] - 1
+    cnt = dominance_counts(pooled[:-1], pooled)  # the observation's count is last
+    lo = int((cnt[:-1] < cnt[-1]).sum())
+    hi = int((cnt[:-1] <= cnt[-1]).sum())
     return (lo / m, hi / m)
 
 

@@ -152,7 +152,7 @@ def dominance_counts(points, queries):
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        out[lo:hi] = np.all(points[None, :, :] <= queries[lo:hi, None, :], axis=2).sum(axis=1)
+        out[lo:hi] = (points[None, :, :] <= queries[lo:hi, None, :]).all(axis=2).sum(axis=1)
     return out
 
 
