@@ -84,6 +84,9 @@ RUNS = {
     "coppit-ensemble": (
         [["coppit", "--in", "ensemble.jsonl", "--bins", "10"]],
         "3f922adbd079aada5946293550f65d7d9f523828dc5ac98b2182833d943c69a7"),
+    "coppit-ensemble-mc": (
+        [["coppit", "--in", "ensemble.jsonl", "--kendall", "mc", "--kendall-n", "200"]],
+        "ec915fc161a20957d84a380d25e86f490746949562cc8aed12223e5ca17912c6"),
     "coppit-csv": (
         [["coppit", "--in", "ensemble.csv"]],
         "0fd5776ab7aa4f3b4301eacb9901a7d684d24efc77d6e4f03bfe2ea0e5dd5511"),
