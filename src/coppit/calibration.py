@@ -17,7 +17,7 @@ and ``randomize`` is the one place u is computed.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import stats
@@ -32,6 +32,8 @@ __all__ = [
     "pit",
     "coppit",
     "coppit_interval",
+    "EnsembleCounts",
+    "ensemble_counts",
     "multivariate_rank",
     "histogram",
     "rank_histogram",
@@ -175,16 +177,61 @@ def coppit(forecast, kendall_fn, y, v, signs=None):
     return Records(h, float(kendall_fn.eval_left(h)), float(kendall_fn.eval(h)), v)
 
 
-def _pooled(points, y, signs):
-    """Ensemble members stacked over the observation, reflected into the cone."""
+class EnsembleCounts(NamedTuple):
+    """Integer counts behind the copula PIT and the rank of stacked ensemble
+    cases, one entry per case; m is the member count.
+
+    ``h`` counts the members below the observation, so H(y) = h / m.  With
+    w_k the pseudo-observation of member k, ``k_left`` and ``k_right`` count
+    the members with w_k < H(y) and w_k <= H(y), so the jump interval
+    [K(H(y)-), K(H(y))] of the ensemble's own empirical Kendall function is
+    [k_left, k_right] / m.  ``below`` and ``tied`` count the members whose
+    pre-rank in the pooled set (members and observation) is below or equal
+    to the observation's.
+    """
+
+    h: np.ndarray
+    k_left: np.ndarray
+    k_right: np.ndarray
+    below: np.ndarray
+    tied: np.ndarray
+
+    def ranks(self, rngs):
+        """Ranks in 1..m+1: each case breaks its pre-rank ties uniformly with
+        the next generator from ``rngs``."""
+        draws = [rng.integers(0, t + 1) for rng, t in zip(rngs, self.tied.tolist())]
+        return 1 + self.below + np.array(draws, dtype=int)
+
+
+def ensemble_counts(points, y, signs=None):
+    """``EnsembleCounts`` of n ensemble cases that share a member count.
+
+    ``points`` is (n, m, d) and ``y`` is (n, d).  Every pooled point is
+    counted against the members once, plus against the observation for
+    the pre-ranks; with ``signs`` all points are first reflected into the
+    cone, which turns the cone CDF into the plain one.
+    """
+    pts = np.asarray(points, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] < 1 or yv.shape != (pts.shape[0], pts.shape[2]):
+        raise ValueError(f"need points (n, m, d) and y (n, d), got {pts.shape} and {yv.shape}")
+    pooled = np.concatenate([pts, yv[:, None, :]], axis=1)
+    if signs is not None:
+        pooled = pooled * -cone_signs(signs, dim=pts.shape[2]).astype(float)
+    cnt = dominance_counts(pooled[:, :-1], pooled)  # the observation's count is last
+    rho = cnt + dominance_counts(pooled[:, -1:], pooled)  # pre-ranks count the observation too
+    h = cnt[:, -1:]
+    pre = rho[:, -1:]
+    return EnsembleCounts(h[:, 0], (cnt[:, :-1] < h).sum(axis=1), (cnt[:, :-1] <= h).sum(axis=1),
+                          (rho[:, :-1] < pre).sum(axis=1), (rho[:, :-1] == pre).sum(axis=1))
+
+
+def _one_case(points, y, signs):
     pts = _as_members(points)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if yv.size != pts.shape[1]:
         raise ValueError(f"observation has {yv.size} coordinates, ensemble has {pts.shape[1]}")
-    pooled = np.concatenate([pts, yv[None, :]])
-    if signs is not None:
-        pooled = pooled * -cone_signs(signs, dim=pts.shape[1]).astype(float)
-    return pooled
+    return pts.shape[0], ensemble_counts(pts[None], yv[None], signs)
 
 
 def multivariate_rank(points, y, rng, signs=None):
@@ -194,11 +241,8 @@ def multivariate_rank(points, y, rng, signs=None):
     returned rank is uniform over the positions the observation could take
     among tied pre-ranks, an integer in 1..m+1.
     """
-    pooled = _pooled(points, y, signs)
-    rho = dominance_counts(pooled, pooled)  # the observation's pre-rank is last
-    below = int((rho[:-1] < rho[-1]).sum())
-    tied = int((rho[:-1] == rho[-1]).sum())
-    return int(1 + below + rng.integers(0, tied + 1))
+    _, c = _one_case(points, y, signs)
+    return int(c.ranks([rng])[0])
 
 
 def coppit_interval(points, y, signs=None):
@@ -209,12 +253,8 @@ def coppit_interval(points, y, signs=None):
     them yields exactly the pair (K_m(H(y)-), K_m(H(y))) under the ensemble's
     own empirical Kendall function.
     """
-    pooled = _pooled(points, y, signs)
-    m = pooled.shape[0] - 1
-    cnt = dominance_counts(pooled[:-1], pooled)  # the observation's count is last
-    lo = int((cnt[:-1] < cnt[-1]).sum())
-    hi = int((cnt[:-1] <= cnt[-1]).sum())
-    return (lo / m, hi / m)
+    m, c = _one_case(points, y, signs)
+    return (int(c.k_left[0]) / m, int(c.k_right[0]) / m)
 
 
 def histogram(values, bins=20):

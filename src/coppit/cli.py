@@ -28,8 +28,8 @@ from .calibration import (
     clical_curve,
     cone_signs,
     coppit,
+    ensemble_counts,
     histogram,
-    multivariate_rank,
     rank_histogram,
 )
 from .forecasts import EnsembleForecast, margin_forecast
@@ -221,28 +221,80 @@ def _out_dir(args):
     return out
 
 
-def _map_cases(work, n, threads):
+def _map_cases(work, indices, threads):
+    """[work(i) for i in indices] on ``threads`` workers; a failure names its 1-based case."""
+    def numbered(i):
+        try:
+            return work(i)
+        except ValueError as exc:
+            raise ValueError(f"case {i + 1}: {exc}") from exc
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(n)))
-    return [work(i) for i in range(n)]
+            return list(pool.map(numbered, indices))
+    return [numbered(i) for i in indices]
+
+
+_STACK_COMPARISONS = 500_000  # coordinate comparisons per stacked block
+
+
+def _ensemble_groups(cases, indices, signs):
+    """(m, case indices, ``EnsembleCounts``) for the given ensemble cases,
+    stacked per member count m in blocks of ~_STACK_COMPARISONS coordinate
+    comparisons, which keeps memory near that of one case at a time."""
+    groups = {}
+    for i in indices:
+        groups.setdefault(cases[i][0].m, []).append(i)
+    for m, idx in groups.items():
+        size = max(1, _STACK_COMPARISONS // ((m + 1) * m * cases[idx[0]][0].dim))
+        for lo in range(0, len(idx), size):
+            block = idx[lo:lo + size]
+            pts = np.stack([cases[i][0].points for i in block])
+            ys = np.stack([cases[i][1] for i in block])
+            yield m, np.array(block), ensemble_counts(pts, ys, signs)
+
+
+def _ranks(seed, idx, counts):
+    """Ranks 1..m+1; case i breaks its pre-rank ties with substream (2, i)."""
+    return counts.ranks(substream(seed, 2, i) for i in idx.tolist())
 
 
 def _analyze(archive, seed, strategy, kendall_n, signs, threads):
-    """Per-case copula PIT records (substreams: 1=v, 2=ties, 3=Monte Carlo)."""
-    v = uniform01(substream(seed, 1), len(archive.cases))
+    """Copula PIT records and Kendall functions per case (substreams: 1=v, 2=ties, 3=Monte Carlo).
+
+    Ensemble ranks come from one stacked pass per member count, and so do
+    the whole ensemble records under the auto and pseudo strategies, whose
+    Kendall route draws nothing.  Other cases are evaluated one by one on
+    ``threads`` workers.
+    """
+    cases = archive.cases
+    n = len(cases)
+    v = uniform01(substream(seed, 1), n)
+    ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
+    stacked = ens if strategy in ("auto", "pseudo") else []
+    per_case = sorted(set(range(n)) - set(stacked))
 
     def work(i):
-        fc, y = archive.cases[i]
+        fc, y = cases[i]
         kfn = select_kendall(fc, strategy=strategy, rng=substream(seed, 3, i),
                              n=kendall_n, signs=signs)
-        rec = coppit(fc, kfn, y, float(v[i]), signs=signs)
-        if isinstance(fc, EnsembleForecast):
-            rec.rank = multivariate_rank(fc.points, y, substream(seed, 2, i), signs=signs)
-        return rec, kfn
+        return coppit(fc, kfn, y, float(v[i]), signs=signs), kfn
 
-    results = _map_cases(work, len(archive.cases), threads)
-    return Records.stack(r for r, _ in results), [k for _, k in results]
+    def pseudo(i):
+        return select_kendall(cases[i][0], strategy=strategy, signs=signs)
+
+    h, k_left, k_right = np.empty(n), np.empty(n), np.empty(n)
+    kfns = [None] * n
+    for i, (rec, kfn) in zip(per_case, _map_cases(work, per_case, threads)):
+        h[i], k_left[i], k_right[i], kfns[i] = rec.h, rec.k_left, rec.k_right, kfn
+    for i, kfn in zip(stacked, _map_cases(pseudo, stacked, 1)):
+        kfns[i] = kfn
+    rank = np.zeros(n, dtype=int) if ens else None
+    for m, idx, c in _ensemble_groups(cases, ens, signs):
+        rank[idx] = _ranks(seed, idx, c)
+        if stacked:
+            h[idx], k_left[idx], k_right[idx] = c.h / m, c.k_left / m, c.k_right / m
+    return Records(h, k_left, k_right, v, rank=rank), kfns
 
 
 def _write_hist(values, bins, out, stem, outputs, ranks_m=None):
@@ -280,19 +332,20 @@ def _cmd_pit(args, seed, argv):
     if args.margin > archive.dim:
         raise ValueError(f"--margin {args.margin} exceeds archive dimension {archive.dim}")
     k = args.margin - 1
-    v = uniform01(substream(seed, 1), len(archive.cases))
+    cases = [(margin_forecast(fc, k), y[k:k + 1]) for fc, y in archive.cases]
+    n = len(cases)
+    v = uniform01(substream(seed, 1), n)
 
     def work(i):
-        fc, y = archive.cases[i]
-        mfc = margin_forecast(fc, k)
-        yk = float(np.asarray(y).reshape(-1)[k])
-        hi = float(mfc.cdf(yk))
-        rank = None
-        if isinstance(mfc, EnsembleForecast):
-            rank = multivariate_rank(mfc.points, [yk], substream(seed, 2, i))
-        return Records(hi, float(mfc.cdf_left(yk)), hi, float(v[i]), rank=rank)
+        mfc, yk = cases[i]
+        return float(mfc.cdf_left(yk[0])), float(mfc.cdf(yk[0]))
 
-    recs = Records.stack(_map_cases(work, len(archive.cases), args.threads))
+    lo, hi = np.array(_map_cases(work, range(n), args.threads)).T
+    ens = [i for i, (mfc, _) in enumerate(cases) if isinstance(mfc, EnsembleForecast)]
+    rank = np.zeros(n, dtype=int) if ens else None
+    for _, idx, counts in _ensemble_groups(cases, ens, None):
+        rank[idx] = _ranks(seed, idx, counts)
+    recs = Records(hi, lo, hi, v, rank=rank)
     out = _out_dir(args)
     outputs = []
     _write_pit(recs, args.bins, out, outputs)
@@ -307,24 +360,20 @@ def _cmd_rank_hist(args, seed, argv):
     for i, (fc, _) in enumerate(archive.cases):
         if not isinstance(fc, EnsembleForecast):
             raise ValueError(f"case {i + 1}: rank histograms need ensemble forecasts")
-        sizes.add(fc.points.shape[0])
+        sizes.add(fc.m)
     if len(sizes) != 1:
         raise ValueError(f"rank histograms need one common ensemble size, found {sorted(sizes)}")
     m = sizes.pop()
-
-    def work(i):
-        fc, y = archive.cases[i]
-        return multivariate_rank(fc.points, y, substream(seed, 2, i), signs=signs)
-
-    ranks = _map_cases(work, len(archive.cases), args.threads)
+    ranks = np.empty(len(archive.cases), dtype=int)
+    for _, idx, counts in _ensemble_groups(archive.cases, range(len(archive.cases)), signs):
+        ranks[idx] = _ranks(seed, idx, counts)
     out = _out_dir(args)
     with open(out / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "rank"])
-        for i, r in enumerate(ranks, start=1):
-            writer.writerow([i, r])
+        writer.writerows(enumerate(ranks.tolist(), start=1))
     outputs = ["ranks.csv"]
-    _write_hist(np.array(ranks), None, out, "hist", outputs, ranks_m=m)
+    _write_hist(ranks, None, out, "hist", outputs, ranks_m=m)
     _finish(args, seed, out, outputs, argv, len(ranks))
     return 0
 

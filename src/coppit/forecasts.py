@@ -139,21 +139,33 @@ def _as_members(points):
     return pts
 
 
+_CHUNK_ELEMENTS = 4_000_000
+
+
 def dominance_counts(points, queries):
     """#{j : points_j <= q coordinatewise} for each row q of ``queries``.
 
-    Both arguments are 2-d with the same number of columns.  The (n, m, d)
-    comparison runs in chunks of at most ~4M elements; counts are exact
-    integers.
+    ``points`` is (m, d) and ``queries`` (n, d), giving n counts; or both
+    carry the same leading case axis, (c, m, d) and (c, n, d), giving (c, n)
+    counts of each case's queries against that case's points.  The
+    (c, n, m, d) comparison runs in chunks of at most ~_CHUNK_ELEMENTS
+    elements; counts are exact integers.
     """
-    m, d = points.shape
-    n = queries.shape[0]
-    chunk = max(1, 4_000_000 // max(1, m * d))
-    out = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        out[lo:hi] = (points[None, :, :] <= queries[lo:hi, None, :]).all(axis=2).sum(axis=1)
-    return out
+    stacked = points.ndim == 3
+    if not stacked:
+        points, queries = points[None], queries[None]
+    c, m, d = points.shape
+    n = queries.shape[1]
+    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))  # query rows per chunk
+    step = max(1, rows // max(1, n))  # cases per chunk; 1 when one case needs row chunks
+    out = np.empty((c, n), dtype=np.int64)
+    for a in range(0, c, step):
+        b = min(c, a + step)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            le = points[a:b, None, :, :] <= queries[a:b, lo:hi, None, :]
+            out[a:b, lo:hi] = le.all(axis=3).sum(axis=2)
+    return out if stacked else out[0]
 
 
 def _check_signs(signs, dim):

@@ -212,30 +212,32 @@ def _sibuya_invert(u, alpha):
     """Smallest integer k >= 1 with S(k) <= 1 - u, for u, alpha arrays.
 
     Answers up to _SIBUYA_TABLE_K come from the exact product
-    S(k) = prod_{j<=k} (1 - alpha/j); larger ones from the asymptotic
-    inverse k ~ ((1-u) Gamma(1-alpha))^(-1/alpha), which is within one of
-    the truth once k is past the table (verified exhaustively in tests),
-    followed by exact-survival correction steps.
+    S(k) = prod_{j<=k} (1 - alpha/j), tabulated once when alpha is a scalar;
+    larger ones from the asymptotic inverse k ~ ((1-u) Gamma(1-alpha))^(-1/alpha),
+    which is within one of the truth once k is past the table (verified
+    exhaustively in tests), followed by exact-survival correction steps.
     """
+    alpha = np.asarray(alpha, dtype=float)
     shape = np.broadcast(u, alpha).shape
     u = np.broadcast_to(np.asarray(u, dtype=float), shape)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), shape)
     out = np.ones(shape)
     big = u > alpha  # pr(K = 1) = alpha
     if not np.any(big):
         return out
-    a = alpha[big]
+    # one table row per draw, or one row for all draws when alpha is a scalar
+    a = alpha[None] if alpha.ndim == 0 else np.broadcast_to(alpha, shape)[big]
     log_tail = np.log1p(-u[big])  # log(1 - u) = target log-survival
     ks = np.arange(1, _SIBUYA_TABLE_K + 1, dtype=float)
     log_sf_table = np.cumsum(np.log1p(-a[:, None] / ks[None, :]), axis=1)
     in_table = log_sf_table[:, -1] <= log_tail
-    k_big = np.ones(a.shape)
+    k_big = np.ones(log_tail.shape)
     if np.any(in_table):
-        # first column whose log-survival drops to the target
-        k_big[in_table] = 1.0 + np.argmax(log_sf_table[in_table] <= log_tail[in_table, None], axis=1)
+        # first column whose log-survival drops to the target: each row falls
+        rows = log_sf_table if a.size == 1 else log_sf_table[in_table]
+        k_big[in_table] = 1.0 + (rows > log_tail[in_table, None]).sum(axis=1)
     rest = ~in_table
     if np.any(rest):
-        ar = a[rest]
+        ar = np.broadcast_to(a, log_tail.shape)[rest]
         tr = log_tail[rest]
         # solve -alpha log k - alpha (1-alpha)/(2k) = T for log k; the
         # second-order term matters because the residual gets divided by
@@ -247,8 +249,11 @@ def _sibuya_invert(u, alpha):
         k0 = np.exp(np.minimum(log_kc, 36.0))
         log_kc = np.where(small_enough, log_kc - (1 - ar) / (2 * k0), log_kc)
         k = np.maximum(np.floor(np.exp(log_kc)) - 2.0, float(_SIBUYA_TABLE_K))
+        # the survival falls in k, so an entry that did not step never steps again
+        moving = np.arange(k.size)
         for _ in range(6):
-            k = np.where(_sibuya_log_sf(k, ar) > tr, k + 1.0, k)
+            moving = moving[_sibuya_log_sf(k[moving], ar[moving]) > tr[moving]]
+            k[moving] += 1.0
         k_big[rest] = k
     out[big] = k_big
     return out
@@ -266,7 +271,7 @@ def sibuya(rng, alpha, size=None):
     """
     alpha_b, shape, scalar_out = _broadcast_param(alpha, size, "alpha", 0.0, 1.0)
     u = rng.random(shape)
-    out = _sibuya_invert(u, alpha_b)
+    out = _sibuya_invert(u, alpha if np.ndim(alpha) == 0 else alpha_b)
     if scalar_out:
         return float(out[()])
     return out

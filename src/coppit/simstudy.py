@@ -22,15 +22,16 @@ reproduces the full run's values bit for bit and reruns are deterministic.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibration import Records, clical_curve, coppit_interval, multivariate_rank
+from .calibration import Records, clical_curve, ensemble_counts, multivariate_rank
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
-from .forecasts import CopulaMarginalForecast, EnsembleForecast, GaussianForecast, Normal
+from .forecasts import CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream, uniform01
 
@@ -323,16 +324,13 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         k_left = k_right = kendall_cdf("independence", h)
     else:
         rng_f = substream(seed, 3, 2)
-        h = np.empty(j)
-        k_left = np.empty(j)
-        k_right = np.empty(j)
-        ranks = np.empty(j, dtype=int)
+        pts = np.empty((j, m, 2))
         scale = (_DEMO_SHRINK * chol).T
         for i in range(j):
-            pts = mu[i] + rng_f.normal(size=(m, 2)) @ scale
-            h[i] = EnsembleForecast(pts).cdf(y[i])
-            k_left[i], k_right[i] = coppit_interval(pts, y[i])
-            ranks[i] = multivariate_rank(pts, y[i], ties)
+            pts[i] = mu[i] + rng_f.normal(size=(m, 2)) @ scale
+        counts = ensemble_counts(pts, y)
+        h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
+        ranks = counts.ranks(itertools.repeat(ties))
 
     return DemoBatch(h, k_left, k_right, v, rank=ranks, variant=variant, j=j,
                      m=m if variant == "ensemble" else None, seed=int(seed))

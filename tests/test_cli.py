@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from coppit import cli
+from coppit.calibration import coppit, multivariate_rank
 from coppit.cli import main
+from coppit.forecasts import EnsembleForecast
 from coppit.io import read_records
+from coppit.kendall import select_kendall
+from coppit.samplers import substream
 
 
 @pytest.fixture()
@@ -30,6 +35,30 @@ def gaussian_archive(tmp_path):
         fc = {"type": "mvgauss", "mean": mean, "cov": [[1.0, 0.4], [0.4, 1.0]]}
         lines.append(json.dumps({"forecast": fc, "y": y}))
     path = tmp_path / "gauss.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.fixture()
+def mixed_archive(tmp_path):
+    """Ensembles of 4 and 7 members interleaved with mvgauss and copula cases."""
+    rng = np.random.default_rng(8)
+    lines = []
+    for i in range(24):
+        kind = i % 4
+        y = rng.standard_normal(2).round(2).tolist()
+        if kind in (0, 2):
+            pts = rng.standard_normal((4 if kind == 0 else 7, 2)).round(1).tolist()
+            fc = {"type": "ensemble", "points": pts}
+        elif kind == 1:
+            fc = {"type": "mvgauss", "mean": [0.0, 0.1], "cov": [[1.0, 0.3], [0.3, 1.5]]}
+        else:
+            fc = {"type": "copula_marginal",
+                  "copula": {"family": "clayton", "theta": 2.0, "dim": 2},
+                  "margins": [{"dist": "normal", "mu": 0.0, "sigma": 1.0},
+                              {"dist": "normal", "mu": 0.2, "sigma": 1.2}]}
+        lines.append(json.dumps({"forecast": fc, "y": y}))
+    path = tmp_path / "mixed.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -72,14 +101,52 @@ def test_repeat_run_is_byte_identical(ensemble_archive, tmp_path):
             assert first[name] == second[name], name
 
 
-def test_threads_do_not_change_output(gaussian_archive, tmp_path):
-    argv1 = ["coppit", "--in", str(gaussian_archive), "--out", str(tmp_path / "a"),
-             "--seed", "3", "--kendall-n", "400"]
-    argv4 = ["coppit", "--in", str(gaussian_archive), "--out", str(tmp_path / "b"),
-             "--seed", "3", "--kendall-n", "400", "--threads", "4"]
-    assert main(argv1) == 0 and main(argv4) == 0
-    assert (tmp_path / "a" / "records.csv").read_bytes() == \
-           (tmp_path / "b" / "records.csv").read_bytes()
+def test_threads_do_not_change_output(gaussian_archive, ensemble_archive, mixed_archive,
+                                      tmp_path):
+    for archive in (gaussian_archive, ensemble_archive, mixed_archive):
+        for cone in ([], ["--cone", "se"]):
+            base = ["coppit", "--in", str(archive), "--seed", "3", "--kendall-n", "400", *cone]
+            one = tmp_path / f"{archive.stem}{len(cone)}-1"
+            four = tmp_path / f"{archive.stem}{len(cone)}-4"
+            assert main(base + ["--out", str(one)]) == 0
+            assert main(base + ["--out", str(four), "--threads", "4"]) == 0
+            records = (one / "records.csv").read_bytes()
+            assert records == (four / "records.csv").read_bytes()
+            assert len(records.splitlines()) == 1 + len(archive.read_text().splitlines())
+
+
+def test_stacked_blocks_do_not_change_output(mixed_archive, ensemble_archive, tmp_path,
+                                             monkeypatch):
+    runs = [["coppit", "--in", str(mixed_archive), "--kendall-n", "300", "--cone", "ne"],
+            ["rank-hist", "--in", str(ensemble_archive)]]
+    for budget in (None, 1, 200):  # one block per member count, one case, a few cases
+        if budget is not None:
+            monkeypatch.setattr(cli, "_STACK_COMPARISONS", budget)
+        for k, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / f"{budget}-{k}"), "--seed", "6"]) == 0
+    for k, name in enumerate(["records.csv", "ranks.csv"]):
+        want = (tmp_path / f"None-{k}" / name).read_bytes()
+        assert (tmp_path / f"1-{k}" / name).read_bytes() == want
+        assert (tmp_path / f"200-{k}" / name).read_bytes() == want
+
+
+def test_mixed_archive_matches_case_by_case(mixed_archive, tmp_path):
+    # the stacked ensemble cases must equal a run on each case alone, in archive order
+    assert main(["coppit", "--in", str(mixed_archive), "--out", str(tmp_path / "all"),
+                 "--seed", "4", "--kendall-n", "300"]) == 0
+    recs = read_records(tmp_path / "all" / "records.csv")
+    lines = mixed_archive.read_text().splitlines()
+    for i, line in enumerate(lines):
+        doc = json.loads(line)
+        if doc["forecast"]["type"] != "ensemble":
+            assert recs.rank[i] == 0
+            continue
+        fc = EnsembleForecast(doc["forecast"]["points"])
+        kfn = select_kendall(fc, "pseudo")
+        one = coppit(fc, kfn, doc["y"], recs.v[i])
+        assert (recs.h[i], recs.k_left[i], recs.k_right[i], recs.u[i]) == \
+            (one.h, one.k_left, one.k_right, one.u)
+        assert recs.rank[i] == multivariate_rank(fc.points, doc["y"], substream(4, 2, i))
 
 
 def test_seed_env_override(ensemble_archive, tmp_path, monkeypatch):
@@ -171,6 +238,15 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
                       '{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [[0], [1]]}\n')
     assert main(["coppit", "--in", str(nested), "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+
+    ens = tmp_path / "ens.jsonl"
+    ens.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0], [1, 1]]}, "y": [0, 0]}\n')
+    assert main(["coppit", "--in", str(ens), "--out", str(tmp_path / "o"),
+                 "--kendall", "analytic"]) == 2
+    assert "error: case 1: analytic Kendall functions require" in capsys.readouterr().err
+    assert main(["clical", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
+                 "--kendall", "pseudo"]) == 2
+    assert "error: case 1: pseudo-observation Kendall functions" in capsys.readouterr().err
 
     short = tmp_path / "short.csv"
     short.write_text("w,lhs,rhs\n0,0,0\n1,1\n")

@@ -174,6 +174,19 @@ def test_sibuya_inversion_exact():
         assert not np.any(high)
 
 
+def test_sibuya_scalar_alpha_matches_array_alpha():
+    # a scalar alpha shares one survival table; the draws must not change.
+    # Small alpha puts most draws past the table (92% at 0.02), alpha near 1
+    # almost none, and 1.0 gives K = 1 throughout
+    for i, alpha in enumerate((0.005, 0.02, 0.3, 0.75, 0.999, 1.0)):
+        scalar = sp.sibuya(sp.make_rng(30 + i), alpha, 5000)
+        array = sp.sibuya(sp.make_rng(30 + i), np.full(5000, alpha))
+        assert np.array_equal(scalar, array)
+        u = np.linspace(0.0, 1 - 2**-53, 3001)
+        assert np.array_equal(sp._sibuya_invert(u, alpha),
+                              sp._sibuya_invert(u, np.full_like(u, alpha)))
+
+
 def test_sibuya_pmf_chi2():
     for seed, alpha in ((16, 0.3), (17, 0.5), (18, 0.8)):
         x = sp.sibuya(sp.make_rng(seed), alpha, N)
