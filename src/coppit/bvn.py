@@ -105,13 +105,11 @@ def bvn_upper(h, k, rho):
     out = np.empty(h_arr.shape)
     ar = np.abs(r_arr)
     done = np.zeros(h_arr.shape, dtype=bool)
-    lo = 0.0
     for hi, x, w in _GL_RULES:
         m = ~done & (ar < hi)
         if np.any(m):
             out[m] = _bvnu_moderate(h_arr[m], k_arr[m], r_arr[m], x, w)
             done |= m
-        lo = hi
     m = ~done
     if np.any(m):
         out[m] = _bvnu_high(h_arr[m], k_arr[m], r_arr[m])

@@ -173,7 +173,7 @@ def coppit(forecast, kendall_fn, y, v, signs=None):
     ``select_kendall`` with matching arguments to build it.
     """
     v = _check_v(v)
-    h = float(forecast.cdf(y) if signs is None else forecast.orthant_cdf(signs, y))
+    h = float(forecast.cdf(y, signs))
     return Records(h, float(kendall_fn.eval_left(h)), float(kendall_fn.eval(h)), v)
 
 

@@ -59,13 +59,6 @@ def _log1mexp(s):
                         np.log1p(-np.exp(-np.maximum(s, _LN2))))
 
 
-def _theta_array(theta, name):
-    arr = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} copula parameter must be finite, got {theta!r}")
-    return arr
-
-
 # --- family namespaces ----------------------------------------------------
 # Staticmethod-style vectorized math; theta may be a scalar or an array
 # broadcasting against the data (one parameter per row in batch use).
@@ -73,6 +66,7 @@ def _theta_array(theta, name):
 
 class _Independence:
     name = "independence"
+    theta_closed = True  # tau_to_theta accepts tau = 0, its one value
 
     @staticmethod
     def check_theta(theta):
@@ -99,10 +93,6 @@ class _Independence:
         return np.where(w == 0.0, 0.0, k)
 
     @staticmethod
-    def tau(theta=None):
-        return 0.0
-
-    @staticmethod
     def theta_from_tau(tau):
         if not np.all(np.asarray(tau) == 0):
             raise ValueError("independence copula has tau = 0 only")
@@ -117,14 +107,38 @@ class _Independence:
         return np.exp(-s)
 
 
-class _Gumbel:
-    name = "gumbel"
+class _Archimedean:
+    """A one-parameter family: theta finite and above ``theta_min``, or at
+    it when ``theta_closed`` (where the family reaches independence, tau = 0),
+    with C(u) = psi(sum_i phi(u_i)) and frailty Laplace transform psi."""
 
-    @staticmethod
-    def check_theta(theta):
-        arr = _theta_array(theta, "gumbel")
-        if np.any(arr < 1.0):
-            raise ValueError(f"gumbel requires theta >= 1, got {theta!r}")
+    theta_min = 0.0
+    theta_closed = False
+
+    @classmethod
+    def check_theta(cls, theta):
+        arr = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{cls.name} copula parameter must be finite, got {theta!r}")
+        if np.any(arr < cls.theta_min if cls.theta_closed else arr <= cls.theta_min):
+            op = ">=" if cls.theta_closed else ">"
+            raise ValueError(f"{cls.name} requires theta {op} {cls.theta_min:g}, got {theta!r}")
+
+    @classmethod
+    def cdf(cls, u, theta):
+        theta = np.asarray(theta, dtype=float)
+        th = theta[..., None] if theta.ndim else theta
+        return cls.psi(np.sum(cls.phi(u, th), axis=-1), theta)
+
+    @classmethod
+    def psi_frailty(cls, s, theta):
+        return cls.psi(s, theta)
+
+
+class _Gumbel(_Archimedean):
+    name = "gumbel"
+    theta_min = 1.0
+    theta_closed = True
 
     @staticmethod
     def phi(t, theta):
@@ -163,17 +177,9 @@ class _Gumbel:
     def frailty(rng, theta, size):
         return samplers.positive_stable(rng, 1.0 / np.asarray(theta, dtype=float), size)
 
-    psi_frailty = psi
 
-
-class _Clayton:
+class _Clayton(_Archimedean):
     name = "clayton"
-
-    @staticmethod
-    def check_theta(theta):
-        arr = _theta_array(theta, "clayton")
-        if np.any(arr <= 0.0):
-            raise ValueError(f"clayton requires theta > 0, got {theta!r}")
 
     @staticmethod
     def phi(t, theta):
@@ -183,14 +189,6 @@ class _Clayton:
     @staticmethod
     def psi(s, theta):
         return np.exp(-np.log1p(theta * s) / theta)
-
-    @staticmethod
-    def cdf(u, theta):
-        theta = np.asarray(theta, dtype=float)
-        th = theta[..., None] if theta.ndim else theta
-        with np.errstate(divide="ignore", over="ignore"):
-            s = np.sum(_Clayton.phi(u, th), axis=-1)
-            return _Clayton.psi(s, theta)
 
     @staticmethod
     def kendall(w, theta):
@@ -216,14 +214,8 @@ class _Clayton:
         return np.exp(-np.log1p(s) / theta)
 
 
-class _Frank:
+class _Frank(_Archimedean):
     name = "frank"
-
-    @staticmethod
-    def check_theta(theta):
-        arr = _theta_array(theta, "frank")
-        if np.any(arr <= 0.0):
-            raise ValueError(f"frank requires theta > 0, got {theta!r}")
 
     @staticmethod
     def phi(t, theta):
@@ -245,13 +237,6 @@ class _Frank:
             far = -np.log(np.maximum(arg, 1e-320)) / theta
         out = np.where(x > -0.5, near, far)
         return np.where(s == 0.0, 1.0, out)
-
-    @staticmethod
-    def cdf(u, theta):
-        theta = np.asarray(theta, dtype=float)
-        th = theta[..., None] if theta.ndim else theta
-        s = np.sum(_Frank.phi(u, th), axis=-1)
-        return _Frank.psi(s, theta)
 
     @staticmethod
     def kendall(w, theta):
@@ -289,17 +274,11 @@ class _Frank:
         # directly so large theta stays exact
         return samplers._log_series_from_log1mp(rng, -np.asarray(theta, dtype=float), size)
 
-    psi_frailty = psi
 
-
-class _Joe:
+class _Joe(_Archimedean):
     name = "joe"
-
-    @staticmethod
-    def check_theta(theta):
-        arr = _theta_array(theta, "joe")
-        if np.any(arr < 1.0):
-            raise ValueError(f"joe requires theta >= 1, got {theta!r}")
+    theta_min = 1.0
+    theta_closed = True
 
     @staticmethod
     def phi(t, theta):
@@ -313,13 +292,6 @@ class _Joe:
     def psi(s, theta):
         # 1 - (1 - e^{-s})^{1/theta}
         return -np.expm1(_log1mexp(s) / theta)
-
-    @staticmethod
-    def cdf(u, theta):
-        theta = np.asarray(theta, dtype=float)
-        th = theta[..., None] if theta.ndim else theta
-        s = np.sum(_Joe.phi(u, th), axis=-1)
-        return _Joe.psi(s, theta)
 
     @staticmethod
     def kendall(w, theta):
@@ -369,8 +341,6 @@ class _Joe:
     def frailty(rng, theta, size):
         return samplers.sibuya(rng, 1.0 / np.asarray(theta, dtype=float), size)
 
-    psi_frailty = psi
-
 
 def _debye1(x):
     """Debye function D1(x) = (1/x) int_0^x t/(e^t - 1) dt for x > 0.
@@ -402,11 +372,11 @@ def tau_to_theta(family, tau):
     """Parameter theta giving population Kendall's tau ``tau`` (scalar or array)."""
     fam = _family(family)
     arr = np.asarray(tau, dtype=float)
-    lo, hi = (-1e-9, 1.0) if fam.name in ("independence", "gumbel", "joe") else (0.0, 1.0)
-    if not np.all((arr > lo) & (arr < hi)):
+    lo = -1e-9 if fam.theta_closed else 0.0  # tau = 0 sits at a closed theta bound
+    if not np.all((arr > lo) & (arr < 1.0)):
         raise ValueError(f"{fam.name} supports tau in ({max(lo, 0.0)}, 1), got {tau!r}")
     if fam.name == "independence":
-        return None
+        return fam.theta_from_tau(arr)
     if arr.ndim == 0:
         return float(fam.theta_from_tau(float(arr)))
     return np.array([fam.theta_from_tau(float(t)) for t in arr.ravel()]).reshape(arr.shape)
@@ -455,7 +425,7 @@ def copula_cdf(family, u, theta=None):
         raise ValueError("copula arguments must lie in [0, 1]")
     th = None if theta is None else np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        c = fam.cdf(u_mat, th) if th is not None else fam.cdf(u_mat)
+        c = fam.cdf(u_mat, th)
     c = np.clip(c, 0.0, 1.0)
     return float(c[0]) if scalar else c
 
@@ -503,11 +473,7 @@ def sample_copula(family, rng, theta=None, dim=2, n=None):
     v = fam.frailty(rng, th, rows)
     e = rng.standard_exponential((rows, dim))
     s = e / np.asarray(v, dtype=float)[:, None]
-    th_col = th[:, None] if (th is not None and th.ndim > 0) else th
-    if th_col is None:
-        u = fam.psi_frailty(s)
-    else:
-        u = fam.psi_frailty(s, th_col)
+    u = fam.psi_frailty(s, th[:, None] if (th is not None and th.ndim > 0) else th)
     u = np.clip(u, 1e-300, 1.0 - 2.0**-53)
     return u[0] if n is None else u
 
@@ -537,7 +503,7 @@ def kendall_sample(family, rng, theta=None, dim=2, n=None):
     s = rng.standard_gamma(float(dim), size=rows) / v
     if fam.name == "clayton":
         s = s / th
-    c = fam.psi(s) if th is None else fam.psi(s, th)
+    c = fam.psi(s, th)
     c = np.clip(c, 0.0, 1.0)
     return float(c[0]) if n is None else c
 

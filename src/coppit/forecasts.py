@@ -1,19 +1,19 @@
-"""Forecast objects: multivariate CDFs, orthant CDFs, sampling, serialization.
+"""Forecast objects: multivariate CDFs in any orthant, sampling, serialization.
 
-Three multivariate forecast types share one interface (``dim``, ``cdf``,
-``orthant_cdf``, ``sample``, ``to_dict``):
+Three multivariate forecast types share one interface (``dim``,
+``cdf(y, signs=None)``, ``sample``, ``to_dict``):
 
 - EnsembleForecast: the empirical measure of m member vectors; CDF counts
   are weak (<=) coordinatewise.
 - GaussianForecast: a non-degenerate bivariate normal law.
 - CopulaMarginalForecast: an Archimedean copula with normal margins.
 
-``orthant_cdf(signs, y)`` evaluates the probability of the closed cone
-{x : signs_i (x_i - y_i) >= 0 for all i} anchored at y, so signs of all -1
-reduce to the ordinary CDF.  Ensembles and Gaussians evaluate cones by the
-exact reflection identity (negate the relevant coordinates and use the plain
-CDF); copula-marginal forecasts use inclusion-exclusion over the
-"+" coordinates.
+``cdf(y, signs)`` evaluates the probability of the closed cone
+{x : signs_i (x_i - y_i) >= 0 for all i} anchored at y; ``signs=None`` is
+the lower-left orthant (all -1), the ordinary CDF.  Ensembles and Gaussians
+evaluate cones by the exact reflection identity (negate the relevant
+coordinates and use the plain CDF); copula-marginal forecasts use
+inclusion-exclusion over the "+" coordinates.
 
 ``UnivariateForecast`` adapts a scalar margin to the same interface for
 one-dimensional work, where the left-limit CDF also matters for randomized
@@ -169,6 +169,9 @@ def dominance_counts(points, queries):
 
 
 def _check_signs(signs, dim):
+    """Cone signs as floats; None is the lower-left orthant."""
+    if signs is None:
+        return -np.ones(dim)
     s = np.asarray(signs, dtype=float)
     if s.shape != (dim,) or not np.all(np.isin(s, (-1.0, 1.0))):
         raise ValueError(f"cone signs must be a vector of +-1 with length {dim}, got {signs!r}")
@@ -191,9 +194,13 @@ class EnsembleForecast:
         self.m = pts.shape[0]
         self.dim = pts.shape[1]
 
-    def cdf(self, y):
+    def cdf(self, y, signs=None):
         y_mat, single = _as_points(y, self.dim)
-        vals = dominance_counts(self.points, y_mat) / self.m
+        pts = self.points
+        if signs is not None:
+            s = -_check_signs(signs, self.dim)
+            pts, y_mat = pts * s, y_mat * s
+        vals = dominance_counts(pts, y_mat) / self.m
         return float(vals[0]) if single else vals
 
     def cdf_left(self, y):
@@ -202,12 +209,6 @@ class EnsembleForecast:
             raise ValueError("cdf_left is defined for univariate ensembles only")
         y_mat, single = _as_points(y, 1)
         vals = (self.points[None, :, 0] < y_mat[:, 0][:, None]).sum(axis=1) / self.m
-        return float(vals[0]) if single else vals
-
-    def orthant_cdf(self, signs, y):
-        s = _check_signs(signs, self.dim)
-        y_mat, single = _as_points(y, self.dim)
-        vals = dominance_counts(self.points * -s, y_mat * -s) / self.m
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n=None):
@@ -251,14 +252,7 @@ class GaussianForecast:
         self._rho = float(rho)
         self.dim = 2
 
-    def cdf(self, y):
-        y_mat, single = _as_points(y, 2)
-        h = (y_mat - self.mean) / self._sds
-        vals = bvn_cdf(h[:, 0], h[:, 1], self._rho)
-        vals = np.atleast_1d(vals)
-        return float(vals[0]) if single else vals
-
-    def orthant_cdf(self, signs, y):
+    def cdf(self, y, signs=None):
         s = _check_signs(signs, 2)
         y_mat, single = _as_points(y, 2)
         h = -s * (y_mat - self.mean) / self._sds
@@ -305,13 +299,7 @@ class CopulaMarginalForecast:
             u[:, j] = mg.cdf(y_mat[:, j])
         return u
 
-    def cdf(self, y):
-        y_mat, single = _as_points(y, self.dim)
-        vals = self.copula.cdf(self._margin_cdfs(y_mat))
-        vals = np.atleast_1d(vals)
-        return float(vals[0]) if single else vals
-
-    def orthant_cdf(self, signs, y):
+    def cdf(self, y, signs=None):
         s = _check_signs(signs, self.dim)
         y_mat, single = _as_points(y, self.dim)
         u = self._margin_cdfs(y_mat)
@@ -367,23 +355,17 @@ class UnivariateForecast:
             return arr[:, 0], False
         raise ValueError(f"univariate outcome must be scalar, (n,), or (n, 1); got {arr.shape}")
 
-    def cdf(self, y):
+    def cdf(self, y, signs=None):
         flat, single = self._flat(y)
-        vals = np.atleast_1d(self.margin.cdf(flat))
+        if _check_signs(signs, 1)[0] < 0:
+            vals = np.atleast_1d(self.margin.cdf(flat))
+        else:
+            vals = 1.0 - np.atleast_1d(self.margin.cdf_left(flat))
         return float(vals[0]) if single else vals
 
     def cdf_left(self, y):
         flat, single = self._flat(y)
         vals = np.atleast_1d(self.margin.cdf_left(flat))
-        return float(vals[0]) if single else vals
-
-    def orthant_cdf(self, signs, y):
-        s = _check_signs(signs, 1)
-        flat, single = self._flat(y)
-        if s[0] < 0:
-            vals = np.atleast_1d(self.margin.cdf(flat))
-        else:
-            vals = 1.0 - np.atleast_1d(self.margin.cdf_left(flat))
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n=None):

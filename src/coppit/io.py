@@ -163,7 +163,10 @@ def _read_archive_csv(path):
                 vals = np.array([float(c) for c in row])
             except ValueError:
                 raise ArchiveError("non-numeric field", lineno) from None
-            fc = EnsembleForecast(vals[d:].reshape(m, d))
+            try:
+                fc = EnsembleForecast(vals[d:].reshape(m, d))
+            except ValueError as exc:
+                raise ArchiveError(str(exc), lineno) from None
             _, y = _check_case(fc, vals[:d], d, lineno)
             cases.append((fc, y))
     if not cases:

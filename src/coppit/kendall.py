@@ -140,7 +140,7 @@ def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
     if n < 1:
         raise ValueError(f"Monte Carlo sample size must be positive, got {n}")
     x = forecast.sample(rng, n)
-    h = forecast.cdf(x) if signs is None else forecast.orthant_cdf(signs, x)
+    h = forecast.cdf(x, signs)
     return empirical_kendall(h)
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibration import Records, clical_curve, ensemble_counts, multivariate_rank
+from .calibration import Records, clical_curve, ensemble_counts
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
 from .forecasts import CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
@@ -265,13 +265,13 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
     rng_f = substream(seed, 3, HIGHDIM_VARIANTS.index(variant))
     k_left = np.empty(j)
     k_right = np.empty(j)
-    ranks = np.empty(j, dtype=int)
+    ens = np.empty((j, m, d))
     for i in range(j):
         th = float(theta_hat[i])
-        ens = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
-        ranks[i] = multivariate_rank(ens, y[i], ties)
+        ens[i] = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
         kfn = archimedean_mc_kendall(family, th, d, rng_f, kendall_n)
         k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
+    ranks = ensemble_counts(ens, y).ranks(itertools.repeat(ties))
 
     return HighDimBatch(h, k_left, k_right, v, rank=ranks, variant=variant, family=family,
                         j=j, d=d, m=m, seed=int(seed), kendall_n=kendall_n,

@@ -253,6 +253,19 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
     assert main(["render", "--in", str(short), "--out", str(tmp_path / "s.svg")]) == 2
     assert "line 3" in capsys.readouterr().err
 
+    nonfinite = tmp_path / "nonfinite.csv"
+    nonfinite.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,nan,4\n")
+    assert main(["coppit", "--in", str(nonfinite), "--out", str(tmp_path / "o")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+    indep = tmp_path / "indep.jsonl"
+    margin = {"dist": "normal", "mu": 0, "sigma": 1}
+    indep.write_text(json.dumps({"forecast": {
+        "type": "copula_marginal", "copula": {"family": "independence", "tau": 0.5, "dim": 2},
+        "margins": [margin, margin]}, "y": [0, 0]}) + "\n")
+    assert main(["coppit", "--in", str(indep), "--out", str(tmp_path / "o")]) == 2
+    assert "line 1" in capsys.readouterr().err
+
 
 def test_mvgauss_extreme_outcome(tmp_path):
     path = tmp_path / "far.jsonl"

@@ -180,6 +180,11 @@ def test_tau_domain_errors():
         cp.tau_to_theta("gumbel", 1.0)
     with pytest.raises(ValueError):
         cp.tau_to_theta("frank", -0.2)
+    with pytest.raises(ValueError, match="tau = 0"):
+        cp.tau_to_theta("independence", 0.5)
+    with pytest.raises(ValueError, match="tau = 0"):
+        cp.ArchimedeanCopula("independence", tau=0.5)
+    assert cp.tau_to_theta("independence", 0.0) is None
 
 
 # --- sampling ------------------------------------------------------------------

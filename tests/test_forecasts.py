@@ -66,10 +66,10 @@ def test_ensemble_orthant_reflection_is_exact():
     e = EnsembleForecast(sp.make_rng(5).normal(size=(8, 2)))
     ys = sp.make_rng(6).normal(size=(100, 2))
     for s in QUADRANTS:
-        got = e.orthant_cdf(s, ys)
+        got = e.cdf(ys, s)
         manual = np.mean(np.all(np.asarray(s) * (e.points[None, :, :] - ys[:, None, :]) >= 0, axis=2), axis=1)
         assert np.array_equal(got, manual)
-    assert np.array_equal(e.orthant_cdf((-1, -1), ys), e.cdf(ys))
+    assert np.array_equal(e.cdf(ys, (-1, -1)), e.cdf(ys))
 
 
 def test_ensemble_univariate_left_limit():
@@ -105,12 +105,12 @@ def test_gaussian_cdf_matches_scipy():
 def test_gaussian_orthants_sum_to_one_and_match_mc():
     g = GaussianForecast([0.5, -1.0], [[2.0, 0.8], [0.8, 1.0]])
     y = np.array([1.2, -0.3])
-    total = sum(g.orthant_cdf(s, y) for s in QUADRANTS)
+    total = sum(g.cdf(y, s) for s in QUADRANTS)
     assert total == pytest.approx(1.0, abs=1e-12)
     x = g.sample(sp.make_rng(4), 200_000)
     for s in QUADRANTS:
         emp = np.mean(np.all(np.asarray(s) * (x - y) >= 0, axis=1))
-        assert abs(emp - g.orthant_cdf(s, y)) <= 0.01
+        assert abs(emp - g.cdf(y, s)) <= 0.01
 
 
 def test_gaussian_validation():
@@ -144,12 +144,12 @@ def test_copula_marginal_cdf_composition():
 def test_copula_marginal_orthants():
     f = _gumbel_forecast()
     y = np.array([1.2, -0.3])
-    assert sum(f.orthant_cdf(s, y) for s in QUADRANTS) == pytest.approx(1.0, abs=1e-12)
-    assert f.orthant_cdf((-1, -1), y) == pytest.approx(f.cdf(y), abs=1e-15)
+    assert sum(f.cdf(y, s) for s in QUADRANTS) == pytest.approx(1.0, abs=1e-12)
+    assert f.cdf(y, (-1, -1)) == pytest.approx(f.cdf(y), abs=1e-15)
     x = f.sample(sp.make_rng(3), 200_000)
     for s in QUADRANTS:
         emp = np.mean(np.all(np.asarray(s) * (x - y) >= 0, axis=1))
-        assert abs(emp - f.orthant_cdf(s, y)) <= 0.01
+        assert abs(emp - f.cdf(y, s)) <= 0.01
 
 
 def test_copula_marginal_sampling_margins():
@@ -174,8 +174,8 @@ def test_univariate_forecast():
     f = UnivariateForecast(Normal(0.0, 1.0))
     assert f.cdf(0.0) == pytest.approx(0.5)
     assert f.cdf_left(0.0) == f.cdf(0.0)
-    assert f.orthant_cdf((-1,), 0.0) == pytest.approx(0.5)
-    assert f.orthant_cdf((1,), 0.0) == pytest.approx(0.5)
+    assert f.cdf(0.0, (-1,)) == pytest.approx(0.5)
+    assert f.cdf(0.0, (1,)) == pytest.approx(0.5)
     x = f.sample(sp.make_rng(10), 20_000)
     assert x.shape == (20_000, 1)
     assert stats.kstest(x[:, 0], "norm").pvalue >= 0.01

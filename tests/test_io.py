@@ -178,6 +178,13 @@ def test_jsonl_archive_errors(tmp_path):
     with pytest.raises(ArchiveError, match="line 1.*coordinates"):
         read_archive(path)
 
+    path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                    '{"forecast": {"type": "copula_marginal", "copula": {"family": "independence", '
+                    '"tau": 0.5, "dim": 2}, "margins": [{"dist": "normal", "mu": 0, "sigma": 1}, '
+                    '{"dist": "normal", "mu": 0, "sigma": 1}]}, "y": [0, 0]}\n')
+    with pytest.raises(ArchiveError, match="line 2.*tau = 0"):
+        read_archive(path)
+
     for y in ("[[0], [1]]", "[true, false]", '["a", "b"]', "true"):
         path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
                         '{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": %s}\n' % y)
@@ -234,6 +241,11 @@ def test_csv_archive_errors(tmp_path):
     path.write_text("y1,y2,x1_1\n")
     with pytest.raises(ArchiveError, match="line 1"):
         read_archive(path)
+
+    for bad in ("nan", "inf"):
+        path.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,%s,4\n" % bad)
+        with pytest.raises(ArchiveError, match="line 3.*finite"):
+            read_archive(path)
 
     mixed = CaseArchive(dim=2, cases=(
         (EnsembleForecast([[0.0, 0.0]]), np.zeros(2)),

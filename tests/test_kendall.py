@@ -115,7 +115,7 @@ def test_pseudo_orthant_reflection_exact():
     fc = EnsembleForecast(pts)
     signs = (1, -1)
     kf = select_kendall(fc, "pseudo", signs=signs)
-    assert np.array_equal(np.sort(fc.orthant_cdf(signs, pts)), kf.values)
+    assert np.array_equal(np.sort(fc.cdf(pts, signs)), kf.values)
 
 
 def test_mc_orthant_gaussian_symmetry():
