@@ -14,6 +14,7 @@ is absent.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,7 @@ from .io import (
     write_records,
 )
 from .kendall import DEFAULT_MC_SIZE, select_kendall
-from .samplers import DEFAULT_SEED, substream, uniform01
+from .samplers import DEFAULT_SEED, substream
 
 __all__ = ["main", "build_parser"]
 
@@ -99,17 +100,20 @@ def build_parser():
                         help="worker threads for per-case computation")
 
     sp = sub.add_parser("coppit", help="copula PIT records and histogram for an archive")
+    sp.set_defaults(func=_cmd_coppit)
     add_io(sp)
     add_common(sp)
     sp.add_argument("--bins", type=_positive("bin count"), default=20)
-    sp.add_argument("--kendall", choices=("auto", "analytic", "mc", "pseudo"), default="auto",
-                    help="Kendall-function strategy")
+    sp.add_argument("--kendall", choices=("auto", "mc"), default="auto",
+                    help="Kendall function: auto takes the route the forecast fixes, "
+                         "mc estimates every case by Monte Carlo")
     sp.add_argument("--kendall-n", type=_positive("sample size"), default=DEFAULT_MC_SIZE,
                     help="Monte Carlo sample size for the mc strategy")
     sp.add_argument("--cone", default=None, metavar="SPEC",
                     help="orthant direction: sw/se/ne/nw or a +- string, one sign per coordinate")
 
     sp = sub.add_parser("pit", help="randomized PIT of one margin for an archive")
+    sp.set_defaults(func=_cmd_pit)
     add_io(sp)
     add_common(sp)
     sp.add_argument("--bins", type=_positive("bin count"), default=20)
@@ -117,16 +121,18 @@ def build_parser():
                     help="1-based coordinate whose margin is checked")
 
     sp = sub.add_parser("rank-hist", help="multivariate rank histogram for an ensemble archive")
+    sp.set_defaults(func=_cmd_rank_hist)
     add_io(sp)
     add_common(sp)
     sp.add_argument("--cone", default=None, metavar="SPEC")
 
     sp = sub.add_parser("clical", help="climatological copula-calibration curve for an archive")
+    sp.set_defaults(func=_cmd_clical)
     add_io(sp)
     add_common(sp)
     sp.add_argument("--grid", type=_positive("grid size"), default=101,
                     help="number of evaluation points on [0, 1]")
-    sp.add_argument("--kendall", choices=("auto", "analytic", "mc", "pseudo"), default="auto")
+    sp.add_argument("--kendall", choices=("auto", "mc"), default="auto")
     sp.add_argument("--kendall-n", type=_positive("sample size"), default=DEFAULT_MC_SIZE)
     sp.add_argument("--cone", default=None, metavar="SPEC")
 
@@ -134,6 +140,7 @@ def build_parser():
     study = sim.add_subparsers(dest="study", required=True, metavar="STUDY")
 
     sp = study.add_parser("bivariate", help="eight-forecaster bivariate study")
+    sp.set_defaults(func=_cmd_simulate_bivariate)
     sp.add_argument("--out", required=True, metavar="DIR")
     add_common(sp)
     sp.add_argument("--j", type=_positive("case count"), default=4000)
@@ -144,6 +151,7 @@ def build_parser():
                     help="Monte Carlo size per case for directional Kendall functions")
 
     sp = study.add_parser("highdim", help="high-dimensional rank vs copula PIT contrast")
+    sp.set_defaults(func=functools.partial(_cmd_simulate_batch, simstudy.run_highdim))
     sp.add_argument("--out", required=True, metavar="DIR")
     add_common(sp)
     sp.add_argument("--variant", required=True, choices=simstudy.HIGHDIM_VARIANTS)
@@ -154,6 +162,7 @@ def build_parser():
     sp.add_argument("--bins", type=_positive("bin count"), default=20)
 
     sp = study.add_parser("demo-emos", help="bivariate Gaussian forecasting demo")
+    sp.set_defaults(func=functools.partial(_cmd_simulate_batch, simstudy.run_demo_emos))
     sp.add_argument("--out", required=True, metavar="DIR")
     add_common(sp)
     sp.add_argument("--variant", required=True, choices=simstudy.DEMO_VARIANTS)
@@ -163,6 +172,7 @@ def build_parser():
     sp.add_argument("--bins", type=_positive("bin count"), default=20)
 
     sp = sub.add_parser("render", help="render a result file (histogram or curve CSV/JSON) to SVG")
+    sp.set_defaults(func=_cmd_render)
     sp.add_argument("--in", dest="inp", required=True, metavar="FILE")
     sp.add_argument("--out", required=True, metavar="FILE.svg")
 
@@ -170,7 +180,9 @@ def build_parser():
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    if not hasattr(args, "seed"):  # render draws nothing
+        return None
+    if args.seed is not None:
         return int(args.seed)
     env = os.environ.get("COPPIT_SEED")
     if env is not None:
@@ -263,15 +275,15 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads):
     """Copula PIT records and Kendall functions per case (substreams: 1=v, 2=ties, 3=Monte Carlo).
 
     Ensemble ranks come from one stacked pass per member count, and so do
-    the whole ensemble records under the auto and pseudo strategies, whose
-    Kendall route draws nothing.  Other cases are evaluated one by one on
-    ``threads`` workers.
+    the whole ensemble records under the auto strategy, whose Kendall route
+    draws nothing.  Other cases are evaluated one by one on ``threads``
+    workers.
     """
     cases = archive.cases
     n = len(cases)
-    v = uniform01(substream(seed, 1), n)
+    v = substream(seed, 1).random(n)
     ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
-    stacked = ens if strategy in ("auto", "pseudo") else []
+    stacked = ens if strategy == "auto" else []
     per_case = sorted(set(range(n)) - set(stacked))
 
     def work(i):
@@ -281,7 +293,7 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads):
         return coppit(fc, kfn, y, float(v[i]), signs=signs), kfn
 
     def pseudo(i):
-        return select_kendall(cases[i][0], strategy=strategy, signs=signs)
+        return select_kendall(cases[i][0], signs=signs)
 
     h, k_left, k_right = np.empty(n), np.empty(n), np.empty(n)
     kfns = [None] * n
@@ -334,7 +346,7 @@ def _cmd_pit(args, seed, argv):
     k = args.margin - 1
     cases = [(margin_forecast(fc, k), y[k:k + 1]) for fc, y in archive.cases]
     n = len(cases)
-    v = uniform01(substream(seed, 1), n)
+    v = substream(seed, 1).random(n)
 
     def work(i):
         mfc, yk = cases[i]
@@ -412,9 +424,10 @@ def _cmd_simulate_bivariate(args, seed, argv):
     return 0
 
 
-def _cmd_simulate_highdim(args, seed, argv):
-    batch = simstudy.run_highdim(args.variant, j=args.j, seed=seed, d=args.d,
-                                 m=args.m, kendall_n=args.kendall_n)
+def _cmd_simulate_batch(run, args, seed, argv):
+    """simulate highdim and demo-emos: one batch of records with ranks."""
+    sizes = {k: v for k, v in vars(args).items() if k in ("j", "d", "m", "kendall_n")}
+    batch = run(args.variant, seed=seed, **sizes)
     out = _out_dir(args)
     outputs = []
     _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
@@ -422,17 +435,7 @@ def _cmd_simulate_highdim(args, seed, argv):
     return 0
 
 
-def _cmd_simulate_demo(args, seed, argv):
-    batch = simstudy.run_demo_emos(args.variant, j=args.j, seed=seed,
-                                   m=args.m, kendall_n=args.kendall_n)
-    out = _out_dir(args)
-    outputs = []
-    _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
-    _finish(args, seed, out, outputs, argv, batch.j)
-    return 0
-
-
-def _cmd_render(args):
+def _cmd_render(args, seed, argv):
     head = ""
     with open(args.inp, encoding="utf-8") as fh:
         head = fh.readline().strip()
@@ -462,7 +465,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "cone", None) is not None:
             _check_cone_syntax(args.cone)
-        seed = _resolve_seed(args) if args.command != "render" else None
+        seed = _resolve_seed(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -470,22 +473,7 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
 
     try:
-        if args.command == "coppit":
-            return _cmd_coppit(args, seed, argv)
-        if args.command == "pit":
-            return _cmd_pit(args, seed, argv)
-        if args.command == "rank-hist":
-            return _cmd_rank_hist(args, seed, argv)
-        if args.command == "clical":
-            return _cmd_clical(args, seed, argv)
-        if args.command == "simulate":
-            handler = {"bivariate": _cmd_simulate_bivariate,
-                       "highdim": _cmd_simulate_highdim,
-                       "demo-emos": _cmd_simulate_demo}[args.study]
-            return handler(args, seed, argv)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.func(args, seed, argv)
     except (ArchiveError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,14 +10,14 @@ Supported families and parameter ranges:
 
 Each family is exchangeable with generator phi and inverse psi, C(u) =
 psi(sum_i phi(u_i)).  Sampling uses the frailty (Laplace-transform)
-construction: U_i = psi(E_i / V) with iid unit exponentials E_i and a
-frailty V whose Laplace transform is psi — positive stable for Gumbel,
-logarithmic series for Frank, Sibuya for Joe, Gamma for Clayton.  Note the
-Clayton sampler evaluates the Laplace-transform normalization
-(1 + s)^(-1/theta) rather than the (1 + theta s)^(-1/theta) generator
-inverse used elsewhere; the two generators differ by the inner scaling
-t -> theta t, which leaves the copula unchanged but only the former is the
-Gamma(1/theta) transform.
+construction: U_i = psi_LT(E_i / V) with iid unit exponentials E_i and a
+frailty V whose Laplace transform is psi_LT — positive stable for Gumbel,
+logarithmic series for Frank, Sibuya for Joe, Gamma for Clayton, and V = 1
+for independence.  psi_LT is psi for every family but Clayton, whose
+Laplace transform (1 + s)^(-1/theta) is the generator inverse
+(1 + theta s)^(-1/theta) with its argument scaled by 1/theta; the scaling
+leaves the copula unchanged.  The same identity gives the Kendall sampler
+C(U) = psi_LT(S / V), S ~ Gamma(dim), for every family.
 
 The bivariate Kendall distribution function K(w) = pr{C(U) <= w} has the
 closed form K(w) = w - phi(w)/phi'(w), specialized per family below.
@@ -64,7 +64,43 @@ def _log1mexp(s):
 # broadcasting against the data (one parameter per row in batch use).
 
 
-class _Independence:
+class _Archimedean:
+    """An Archimedean family: C(u) = psi(sum_i phi(u_i)), frailty Laplace
+    transform psi.  A one-parameter family takes theta finite and above
+    ``theta_min``, or at it when ``theta_closed`` (where the family reaches
+    independence, tau = 0); without a closed form, ``theta_from_tau``
+    inverts tau per element with the family's ``_solve_tau``."""
+
+    theta_min = 0.0
+    theta_closed = False
+
+    @classmethod
+    def check_theta(cls, theta):
+        if theta is None:
+            raise ValueError(f"{cls.name} requires theta or tau")
+        arr = np.asarray(theta, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{cls.name} copula parameter must be finite, got {theta!r}")
+        if np.any(arr < cls.theta_min if cls.theta_closed else arr <= cls.theta_min):
+            op = ">=" if cls.theta_closed else ">"
+            raise ValueError(f"{cls.name} requires theta {op} {cls.theta_min:g}, got {theta!r}")
+
+    @classmethod
+    def cdf(cls, u, theta):
+        theta = np.asarray(theta, dtype=float)
+        th = theta[..., None] if theta.ndim else theta
+        return cls.psi(np.sum(cls.phi(u, th), axis=-1), theta)
+
+    @classmethod
+    def psi_frailty(cls, s, theta):
+        return cls.psi(s, theta)
+
+    @classmethod
+    def theta_from_tau(cls, tau):
+        return np.vectorize(cls._solve_tau, otypes=[float])(tau)
+
+
+class _Independence(_Archimedean):
     name = "independence"
     theta_closed = True  # tau_to_theta accepts tau = 0, its one value
 
@@ -93,6 +129,10 @@ class _Independence:
         return np.where(w == 0.0, 0.0, k)
 
     @staticmethod
+    def tau(theta):
+        return 0.0
+
+    @staticmethod
     def theta_from_tau(tau):
         if not np.all(np.asarray(tau) == 0):
             raise ValueError("independence copula has tau = 0 only")
@@ -101,38 +141,6 @@ class _Independence:
     @staticmethod
     def frailty(rng, theta, size):
         return np.ones(size)
-
-    @staticmethod
-    def psi_frailty(s, theta=None):
-        return np.exp(-s)
-
-
-class _Archimedean:
-    """A one-parameter family: theta finite and above ``theta_min``, or at
-    it when ``theta_closed`` (where the family reaches independence, tau = 0),
-    with C(u) = psi(sum_i phi(u_i)) and frailty Laplace transform psi."""
-
-    theta_min = 0.0
-    theta_closed = False
-
-    @classmethod
-    def check_theta(cls, theta):
-        arr = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{cls.name} copula parameter must be finite, got {theta!r}")
-        if np.any(arr < cls.theta_min if cls.theta_closed else arr <= cls.theta_min):
-            op = ">=" if cls.theta_closed else ">"
-            raise ValueError(f"{cls.name} requires theta {op} {cls.theta_min:g}, got {theta!r}")
-
-    @classmethod
-    def cdf(cls, u, theta):
-        theta = np.asarray(theta, dtype=float)
-        th = theta[..., None] if theta.ndim else theta
-        return cls.psi(np.sum(cls.phi(u, th), axis=-1), theta)
-
-    @classmethod
-    def psi_frailty(cls, s, theta):
-        return cls.psi(s, theta)
 
 
 class _Gumbel(_Archimedean):
@@ -264,7 +272,7 @@ class _Frank(_Archimedean):
         return 1.0 - 4.0 * (1.0 - _debye1(theta)) / theta
 
     @staticmethod
-    def theta_from_tau(tau):
+    def _solve_tau(tau):
         hi = max(100.0, 8.0 / (1.0 - tau))
         return optimize.brentq(lambda th: float(_Frank.tau(th)) - tau, 1e-10, hi, xtol=1e-13, rtol=1e-15)
 
@@ -331,7 +339,7 @@ class _Joe(_Archimedean):
         return float(out[0]) if scalar else out
 
     @staticmethod
-    def theta_from_tau(tau):
+    def _solve_tau(tau):
         if tau == 0.0:
             return 1.0
         hi = max(10.0, 6.0 / (1.0 - tau))
@@ -368,6 +376,13 @@ def _family(name):
         raise ValueError(f"unknown copula family {name!r}; choose from {FAMILY_NAMES}") from None
 
 
+def _checked(family, theta):
+    """The family namespace and its checked theta as a float array (None stays None)."""
+    fam = _family(family)
+    fam.check_theta(theta)
+    return fam, None if theta is None else np.asarray(theta, dtype=float)
+
+
 def tau_to_theta(family, tau):
     """Parameter theta giving population Kendall's tau ``tau`` (scalar or array)."""
     fam = _family(family)
@@ -375,20 +390,14 @@ def tau_to_theta(family, tau):
     lo = -1e-9 if fam.theta_closed else 0.0  # tau = 0 sits at a closed theta bound
     if not np.all((arr > lo) & (arr < 1.0)):
         raise ValueError(f"{fam.name} supports tau in ({max(lo, 0.0)}, 1), got {tau!r}")
-    if fam.name == "independence":
-        return fam.theta_from_tau(arr)
-    if arr.ndim == 0:
-        return float(fam.theta_from_tau(float(arr)))
-    return np.array([fam.theta_from_tau(float(t)) for t in arr.ravel()]).reshape(arr.shape)
+    theta = fam.theta_from_tau(arr)
+    return float(theta) if theta is not None and np.ndim(theta) == 0 else theta
 
 
 def theta_to_tau(family, theta=None):
     """Population Kendall's tau for the family at ``theta`` (scalar or array)."""
-    fam = _family(family)
-    fam.check_theta(theta)
-    if fam.name == "independence":
-        return 0.0
-    out = fam.tau(np.asarray(theta, dtype=float))
+    fam, th = _checked(family, theta)
+    out = fam.tau(th)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -398,20 +407,17 @@ def kendall_cdf(family, w, theta=None):
     Vectorized over ``w`` and, for batch work, over ``theta`` (broadcast
     against w).  Returns exact 0 and 1 at the endpoints.
     """
-    fam = _family(family)
-    fam.check_theta(theta)
+    fam, th = _checked(family, theta)
     w_arr = np.asarray(w, dtype=float)
     if not np.all((w_arr >= 0.0) & (w_arr <= 1.0)):
         raise ValueError("kendall_cdf argument must lie in [0, 1]")
-    out = fam.kendall(w_arr, None if theta is None else np.asarray(theta, dtype=float))
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(fam.kendall(w_arr, th), 0.0, 1.0)
     return float(out) if w_arr.ndim == 0 and np.ndim(out) == 0 else out
 
 
 def copula_cdf(family, u, theta=None):
     """Copula CDF C(u) for u of shape (d,) or (n, d); theta scalar or (n,)."""
-    fam = _family(family)
-    fam.check_theta(theta)
+    fam, th = _checked(family, theta)
     u_arr = np.asarray(u, dtype=float)
     if u_arr.ndim == 1:
         u_mat, scalar = u_arr[None, :], True
@@ -423,7 +429,6 @@ def copula_cdf(family, u, theta=None):
         raise ValueError("copula dimension must be at least 2")
     if not np.all((u_mat >= 0.0) & (u_mat <= 1.0)):
         raise ValueError("copula arguments must lie in [0, 1]")
-    th = None if theta is None else np.asarray(theta, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = fam.cdf(u_mat, th)
     c = np.clip(c, 0.0, 1.0)
@@ -432,24 +437,35 @@ def copula_cdf(family, u, theta=None):
 
 def generator(family, t, theta=None):
     """Archimedean generator phi(t) on (0, 1]."""
-    fam = _family(family)
-    fam.check_theta(theta)
+    fam, th = _checked(family, theta)
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr > 0.0) & (t_arr <= 1.0)):
         raise ValueError("generator argument must lie in (0, 1]")
-    out = fam.phi(t_arr, None if theta is None else np.asarray(theta, dtype=float))
+    out = fam.phi(t_arr, th)
     return float(out) if t_arr.ndim == 0 and np.ndim(out) == 0 else out
 
 
 def generator_inverse(family, s, theta=None):
     """Generator inverse psi(s) on [0, inf); psi(phi(t)) = t."""
-    fam = _family(family)
-    fam.check_theta(theta)
+    fam, th = _checked(family, theta)
     s_arr = np.asarray(s, dtype=float)
     if not np.all(s_arr >= 0.0):
         raise ValueError("generator_inverse argument must be non-negative")
-    out = fam.psi(s_arr, None if theta is None else np.asarray(theta, dtype=float))
+    out = fam.psi(s_arr, th)
     return float(out) if s_arr.ndim == 0 and np.ndim(out) == 0 else out
+
+
+def _frailties(family, rng, theta, dim, n, min_dim):
+    """Checked (family, theta, rows) and the rows frailties V, drawn first."""
+    fam, th = _checked(family, theta)
+    if not isinstance(dim, (int, np.integer)) or dim < min_dim:
+        raise ValueError(f"dim must be an integer >= {min_dim}, got {dim!r}")
+    rows = 1 if n is None else int(n)
+    if rows < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if th is not None and th.ndim > 0 and th.shape != (rows,):
+        raise ValueError(f"theta array must have shape ({rows},), got {th.shape}")
+    return fam, th, rows, np.asarray(fam.frailty(rng, th, rows), dtype=float)
 
 
 def sample_copula(family, rng, theta=None, dim=2, n=None):
@@ -460,20 +476,9 @@ def sample_copula(family, rng, theta=None, dim=2, n=None):
     then the n*dim exponentials, so extending a run never reshuffles
     earlier rows.  Values are clipped into the open unit cube.
     """
-    fam = _family(family)
-    fam.check_theta(theta)
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-    rows = 1 if n is None else int(n)
-    if rows < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    th = None if theta is None else np.asarray(theta, dtype=float)
-    if th is not None and th.ndim > 0 and th.shape != (rows,):
-        raise ValueError(f"theta array must have shape ({rows},), got {th.shape}")
-    v = fam.frailty(rng, th, rows)
+    fam, th, rows, v = _frailties(family, rng, theta, dim, n, 2)
     e = rng.standard_exponential((rows, dim))
-    s = e / np.asarray(v, dtype=float)[:, None]
-    u = fam.psi_frailty(s, th[:, None] if (th is not None and th.ndim > 0) else th)
+    u = fam.psi_frailty(e / v[:, None], th[:, None] if (th is not None and th.ndim > 0) else th)
     u = np.clip(u, 1e-300, 1.0 - 2.0**-53)
     return u[0] if n is None else u
 
@@ -482,29 +487,14 @@ def kendall_sample(family, rng, theta=None, dim=2, n=None):
     """Draw from the Kendall distribution: values C(U) with U ~ C.
 
     In the frailty representation U_i = psi_LT(E_i / V), the generator
-    values phi(U_i) recombine exactly, so C(U) = psi(S / V) with
-    S ~ Gamma(dim) -- one psi evaluation per draw instead of a full
-    coordinatewise CDF evaluation.  (For the Clayton parameterization used
-    here phi(psi_LT(x)) = x/theta, hence the extra 1/theta factor.)
-    ``theta`` may be an array of length n.  Draw order is fixed: n
-    frailties, then n gamma variables.
+    values phi(U_i) recombine exactly, so C(U) = psi_LT(S / V) with
+    S ~ Gamma(dim) -- one Laplace-transform evaluation per draw instead of
+    a full coordinatewise CDF evaluation.  ``theta`` may be an array of
+    length n.  Draw order is fixed: n frailties, then n gamma variables.
     """
-    fam = _family(family)
-    fam.check_theta(theta)
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim!r}")
-    rows = 1 if n is None else int(n)
-    if rows < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    th = None if theta is None else np.asarray(theta, dtype=float)
-    if th is not None and th.ndim > 0 and th.shape != (rows,):
-        raise ValueError(f"theta array must have shape ({rows},), got {th.shape}")
-    v = np.asarray(fam.frailty(rng, th, rows), dtype=float)
+    fam, th, rows, v = _frailties(family, rng, theta, dim, n, 1)
     s = rng.standard_gamma(float(dim), size=rows) / v
-    if fam.name == "clayton":
-        s = s / th
-    c = fam.psi(s, th)
-    c = np.clip(c, 0.0, 1.0)
+    c = np.clip(fam.psi_frailty(s, th), 0.0, 1.0)
     return float(c[0]) if n is None else c
 
 
@@ -519,8 +509,6 @@ class ArchimedeanCopula:
         fam = _family(family)
         if theta is not None and tau is not None:
             raise ValueError("give exactly one of theta and tau, not both")
-        if fam.name != "independence" and theta is None and tau is None:
-            raise ValueError(f"{fam.name} requires theta or tau")
         if tau is not None:
             theta = tau_to_theta(fam.name, float(tau))
         if theta is not None:
@@ -528,7 +516,6 @@ class ArchimedeanCopula:
         fam.check_theta(theta)
         if not isinstance(dim, (int, np.integer)) or dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
-        self._fam = fam
         self.family = fam.name
         self.theta = theta
         self.dim = int(dim)

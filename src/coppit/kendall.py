@@ -17,9 +17,10 @@ Construction routes:
 - pseudo_kendall: the empirical Kendall function of an ensemble, built from
   pseudo-observations w_k = (1/m) #{j : x_j <= x_k coordinatewise}.
 
-``select_kendall`` picks a route automatically: uniform for univariate
-continuous forecasts, pseudo-observations for ensembles, the closed form
-for bivariate copula-marginal forecasts, Monte Carlo otherwise.
+``select_kendall`` takes the route the forecast fixes: uniform for
+univariate continuous forecasts, pseudo-observations for ensembles, the
+closed form for bivariate copula-marginal forecasts, Monte Carlo otherwise.
+The one alternative, 'mc', estimates every forecast's by Monte Carlo.
 """
 
 import numpy as np
@@ -170,37 +171,26 @@ def pseudo_kendall(points):
 
 
 def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs=None):
-    """Build the Kendall function for a forecast under the given strategy.
+    """Build the Kendall function for a forecast.
 
-    Strategies: 'auto', 'analytic', 'mc', 'pseudo'.  'auto' resolves to
-    uniform for univariate continuous forecasts, pseudo for ensembles,
-    analytic for bivariate copula-marginal forecasts evaluated on the plain
-    CDF, and Monte Carlo otherwise.
+    The forecast fixes the route under 'auto': uniform for univariate
+    continuous forecasts, pseudo-observations for ensembles (reflected along
+    the '+' axes of a cone), the closed form for bivariate copula-marginal
+    forecasts evaluated on the plain CDF, and Monte Carlo otherwise.  'mc'
+    estimates every forecast's Kendall function by Monte Carlo instead.
     """
+    if strategy not in ("auto", "mc"):
+        raise ValueError(f"unknown Kendall strategy {strategy!r} (use auto or mc)")
     plain = signs is None or bool(np.all(np.asarray(signs) == -1))
     if strategy == "auto":
         if isinstance(forecast, UnivariateForecast):
             return uniform_kendall()
         if isinstance(forecast, EnsembleForecast):
-            strategy = "pseudo"
-        elif isinstance(forecast, CopulaMarginalForecast) and forecast.dim == 2 and plain:
-            strategy = "analytic"
-        else:
-            strategy = "mc"
-    if strategy == "analytic":
-        if not isinstance(forecast, CopulaMarginalForecast) or forecast.dim != 2:
-            raise ValueError("analytic Kendall functions require a bivariate copula-marginal forecast")
-        if not plain:
-            raise ValueError("the closed form covers the plain CDF direction only; use mc for other cones")
-        return analytic_kendall(forecast.copula)
-    if strategy == "pseudo":
-        if not isinstance(forecast, EnsembleForecast):
-            raise ValueError("pseudo-observation Kendall functions require an ensemble forecast")
-        # a cone CDF is the plain CDF of the ensemble reflected along the '+' axes
-        pts = forecast.points if plain else forecast.points * -np.asarray(signs, dtype=float)
-        return pseudo_kendall(pts)
-    if strategy == "mc":
-        if rng is None:
-            raise ValueError("Monte Carlo Kendall estimation needs an rng")
-        return monte_carlo_kendall(forecast, rng, n, signs)
-    raise ValueError(f"unknown Kendall strategy {strategy!r} (use auto, analytic, mc, or pseudo)")
+            # a cone CDF is the plain CDF of the ensemble reflected along the '+' axes
+            return pseudo_kendall(forecast.points if plain
+                                  else forecast.points * -np.asarray(signs, dtype=float))
+        if isinstance(forecast, CopulaMarginalForecast) and forecast.dim == 2 and plain:
+            return analytic_kendall(forecast.copula)
+    if rng is None:
+        raise ValueError("Monte Carlo Kendall estimation needs an rng")
+    return monte_carlo_kendall(forecast, rng, n, signs)

@@ -8,13 +8,13 @@ SeedSequence spawn keys: ``substream(seed, k, ...)`` is the stream for
 component ``(k, ...)``, and adding a new component (a new spawn key) never
 perturbs the draws of existing ones.
 
-Beyond the numpy built-ins (uniform, normal, exponential, beta, gamma) the
-module provides three samplers numpy lacks: positive stable variates
-(Kanter's representation), logarithmic-series variates (Kemp's LS scheme,
-parameterized by log(1-p) so p arbitrarily close to 1 stays well-posed),
-and Sibuya variates (asymptotic inversion corrected by the exact survival
-function).  The latter three are the frailty distributions used for
-Archimedean copula sampling.
+Callers draw uniforms, normals and exponentials from the Generator itself.
+Beyond parameter-checked beta and gamma, the module provides three samplers
+numpy lacks: positive stable variates (Kanter's representation),
+logarithmic-series variates (Kemp's LS scheme, parameterized by log(1-p) so
+p arbitrarily close to 1 stays well-posed), and Sibuya variates (asymptotic
+inversion corrected by the exact survival function).  The latter three are
+the frailty distributions used for Archimedean copula sampling.
 """
 
 import math
@@ -28,9 +28,6 @@ __all__ = [
     "DEFAULT_SEED",
     "make_rng",
     "substream",
-    "uniform01",
-    "standard_normal",
-    "exponential",
     "beta",
     "gamma",
     "positive_stable",
@@ -66,20 +63,6 @@ def substream(seed, *key):
     if any(k < 0 for k in key):
         raise ValueError(f"substream key components must be non-negative, got {key}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def uniform01(rng, size=None):
-    """U(0,1) draws."""
-    return rng.random(size)
-
-
-def standard_normal(rng, size=None):
-    return rng.standard_normal(size)
-
-
-def exponential(rng, size=None):
-    """Unit-rate exponentials."""
-    return rng.standard_exponential(size)
 
 
 def beta(rng, a, b, size=None):

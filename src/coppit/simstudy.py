@@ -33,7 +33,7 @@ from .calibration import Records, clical_curve, ensemble_counts
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
 from .forecasts import CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
-from .samplers import DEFAULT_SEED, beta, substream, uniform01
+from .samplers import DEFAULT_SEED, beta, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
 QUADRANTS = ("sw", "se", "ne", "nw")
@@ -132,7 +132,7 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
     y2 = np.sqrt(1.0 / b2) * ndtri(u_truth[:, 1])
     y = np.column_stack([y1, y2])
 
-    v = uniform01(substream(seed, 1), j)
+    v = substream(seed, 1).random(j)
 
     batches = []
     for label in BIVARIATE_LABELS:  # canonical order, stable sub-streams
@@ -250,7 +250,7 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
     u_truth = sample_copula("frank", lat, theta=theta_true, dim=d, n=j)
     y = ndtri(u_truth)
 
-    v = uniform01(substream(seed, 1), j)
+    v = substream(seed, 1).random(j)
     ties = substream(seed, 2)
 
     family, tau_hat = {
@@ -309,7 +309,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
     lat = substream(seed, 0)
     mu = lat.normal(size=(j, 2))
     y = mu + lat.normal(size=(j, 2)) @ chol.T
-    v = uniform01(substream(seed, 1), j)
+    v = substream(seed, 1).random(j)
     ties = substream(seed, 2)
     resid = y - mu
 

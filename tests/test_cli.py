@@ -142,7 +142,7 @@ def test_mixed_archive_matches_case_by_case(mixed_archive, tmp_path):
             assert recs.rank[i] == 0
             continue
         fc = EnsembleForecast(doc["forecast"]["points"])
-        kfn = select_kendall(fc, "pseudo")
+        kfn = select_kendall(fc)
         one = coppit(fc, kfn, doc["y"], recs.v[i])
         assert (recs.h[i], recs.k_left[i], recs.k_right[i], recs.u[i]) == \
             (one.h, one.k_left, one.k_right, one.u)
@@ -239,14 +239,19 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
     assert main(["coppit", "--in", str(nested), "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
 
-    ens = tmp_path / "ens.jsonl"
-    ens.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0], [1, 1]]}, "y": [0, 0]}\n')
-    assert main(["coppit", "--in", str(ens), "--out", str(tmp_path / "o"),
-                 "--kendall", "analytic"]) == 2
-    assert "error: case 1: analytic Kendall functions require" in capsys.readouterr().err
-    assert main(["clical", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
-                 "--kendall", "pseudo"]) == 2
-    assert "error: case 1: pseudo-observation Kendall functions" in capsys.readouterr().err
+    # 21 '+' axes are past the inclusion-exclusion limit of the Monte Carlo route
+    wide = tmp_path / "wide.jsonl"
+    margin = {"dist": "normal", "mu": 0, "sigma": 1}
+    wide.write_text(json.dumps({"forecast": {
+        "type": "copula_marginal", "copula": {"family": "clayton", "theta": 1.0, "dim": 21},
+        "margins": [margin] * 21}, "y": [0] * 21}) + "\n")
+    for command in ("coppit", "clical"):
+        assert main([command, "--in", str(wide), "--out", str(tmp_path / "o"),
+                     "--cone", "+" * 21, "--kendall-n", "50"]) == 2
+        assert "error: case 1: inclusion-exclusion" in capsys.readouterr().err
+    for strategy in ("analytic", "pseudo"):
+        assert main(["coppit", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
+                     "--kendall", strategy]) == 1
 
     short = tmp_path / "short.csv"
     short.write_text("w,lhs,rhs\n0,0,0\n1,1\n")

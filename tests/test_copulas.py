@@ -163,6 +163,23 @@ def test_tau_roundtrip():
         assert np.allclose(back, taus, atol=1e-8)
 
 
+def test_tau_to_theta_array_matches_scalar_calls():
+    taus = np.random.default_rng(3).uniform(0.001, 0.999, size=(40, 5))
+    for fam in PARAM_FAMILIES:
+        th = cp.tau_to_theta(fam, taus)
+        scalars = [[cp.tau_to_theta(fam, float(t)) for t in row] for row in taus]
+        assert all(isinstance(t, float) for row in scalars for t in row)
+        assert th.shape == taus.shape and np.array_equal(th, scalars), fam
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the Frank tau closed form "
+                                       "cancels catastrophically at small theta")
+def test_frank_tau_small_theta():
+    # tau = theta/9 - theta^3/900 + ... (mpmath: tau(1e-6) = 1.11e-7)
+    assert cp.theta_to_tau("frank", 1e-6) > 0
+    assert cp.tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-6)
+
+
 def test_tau_sampling_concordance():
     # empirical Kendall tau of samples matches the requested tau
     for fam in PARAM_FAMILIES:
@@ -185,6 +202,9 @@ def test_tau_domain_errors():
     with pytest.raises(ValueError, match="tau = 0"):
         cp.ArchimedeanCopula("independence", tau=0.5)
     assert cp.tau_to_theta("independence", 0.0) is None
+    assert cp.tau_to_theta("independence", np.zeros(3)) is None
+    ind = cp.ArchimedeanCopula("independence", tau=0.0)
+    assert ind.theta is None and ind.tau == 0.0
 
 
 # --- sampling ------------------------------------------------------------------

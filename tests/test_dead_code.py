@@ -1,0 +1,48 @@
+"""Every private name in the package is used somewhere in the package.
+
+Scans ``src/coppit`` with ``ast``: each private (single leading underscore)
+module-level function, class or assignment, and each private method, must
+be loaded by name or as an attribute somewhere besides its definition.  A
+name nothing calls should be deleted rather than kept.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "coppit"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _definitions(tree):
+    """(module-level name or Class.method, bare name) for each private definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+            yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and _private(target.id):
+                    yield target.id, target.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and _private(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _loads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_no_unreferenced_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    used = {name for tree in trees.values() for name in _loads(tree)}
+    unused = [f"{module}: {qual}" for module, tree in sorted(trees.items())
+              for qual, name in _definitions(tree) if name not in used]
+    assert trees and not unused, unused

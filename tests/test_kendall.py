@@ -114,7 +114,7 @@ def test_pseudo_orthant_reflection_exact():
     pts = rng.normal(size=(150, 2))
     fc = EnsembleForecast(pts)
     signs = (1, -1)
-    kf = select_kendall(fc, "pseudo", signs=signs)
+    kf = select_kendall(fc, signs=signs)
     assert np.array_equal(np.sort(fc.cdf(pts, signs)), kf.values)
 
 
@@ -146,21 +146,18 @@ def test_select_auto_routes():
     gauss = GaussianForecast([0.0, 0.0], np.eye(2))
     assert select_kendall(gauss, rng=substream(3, 5), n=500).source == "mc"
 
-    # auto reflects a cone exactly as 'pseudo' does, also for tied 1-d ensembles
+    # auto reflects a cone along its '+' axes, also for tied 1-d ensembles
     tied = EnsembleForecast([0.0, 0.0, 1.0])
     assert np.array_equal(select_kendall(tied, signs=(1,)).values,
-                          select_kendall(tied, "pseudo", signs=(1,)).values)
+                          pseudo_kendall(-tied.points).values)
 
 
 def test_select_explicit_strategies():
     cm = _gumbel_cm()
-    assert select_kendall(cm, "analytic").source == "analytic"
     kf = select_kendall(cm, "mc", rng=substream(8, 0), n=1_000)
     assert kf.source == "mc" and kf.n == 1_000
 
     ens = EnsembleForecast(substream(8, 1).normal(size=(30, 2)))
-    assert select_kendall(ens, "pseudo").source == "pseudo"
-
     with pytest.raises(ValueError):
         select_kendall(ens, "analytic")
     with pytest.raises(ValueError):

@@ -44,28 +44,6 @@ def test_seed_validation():
         sp.substream(42, -3)
 
 
-def test_uniform01_moments_and_ks():
-    u = sp.uniform01(sp.make_rng(101), N)
-    assert abs(u.mean() - 0.5) <= 0.005
-    for seed in (1, 2, 3):
-        u = sp.uniform01(sp.make_rng(seed), 20_000)
-        assert stats.kstest(u, "uniform").pvalue >= 0.01
-
-
-def test_standard_normal_variance_and_ks():
-    z = sp.standard_normal(sp.make_rng(202), N)
-    assert abs(z.var() - 1.0) <= 0.02
-    for seed in (4, 5, 6):
-        z = sp.standard_normal(sp.make_rng(seed), 20_000)
-        assert stats.kstest(z, "norm").pvalue >= 0.01
-
-
-def test_exponential_ks():
-    for seed in (7, 8, 9):
-        x = sp.exponential(sp.make_rng(seed), 20_000)
-        assert stats.kstest(x, "expon").pvalue >= 0.01
-
-
 def test_beta_means_and_ks():
     # E Beta(2,5) = 2/7, E Beta(5,2) = 5/7
     b1 = sp.beta(sp.make_rng(303), 2, 5, N)
