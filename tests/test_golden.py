@@ -63,6 +63,18 @@ def _write_archives(root):
         mixed.append({"forecast": fc, "y": y})
     (root / "mixed.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in mixed))
 
+    # one correlation per bvn branch: the 6-, 12- and 20-point rules, then
+    # |rho| >= 0.925 on each side; under --cone se every correlation flips sign
+    gauss = []
+    for rho in (0.1, 0.5, 0.8, 0.95, -0.97):
+        for sd in (0.8, 1.5):
+            mean = rng.standard_normal(2).round(3)
+            y = (mean + rng.standard_normal(2)).round(3).tolist()
+            cov = [[1.0, rho * sd], [rho * sd, sd * sd]]
+            gauss.append({"forecast": {"type": "mvgauss", "mean": mean.tolist(), "cov": cov},
+                          "y": y})
+    (root / "gauss.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in gauss))
+
 
 def _digest(out):
     total = hashlib.sha256()
@@ -96,6 +108,10 @@ RUNS = {
     "coppit-cone": (
         [["coppit", "--in", "mixed.jsonl", "--kendall-n", "500", "--cone", "se"]],
         "1c1b3d37bc261d46df8ce42555660be7007f5a53257eb5f96a9524d95255d2a1"),
+    "coppit-gauss-branches": (
+        [["coppit", "--in", "gauss.jsonl", "--kendall-n", "400"],
+         ["coppit", "--in", "gauss.jsonl", "--kendall-n", "400", "--cone", "se"]],
+        "8b582d6528dd8c609f16eb5265e57d7fcd887ca444f9a7fa284cba2b02288e70"),
     "pit": (
         [["pit", "--in", "mixed.jsonl", "--margin", "2", "--bins", "6"]],
         "4307fc2e427e39ad5e69e0c9c8376ec77c9b1f0abe0a9ba26d8c1272ef7c821d"),
