@@ -250,6 +250,7 @@ class GaussianForecast:
         self.cov = cov.copy()
         self._sds = sds
         self._rho = float(rho)
+        self._chol = np.linalg.cholesky(self.cov)
         self.dim = 2
 
     def cdf(self, y, signs=None):
@@ -260,9 +261,8 @@ class GaussianForecast:
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n=None):
-        chol = np.linalg.cholesky(self.cov)
         z = rng.standard_normal((1 if n is None else int(n), 2))
-        draws = self.mean + z @ chol.T
+        draws = self.mean + z @ self._chol.T
         return draws[0] if n is None else draws
 
     def to_dict(self):

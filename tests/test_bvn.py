@@ -94,6 +94,21 @@ def test_vector_rho_and_scalars():
     assert isinstance(bvn_cdf(0.0, 0.0, 0.5), float)
 
 
+def test_scalar_rho_matches_per_point_rho_bitwise():
+    # a scalar rho has its rule and node terms computed once per call; that
+    # must give the same bits as the value repeated at every point
+    rng = np.random.default_rng(8)
+    saturated = (np.array([45.0, -1e300, 60.0, 0.3, -41.0]),
+                 np.array([-50.0, 2.0, 1e200, -45.0, -41.0]))
+    for rho in (*RHOS, -1.0, 1.0):
+        cases = [rng.normal(size=(2, *shape)) * 3 for shape in ((), (0,), (9,), (3, 4))]
+        for h, k in (*cases, saturated):
+            per_point = np.full(h.shape or (1,), rho)
+            for fn in (bvn_cdf, bvn_upper):
+                got, ref = fn(h, k, rho), fn(h, k, per_point)
+                assert np.array_equal(np.atleast_1d(got), ref), (fn.__name__, rho, h.shape)
+
+
 def test_large_finite_bounds_saturate():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
