@@ -38,8 +38,8 @@ _GL_RULES = (
                0.1527533871307259])),
 )
 # each rule as its 2K nodes 1 -/+ x on [0, 2] with their weights, built once
-_DOUBLED_RULES = tuple((cut, np.concatenate([1.0 - x, 1.0 + x]), np.concatenate([w, w]))
-                    for cut, x, w in _GL_RULES)
+_DOUBLED_RULES = tuple(
+    (cut, np.concatenate([1.0 - x, 1.0 + x]), np.concatenate([w, w])) for cut, x, w in _GL_RULES)
 _X20, _W20 = _GL_RULES[2][1], _GL_RULES[2][2]
 _SATURATE = 40.0
 
@@ -127,12 +127,12 @@ def bvn_upper(h, k, rho):
     done = np.zeros(r_arr.shape, dtype=bool)
     for hi, x2, w2 in _DOUBLED_RULES:
         m = ~done & (ar < hi)
-        if np.any(m):
+        if m.any():
             at = np.broadcast_to(m, out.shape)
             out[at] = _bvnu_moderate(h_arr[at], k_arr[at], r_arr[m], x2, w2)
             done |= m
     m = ~done
-    if np.any(m):
+    if m.any():
         at = np.broadcast_to(m, out.shape)
         out[at] = _bvnu_high(h_arr[at], k_arr[at], r_arr[m])
     out = np.clip(out, 0.0, 1.0)
