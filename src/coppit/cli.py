@@ -15,7 +15,6 @@ is absent.
 import argparse
 import csv
 import functools
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -171,7 +170,7 @@ def build_parser():
     sp.add_argument("--kendall-n", type=_positive("sample size"), default=100_000)
     sp.add_argument("--bins", type=_positive("bin count"), default=20)
 
-    sp = sub.add_parser("render", help="render a result file (histogram or curve CSV/JSON) to SVG")
+    sp = sub.add_parser("render", help="render a result file (histogram or curve CSV) to SVG")
     sp.set_defaults(func=_cmd_render)
     sp.add_argument("--in", dest="inp", required=True, metavar="FILE")
     sp.add_argument("--out", required=True, metavar="FILE.svg")
@@ -436,24 +435,12 @@ def _cmd_simulate_batch(run, args, seed, argv):
 
 
 def _cmd_render(args, seed, argv):
-    head = ""
+    readers = {"bin_lo,bin_hi,count": read_histogram, "w,lhs,rhs": read_curve}
     with open(args.inp, encoding="utf-8") as fh:
         head = fh.readline().strip()
-    if head.startswith("{"):
-        doc = json.loads(Path(args.inp).read_text(encoding="utf-8"))
-        if "counts" in doc:
-            obj = read_histogram(args.inp)
-        elif "w" in doc:
-            obj = read_curve(args.inp)
-        else:
-            raise ArchiveError("unrecognized result file", 1)
-    elif head == "bin_lo,bin_hi,count":
-        obj = read_histogram(args.inp)
-    elif head == "w,lhs,rhs":
-        obj = read_curve(args.inp)
-    else:
+    if head not in readers:
         raise ArchiveError("unrecognized result file", 1)
-    render_svg(obj, args.out)
+    render_svg(readers[head](args.inp), args.out)
     print(f"coppit render: {args.inp} -> {args.out}", file=sys.stderr)
     return 0
 
@@ -474,6 +461,6 @@ def main(argv=None):
 
     try:
         return args.func(args, seed, argv)
-    except (ArchiveError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ArchiveError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

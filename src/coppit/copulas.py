@@ -539,12 +539,6 @@ class ArchimedeanCopula:
                              "use a Monte Carlo estimate for higher dimensions")
         return kendall_cdf(self.family, w, self.theta)
 
-    def generator(self, t):
-        return generator(self.family, t, self.theta)
-
-    def generator_inverse(self, s):
-        return generator_inverse(self.family, s, self.theta)
-
     def to_dict(self):
         d = {"family": self.family, "dim": self.dim}
         if self.theta is not None:

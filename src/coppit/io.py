@@ -12,8 +12,8 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   every case is an m-member ensemble.
 
 Result writers serialize copula PIT ``Records``, histograms, and
-calibration curves to CSV or JSON with 17-significant-digit floats, so a
-read/write cycle is value-exact.  ``render_svg`` emits standalone fixed-size
+calibration curves to CSV with 17-significant-digit floats, so a read/write
+cycle is value-exact.  ``render_svg`` emits standalone fixed-size
 SVG: histogram bars with a dashed flat-reference line, or a curve with the
 diagonal.  All outputs are byte-deterministic given their inputs; the only
 timestamp lives in ``manifest.json``.
@@ -36,7 +36,6 @@ __all__ = [
     "CaseArchive",
     "read_archive",
     "write_archive",
-    "write_results",
     "read_records",
     "write_records",
     "read_histogram",
@@ -230,74 +229,55 @@ def _parse_rows(lines, header, what, convert):
     return out
 
 
-def write_records(records, path, format="csv"):
+def write_records(records, path):
     """Persist ``Records`` (columns h,k_left,k_right,v,u,rank; no rank is empty)."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
     cols = [np.atleast_1d(getattr(records, c)).tolist() for c in Records.COLUMNS[:5]]
     ranks = [0] * len(records) if records.rank is None else np.atleast_1d(records.rank).tolist()
-    path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(Records.COLUMNS)
-            for *vals, rank in zip(*cols, ranks):
-                writer.writerow([_fmt(x) for x in vals] + [rank or ""])
-    else:
-        doc = [dict(zip(Records.COLUMNS, (*vals, rank or None)))
-               for *vals, rank in zip(*cols, ranks)]
-        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(Records.COLUMNS)
+        for *vals, rank in zip(*cols, ranks):
+            writer.writerow([_fmt(x) for x in vals] + [rank or ""])
 
 
 def read_records(path):
-    """Load ``Records`` written by ``write_records`` (CSV or JSON)."""
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("["):
-        rows = [[r[c] for c in Records.COLUMNS[:5]] + [r["rank"] or 0] for r in json.loads(text)]
-    else:
-        rows = _parse_rows(_lines(text), ",".join(Records.COLUMNS), "record",
-                           lambda f: [float(c) for c in f[:5]] + [int(f[5]) if f[5] else 0])
+    """Load ``Records`` written by ``write_records``."""
+    rows = _parse_rows(_lines(Path(path).read_text(encoding="utf-8")), ",".join(Records.COLUMNS),
+                       "record", lambda f: [float(c) for c in f[:5]] + [int(f[5]) if f[5] else 0])
     h, k_left, k_right, v, u, rank = np.array(rows, dtype=float).reshape(-1, 6).T.copy()
     rank = rank.astype(int)
     return Records(h, k_left, k_right, v, u, rank if rank.any() else None)
 
 
-def write_histogram(hist, path, format="csv"):
+def write_histogram(hist, path):
     """Persist a histogram (rows bin_lo,bin_hi,count; statistics in a trailer)."""
-    path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for i, c in enumerate(hist.counts):
-                writer.writerow([_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(c)])
-            ks = "" if hist.ks is None else _fmt(hist.ks)
-            fh.write(f"# chi2={_fmt(hist.chi2)},df={int(hist.chi2_df)},ks={ks}\n")
-    elif format == "json":
-        doc = {"counts": [int(c) for c in hist.counts],
-               "edges": [float(e) for e in hist.edges],
-               "n": int(hist.n), "chi2": hist.chi2, "chi2_df": int(hist.chi2_df),
-               "chi2_pvalue": hist.chi2_pvalue, "ks": hist.ks,
-               "ks_pvalue": hist.ks_pvalue}
-        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bin_lo", "bin_hi", "count"])
+        for i, c in enumerate(hist.counts):
+            writer.writerow([_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(c)])
+        ks = "" if hist.ks is None else _fmt(hist.ks)
+        fh.write(f"# chi2={_fmt(hist.chi2)},df={int(hist.chi2_df)},ks={ks}\n")
 
 
 def read_histogram(path):
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        return HistogramResult(
-            counts=np.array(doc["counts"]), edges=np.array(doc["edges"], dtype=float),
-            n=doc["n"], chi2=doc["chi2"], chi2_df=doc["chi2_df"],
-            chi2_pvalue=doc["chi2_pvalue"], ks=doc["ks"], ks_pvalue=doc["ks_pvalue"])
-    lines = _lines(text)
+    """Load a histogram written by ``write_histogram``; the bins must be
+    finite, contiguous and increasing, and the counts non-negative."""
+    lines = _lines(Path(path).read_text(encoding="utf-8"))
     if not lines or not lines[-1][1].startswith("# "):
         raise ArchiveError("unexpected histogram layout", 1)
     rows = _parse_rows(lines[:-1], "bin_lo,bin_hi,count", "histogram",
                        lambda f: (float(f[0]), float(f[1]), int(f[2])))
-    edges = [lo for lo, _, _ in rows] + [hi for _, hi, _ in rows[-1:]]
+    if not rows:
+        raise ArchiveError("histogram has no bins", 1)
+    prev_hi = rows[0][0]
+    for (lineno, _), (lo, hi, count) in zip(lines[1:], rows):
+        if count < 0:
+            raise ArchiveError("negative bin count", lineno)
+        if not -np.inf < lo == prev_hi < hi < np.inf:
+            raise ArchiveError("bins must be finite, contiguous and increasing", lineno)
+        prev_hi = hi
+    edges = [lo for lo, _, _ in rows] + [prev_hi]
     counts = np.array([c for _, _, c in rows])
     try:
         trailer = dict(part.split("=", 1) for part in lines[-1][1][2:].split(","))
@@ -313,48 +293,27 @@ def read_histogram(path):
         ks_pvalue=None if ks is None else float(stats.kstwo.sf(ks, n)))
 
 
-def write_curve(curve, path, format="csv"):
+def write_curve(curve, path):
     """Persist a calibration curve (columns w,lhs,rhs)."""
-    path = Path(path)
-    if format == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["w", "lhs", "rhs"])
-            for w, lhs, rhs in zip(curve.grid, curve.lhs, curve.rhs):
-                writer.writerow([_fmt(w), _fmt(lhs), _fmt(rhs)])
-    elif format == "json":
-        doc = {"w": [float(x) for x in curve.grid],
-               "lhs": [float(x) for x in curve.lhs],
-               "rhs": [float(x) for x in curve.rhs]}
-        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["w", "lhs", "rhs"])
+        for w, lhs, rhs in zip(curve.grid, curve.lhs, curve.rhs):
+            writer.writerow([_fmt(w), _fmt(lhs), _fmt(rhs)])
 
 
 def read_curve(path):
-    text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        doc = json.loads(text)
-        grid = np.array(doc["w"], dtype=float)
-        lhs = np.array(doc["lhs"], dtype=float)
-        rhs = np.array(doc["rhs"], dtype=float)
-    else:
-        rows = _parse_rows(_lines(text), "w,lhs,rhs", "curve", lambda f: [float(c) for c in f])
-        grid, lhs, rhs = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    """Load a curve written by ``write_curve``; every value must lie in [0, 1]."""
+    lines = _lines(Path(path).read_text(encoding="utf-8"))
+    rows = _parse_rows(lines, "w,lhs,rhs", "curve", lambda f: [float(c) for c in f])
+    if not rows:
+        raise ArchiveError("curve has no rows", 1)
+    for (lineno, _), row in zip(lines[1:], rows):
+        if not all(0.0 <= x <= 1.0 for x in row):
+            raise ArchiveError("curve values must lie in [0, 1]", lineno)
+    grid, lhs, rhs = np.array(rows).T.copy()
     return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs,
                        max_abs_gap=float(np.max(np.abs(lhs - rhs))))
-
-
-def write_results(obj, path, format="csv"):
-    """Dispatch on result type: record batch, histogram, or curve."""
-    if isinstance(obj, HistogramResult):
-        write_histogram(obj, path, format)
-    elif isinstance(obj, ClicalCurve):
-        write_curve(obj, path, format)
-    elif isinstance(obj, Records):
-        write_records(obj, path, format)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # --- SVG --------------------------------------------------------------------

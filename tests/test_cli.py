@@ -227,10 +227,6 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["pit", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
                  "--margin", "5"]) == 2
-    garbage = tmp_path / "garbage.csv"
-    garbage.write_text("what,is,this\n1,2,3\n")
-    assert main(["render", "--in", str(garbage), "--out", str(tmp_path / "g.svg")]) == 2
-    assert not (tmp_path / "g.svg").exists()
 
     capsys.readouterr()
     nested = tmp_path / "nested.jsonl"
@@ -253,11 +249,7 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
         assert main(["coppit", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
                      "--kendall", strategy]) == 1
 
-    short = tmp_path / "short.csv"
-    short.write_text("w,lhs,rhs\n0,0,0\n1,1\n")
-    assert main(["render", "--in", str(short), "--out", str(tmp_path / "s.svg")]) == 2
-    assert "line 3" in capsys.readouterr().err
-
+    capsys.readouterr()
     nonfinite = tmp_path / "nonfinite.csv"
     nonfinite.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,nan,4\n")
     assert main(["coppit", "--in", str(nonfinite), "--out", str(tmp_path / "o")]) == 2
@@ -288,9 +280,35 @@ def test_render_roundtrip(ensemble_archive, tmp_path):
     out = tmp_path / "run"
     assert main(["coppit", "--in", str(ensemble_archive), "--out", str(out),
                  "--seed", "7"]) == 0
-    svg = tmp_path / "again.svg"
-    assert main(["render", "--in", str(out / "hist.csv"), "--out", str(svg)]) == 0
-    assert svg.read_bytes() == (out / "hist.svg").read_bytes()
+    assert main(["clical", "--in", str(ensemble_archive), "--out", str(out),
+                 "--seed", "7", "--grid", "21"]) == 0
+    for stem in ("hist", "curve"):
+        svg = tmp_path / f"{stem}-again.svg"
+        assert main(["render", "--in", str(out / f"{stem}.csv"), "--out", str(svg)]) == 0
+        assert svg.read_bytes() == (out / f"{stem}.svg").read_bytes()
+
+
+HIST_TRAILER = "# chi2=1,df=1,ks=\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("what,is,this\n1,2,3\n", "line 1: unrecognized result file"),
+    ("w,lhs,rhs\n0,0,0\n1,1\n", "line 3: malformed curve row"),
+    ('{"counts": [1, 2], "edges": [0.0, 0.5], "n": 3}\n', "line 1: unrecognized result file"),
+    ('{"w": [0, 1], "lhs": [0, 1], "rhs": [0, 1]}\n', "line 1: unrecognized result file"),
+    ("bin_lo,bin_hi,count\n0,0.5,-3\n0.5,1,2\n" + HIST_TRAILER, "line 2: negative"),
+    ("bin_lo,bin_hi,count\n0,0.2,3\n0.7,1,2\n" + HIST_TRAILER, "line 3: bins"),
+    ("bin_lo,bin_hi,count\n" + HIST_TRAILER, "line 1: histogram has no bins"),
+    ("w,lhs,rhs\n", "line 1: curve has no rows"),
+    ("w,lhs,rhs\n0,0,0\n0.5,nan,0.5\n1,1,1\n", "line 3: curve values"),
+], ids=["garbage", "short-row", "json-histogram", "json-curve", "negative-count", "bin-gap",
+        "no-bins", "no-rows", "nan-curve"])
+def test_render_rejects_bad_files(tmp_path, capsys, text, message):
+    src, svg = tmp_path / "result.csv", tmp_path / "out.svg"
+    src.write_text(text)
+    assert main(["render", "--in", str(src), "--out", str(svg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_simulate_bivariate_layout(tmp_path):

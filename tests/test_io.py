@@ -24,7 +24,6 @@ from coppit.io import (
     write_histogram,
     write_manifest,
     write_records,
-    write_results,
 )
 
 
@@ -51,10 +50,10 @@ def _hist_equal(a, b):
 
 def test_records_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(10)
-    for fmt, with_rank in [("csv", False), ("csv", True), ("json", False), ("json", True)]:
+    for with_rank in (False, True):
         recs = _random_records(rng, 40, with_rank)
-        path = tmp_path / f"r_{fmt}_{with_rank}.{fmt}"
-        write_records(recs, path, format=fmt)
+        path = tmp_path / f"r_{with_rank}.csv"
+        write_records(recs, path)
         assert read_records(path) == recs
 
 
@@ -75,10 +74,9 @@ def test_histogram_roundtrip_exact(tmp_path):
     plain = histogram(rng.random(500), bins=20)
     ranks = rank_histogram(rng.integers(1, 10, size=300), m=8)
     for i, hist in enumerate([plain, ranks]):
-        for fmt in ["csv", "json"]:
-            path = tmp_path / f"h{i}.{fmt}"
-            write_histogram(hist, path, format=fmt)
-            _hist_equal(read_histogram(path), hist)
+        path = tmp_path / f"h{i}.csv"
+        write_histogram(hist, path)
+        _hist_equal(read_histogram(path), hist)
 
 
 def test_histogram_csv_trailer(tmp_path):
@@ -100,28 +98,13 @@ def test_curve_roundtrip_exact(tmp_path):
     rhs = np.sort(rng.random(101))
     curve = ClicalCurve(grid=grid, lhs=lhs, rhs=rhs,
                         max_abs_gap=float(np.max(np.abs(lhs - rhs))))
-    for fmt in ["csv", "json"]:
-        path = tmp_path / f"c.{fmt}"
-        write_curve(curve, path, format=fmt)
-        back = read_curve(path)
-        assert np.array_equal(back.grid, curve.grid)
-        assert np.array_equal(back.lhs, curve.lhs)
-        assert np.array_equal(back.rhs, curve.rhs)
-        assert back.max_abs_gap == curve.max_abs_gap
-
-
-def test_write_results_dispatch(tmp_path):
-    rng = np.random.default_rng(13)
-    write_results(_random_records(rng, 5, True), tmp_path / "r.csv")
-    write_results(histogram(rng.random(100), bins=5), tmp_path / "h.csv")
-    grid = np.array([0.0, 1.0])
-    write_results(ClicalCurve(grid, grid, grid, 0.0), tmp_path / "c.csv")
-    assert read_records(tmp_path / "r.csv").rank[0] >= 1
-    assert read_histogram(tmp_path / "h.csv").n == 100
-    with pytest.raises(TypeError):
-        write_results({"not": "a result"}, tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        write_records([], tmp_path / "y.txt", format="yaml")
+    path = tmp_path / "c.csv"
+    write_curve(curve, path)
+    back = read_curve(path)
+    assert np.array_equal(back.grid, curve.grid)
+    assert np.array_equal(back.lhs, curve.lhs)
+    assert np.array_equal(back.rhs, curve.rhs)
+    assert back.max_abs_gap == curve.max_abs_gap
 
 
 def test_jsonl_archive_roundtrip(tmp_path):
@@ -274,6 +257,40 @@ def test_result_file_row_errors(tmp_path):
     records.write_text("h,k_left,k_right,v,u,rank\n0.5,0.5,0.5,0.1,0.5,\n0.5,0.5,0.5,0.1\n")
     with pytest.raises(ArchiveError, match="line 3.*record row"):
         read_records(records)
+
+
+TRAILER = "# chi2=1,df=1,ks=\n"
+
+
+@pytest.mark.parametrize("body, match", [
+    ("0,0.5,-3\n0.5,1,2\n", "line 2.*negative"),          # negative count
+    ("0,0.2,3\n0.7,1,2\n", "line 3.*contiguous"),          # gap between bins
+    ("0,0.5,3\n0.5,0.5,2\n", "line 3.*increasing"),        # empty bin
+    ("0,0.5,3\n0.5,0.25,2\n", "line 3.*increasing"),       # decreasing edges
+    ("nan,0.5,3\n0.5,1,2\n", "line 2.*finite"),
+    ("-inf,0.5,3\n0.5,1,2\n", "line 2.*finite"),
+    ("0,0.5,3\n0.5,inf,2\n", "line 3.*finite"),
+    ("", "line 1.*no bins"),                                # trailer but no bin rows
+], ids=["negative", "gap", "empty-bin", "decreasing", "nan", "-inf", "inf", "no-bins"])
+def test_histogram_rejects_bad_bins(tmp_path, body, match):
+    path = tmp_path / "hist.csv"
+    path.write_text("bin_lo,bin_hi,count\n" + body + TRAILER)
+    with pytest.raises(ArchiveError, match=match):
+        read_histogram(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("", "line 1.*no rows"),
+    ("0,0,0\n0.5,nan,0.5\n", "line 3.*\\[0, 1\\]"),
+    ("0,0,0\n0.5,0.5,inf\n", "line 3.*\\[0, 1\\]"),
+    ("0,0,-0.25\n", "line 2.*\\[0, 1\\]"),
+    ("1.5,1,1\n", "line 2.*\\[0, 1\\]"),
+], ids=["no-rows", "nan", "inf", "negative", "above-one"])
+def test_curve_rejects_bad_values(tmp_path, body, match):
+    path = tmp_path / "curve.csv"
+    path.write_text("w,lhs,rhs\n" + body)
+    with pytest.raises(ArchiveError, match=match):
+        read_curve(path)
 
 
 def test_svg_histogram_structure(tmp_path):
