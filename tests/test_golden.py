@@ -121,6 +121,9 @@ RUNS = {
     "clical": (
         [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21"]],
         "67e860544471e491b76be87511ba6f80be7f05e8c7750b8d9ebb1966019f8342"),
+    "clical-cone": (
+        [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21", "--cone", "se"]],
+        "db9f66ac212598f275d4289c42db70db127ad59fb94eb5f1c2bc393ddcb0b119"),
     "bivariate-directional": (
         [["simulate", "bivariate", "--directional", "--j", "12", "--directional-n", "300",
           "--bins", "5"]],
