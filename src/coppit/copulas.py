@@ -556,6 +556,11 @@ class ArchimedeanCopula:
             raise ValueError("copula descriptor requires 'family' and 'dim'")
         if "theta" in d and "tau" in d:
             raise ValueError("copula descriptor must give exactly one of 'theta' and 'tau'")
+        from .forecasts import _check_numbers  # forecasts imports this module
+
+        for key in ("theta", "tau"):
+            if key in d:
+                _check_numbers(d[key], f"copula {key!r}")
         return cls(d["family"], theta=d.get("theta"), tau=d.get("tau"), dim=d["dim"])
 
     def __eq__(self, other):

@@ -105,10 +105,38 @@ def _margin_from_dict(d):
         raise ValueError(f"unknown margin fields: {sorted(extra)}")
     if "mu" not in d or "sigma" not in d:
         raise ValueError("normal margin requires 'mu' and 'sigma'")
-    return Normal(d["mu"], d["sigma"])
+    return Normal(_check_numbers(d["mu"], "margin 'mu'"),
+                  _check_numbers(d["sigma"], "margin 'sigma'"))
 
 
 # --- shared helpers -----------------------------------------------------------
+
+
+def _is_number(x):
+    """An int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_numbers(value, what):
+    """``value`` if it is a number or evenly nested lists of numbers, else ValueError.
+
+    Descriptor fields pass through ``float()``, which would take "1.5" and
+    true as silently as 1.5 and 1.  The walk goes one nesting level at a
+    time and looks at each element only through ``set(map(type, ...))``
+    unless that level holds something other than lists or plain numbers.
+    """
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            level = list(itertools.chain.from_iterable(level))
+            continue
+        if not kinds <= {float, int}:
+            bad = [x for x in level if not _is_number(x)]
+            if bad:
+                raise ValueError(f"{what} must hold numbers only, got {bad[0]!r}")
+        break
+    return value
 
 
 def _as_points(y, dim, what="y"):
@@ -134,8 +162,8 @@ def _as_members(points):
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"ensemble points must have shape (m, d) with m >= 1, got {np.shape(points)}")
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        raise ValueError(f"ensemble points must have shape (m, d) with m, d >= 1, got {np.shape(points)}")
     return pts
 
 
@@ -392,14 +420,15 @@ def forecast_from_dict(d):
             raise ValueError(f"unknown ensemble fields: {sorted(extra)}")
         if "points" not in d:
             raise ValueError("ensemble descriptor requires 'points'")
-        return EnsembleForecast(d["points"])
+        return EnsembleForecast(_check_numbers(d["points"], "ensemble 'points'"))
     if t == "mvgauss":
         extra = set(d) - {"type", "mean", "cov"}
         if extra:
             raise ValueError(f"unknown mvgauss fields: {sorted(extra)}")
         if "mean" not in d or "cov" not in d:
             raise ValueError("mvgauss descriptor requires 'mean' and 'cov'")
-        return GaussianForecast(d["mean"], d["cov"])
+        return GaussianForecast(_check_numbers(d["mean"], "mvgauss 'mean'"),
+                                _check_numbers(d["cov"], "mvgauss 'cov'"))
     if t == "copula_marginal":
         extra = set(d) - {"type", "copula", "margins"}
         if extra:

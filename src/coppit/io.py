@@ -29,7 +29,7 @@ import numpy as np
 from scipy import stats
 
 from .calibration import ClicalCurve, HistogramResult, Records
-from .forecasts import EnsembleForecast, forecast_from_dict
+from .forecasts import EnsembleForecast, _is_number, forecast_from_dict
 
 __all__ = [
     "ArchiveError",
@@ -64,10 +64,6 @@ class CaseArchive:
 
 def _fmt(x):
     return format(float(x), ".17g")
-
-
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def _check_case(forecast, y, dim, lineno):

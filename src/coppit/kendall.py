@@ -15,13 +15,18 @@ Construction routes:
 - empirical_kendall: the empirical CDF of a given sample of H values; the
   Monte Carlo routes are built on it.
 - pseudo_kendall: the empirical Kendall function of an ensemble, built from
-  pseudo-observations w_k = (1/m) #{j : x_j <= x_k coordinatewise}.
+  pseudo-observations w_k = (1/m) #{j : x_j <= x_k coordinatewise}.  The
+  O(m^2 d) count runs at the first evaluation, not at construction, so a
+  caller that never evaluates it (``coppit`` on stacked ensembles) pays
+  nothing for it.
 
 ``select_kendall`` takes the route the forecast fixes: uniform for
 univariate continuous forecasts, pseudo-observations for ensembles, the
 closed form for bivariate copula-marginal forecasts, Monte Carlo otherwise.
 The one alternative, 'mc', estimates every forecast's by Monte Carlo.
 """
+
+from functools import cached_property
 
 import numpy as np
 
@@ -116,6 +121,19 @@ class _Empirical(KendallFn):
         return float(out) if arr.ndim == 0 else out
 
 
+class _Pseudo(_Empirical):
+    """Pseudo-observation Kendall function whose sample is counted on first use."""
+
+    def __init__(self, points):
+        KendallFn.__init__(self, "pseudo")
+        self._points = _as_members(points)
+        self.n = self._points.shape[0]
+
+    @cached_property
+    def values(self):
+        return np.sort(pseudo_observations(self._points))
+
+
 def uniform_kendall():
     """K(w) = w: the Kendall function of any continuous univariate forecast."""
     return _Uniform()
@@ -166,8 +184,12 @@ def pseudo_observations(points):
 
 
 def pseudo_kendall(points):
-    """Empirical Kendall function of an ensemble from its own pseudo-observations."""
-    return _Empirical(pseudo_observations(points), "pseudo")
+    """Empirical Kendall function of an ensemble from its own pseudo-observations.
+
+    The points are validated now; the pseudo-observations are counted and
+    sorted at the first ``eval``, ``eval_left`` or ``values``, once.
+    """
+    return _Pseudo(points)
 
 
 def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs=None):

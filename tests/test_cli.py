@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coppit import cli
+from coppit import cli, kendall
 from coppit.calibration import coppit, multivariate_rank
 from coppit.cli import main
 from coppit.forecasts import EnsembleForecast
@@ -249,6 +249,17 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
         assert main(["coppit", "--in", str(gaussian_archive), "--out", str(tmp_path / "o"),
                      "--kendall", strategy]) == 1
 
+    flat = tmp_path / "flat.jsonl"
+    flat.write_text('{"forecast": {"type": "ensemble", "points": [[], []]}, "y": []}\n')
+    quoted = tmp_path / "quoted.jsonl"
+    quoted.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                      '{"forecast": {"type": "mvgauss", "mean": [0, 0], '
+                      '"cov": [["1", 0.2], [0.2, true]]}, "y": [0, 0]}\n')
+    for path, line in ((flat, "line 1"), (quoted, "line 2")):
+        for command in ("coppit", "clical", "rank-hist"):
+            assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert f"error: {line}: bad forecast descriptor" in capsys.readouterr().err
+
     capsys.readouterr()
     nonfinite = tmp_path / "nonfinite.csv"
     nonfinite.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,nan,4\n")
@@ -262,6 +273,31 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
         "margins": [margin, margin]}, "y": [0, 0]}) + "\n")
     assert main(["coppit", "--in", str(indep), "--out", str(tmp_path / "o")]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
+    """coppit stacks its ensemble records, so it never counts a case's own
+    pseudo-observations; clical counts them once per case, when it evaluates
+    the Kendall functions.  Both write what eager Kendall functions give."""
+    real = kendall.pseudo_observations
+
+    def outputs(command, cone, out):
+        argv = [command, "--in", str(ensemble_archive), "--out", str(out), "--seed", "4", *cone]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    for command, per_case in (("coppit", 0), ("clical", 1)):
+        for cone in ([], ["--cone", "se"]):
+            with monkeypatch.context() as mp:
+                mp.setattr(kendall, "pseudo_kendall",
+                           lambda pts: kendall._Empirical(real(pts), "pseudo"))
+                eager = outputs(command, cone, tmp_path / "eager")
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(kendall, "pseudo_observations", lambda pts: calls.append(1) or real(pts))
+                lazy = outputs(command, cone, tmp_path / "lazy")
+            assert len(calls) == 12 * per_case, (command, cone)
+            assert lazy == eager
 
 
 def test_mvgauss_extreme_outcome(tmp_path):

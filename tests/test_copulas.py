@@ -290,6 +290,9 @@ def test_copula_object_api_and_serialization():
         cp.ArchimedeanCopula.from_dict({"family": "gumbel", "theta": 2.0})
     with pytest.raises(ValueError):
         cp.ArchimedeanCopula.from_dict({"family": "gumbel", "theta": 2.0, "dim": 2, "color": "red"})
+    for field, value in (("theta", "2"), ("theta", True), ("tau", "0.5")):
+        with pytest.raises(ValueError, match="numbers only"):
+            cp.ArchimedeanCopula.from_dict({"family": "gumbel", field: value, "dim": 2})
     x = c.sample(sp.make_rng(3), 50)
     assert x.shape == (50, 3)
     assert c.cdf(x).shape == (50,)

@@ -234,6 +234,14 @@ def test_descriptor_validation():
         forecast_from_dict({"type": "ensemble", "points": [[0.0]], "extra": 1})
     with pytest.raises(ValueError):
         forecast_from_dict({"type": "mvgauss", "mean": [0, 0]})
+    with pytest.raises(ValueError, match="numbers only"):
+        forecast_from_dict({"type": "ensemble", "points": [["1.5", True], [0.0, 1.0]]})
+    with pytest.raises(ValueError, match="shape"):
+        forecast_from_dict({"type": "ensemble", "points": [[], []]})
+    with pytest.raises(ValueError, match="numbers only"):
+        forecast_from_dict({"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, True]]})
+    assert forecast_from_dict({"type": "ensemble", "points": [[np.float64(1.5), 2]]}) \
+        == EnsembleForecast([[1.5, 2.0]])
     with pytest.raises(ValueError):
         forecast_from_dict({"type": "copula_marginal",
                             "copula": {"family": "gumbel", "theta": 2.0, "dim": 2},

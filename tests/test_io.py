@@ -168,6 +168,28 @@ def test_jsonl_archive_errors(tmp_path):
     with pytest.raises(ArchiveError, match="line 2.*tau = 0"):
         read_archive(path)
 
+    path.write_text('{"forecast": {"type": "ensemble", "points": [[], []]}, "y": []}\n')
+    with pytest.raises(ArchiveError, match="line 1.*m, d >= 1"):
+        read_archive(path)
+
+    margin = '{"dist": "normal", "mu": 0, "sigma": %s}'
+    for field, forecast in [
+            ("ensemble 'points'", '{"type": "ensemble", "points": [["1.5", true], [0, 0]]}'),
+            ("ensemble 'points'", '{"type": "ensemble", "points": [[1.5, true], [0, 0]]}'),
+            ("mvgauss 'mean'", '{"type": "mvgauss", "mean": [0, null], "cov": [[1, 0], [0, 1]]}'),
+            ("mvgauss 'cov'", '{"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, true]]}'),
+            ("copula 'theta'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
+                               '"theta": "2", "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % 1)),
+            ("copula 'tau'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
+                             '"tau": false, "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % 1)),
+            ("margin 'sigma'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
+                               '"theta": 2, "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % "true")),
+    ]:
+        path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": %s, "y": [0, 0]}\n' % forecast)
+        with pytest.raises(ArchiveError, match=f"line 2.*{field} must hold numbers only"):
+            read_archive(path)
+
     for y in ("[[0], [1]]", "[true, false]", '["a", "b"]', "true"):
         path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
                         '{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": %s}\n' % y)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coppit import kendall
 from coppit.copulas import ArchimedeanCopula
 from coppit.forecasts import (
     CopulaMarginalForecast,
@@ -185,6 +186,24 @@ def test_domain_and_input_errors():
         pseudo_observations(np.zeros((0, 2)))
     with pytest.raises(ValueError):
         pseudo_observations(np.zeros((2, 2, 2)))
+
+
+def test_pseudo_kendall_counts_on_first_use(monkeypatch):
+    pts = substream(15, 1).normal(size=(40, 3)).round(1)  # rounding forces ties
+    eager = np.sort(pseudo_observations(pts))
+    calls = []
+    monkeypatch.setattr(kendall, "pseudo_observations", lambda p: calls.append(1) or eager)
+    kf = pseudo_kendall(pts)
+    assert calls == [] and kf.n == 40 and kf.source == "pseudo"
+    w = np.linspace(0.0, 1.0, 81)
+    assert kf.eval(w).tobytes() == (np.searchsorted(eager, w, side="right") / 40).tobytes()
+    assert kf.eval_left(w).tobytes() == (np.searchsorted(eager, w, side="left") / 40).tobytes()
+    assert kf.eval(0.5) == np.searchsorted(eager, 0.5, side="right") / 40
+    assert kf.values.tobytes() == eager.tobytes()
+    assert len(calls) == 1
+    for bad in (np.zeros((0, 2)), np.zeros((3, 0)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError):
+            pseudo_kendall(bad)
 
 
 def test_pseudo_chunking_consistent():
