@@ -172,18 +172,18 @@ def test_jsonl_archive_errors(tmp_path):
     with pytest.raises(ArchiveError, match="line 1.*m, d >= 1"):
         read_archive(path)
 
-    margin = '{"dist": "normal", "mu": 0, "sigma": %s}'
+    normal = '{"dist": "normal", "mu": 0, "sigma": 1}'
+    copula = ('{"type": "copula_marginal", "copula": {"family": "gumbel", %s, "dim": 2}, '
+              '"margins": [%s, %s]}')
     for field, forecast in [
             ("ensemble 'points'", '{"type": "ensemble", "points": [["1.5", true], [0, 0]]}'),
             ("ensemble 'points'", '{"type": "ensemble", "points": [[1.5, true], [0, 0]]}'),
             ("mvgauss 'mean'", '{"type": "mvgauss", "mean": [0, null], "cov": [[1, 0], [0, 1]]}'),
-            ("mvgauss 'cov'", '{"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, true]]}'),
-            ("copula 'theta'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
-                               '"theta": "2", "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % 1)),
-            ("copula 'tau'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
-                             '"tau": false, "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % 1)),
-            ("margin 'sigma'", '{"type": "copula_marginal", "copula": {"family": "gumbel", '
-                               '"theta": 2, "dim": 2}, "margins": [%s, %s]}' % (margin % 1, margin % "true")),
+            ("mvgauss 'cov'",
+             '{"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, true]]}'),
+            ("copula 'theta'", copula % ('"theta": "2"', normal, normal)),
+            ("copula 'tau'", copula % ('"tau": false', normal, normal)),
+            ("margin 'sigma'", copula % ('"theta": 2', normal, normal.replace("1}", "true}"))),
     ]:
         path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
                         '{"forecast": %s, "y": [0, 0]}\n' % forecast)
