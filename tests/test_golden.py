@@ -75,6 +75,19 @@ def _write_archives(root):
                           "y": y})
     (root / "gauss.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in gauss))
 
+    # Gumbel above d = 2: d = 3 sums the log-sum-exp terms in sequence, d = 9
+    # pairwise; both reach the positive stable sampler through --kendall mc
+    for d in (3, 9):
+        cases = []
+        for theta in (1.0, 1.3, 2.2, 4.0, 7.5, 15.0):
+            mean = rng.standard_normal(d).round(3)
+            y = (mean + rng.standard_normal(d)).round(3).tolist()
+            fc = {"type": "copula_marginal",
+                  "copula": {"family": "gumbel", "theta": theta, "dim": d},
+                  "margins": [{"dist": "normal", "mu": float(mu), "sigma": 1.0} for mu in mean]}
+            cases.append({"forecast": fc, "y": y})
+        (root / f"gumbel{d}.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in cases))
+
 
 def _digest(out):
     total = hashlib.sha256()
@@ -124,6 +137,10 @@ RUNS = {
     "clical-cone": (
         [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21", "--cone", "se"]],
         "db9f66ac212598f275d4289c42db70db127ad59fb94eb5f1c2bc393ddcb0b119"),
+    "coppit-gumbel-dims": (
+        [["coppit", "--in", f"gumbel{d}.jsonl", "--kendall", "mc", "--kendall-n", "300"]
+         for d in (3, 9)],
+        "5fa056436a053d2301d5749dba179e7aaa0718ace643a8ea4fa83657a3d69df8"),
     "bivariate-directional": (
         [["simulate", "bivariate", "--directional", "--j", "12", "--directional-n", "300",
           "--bins", "5"]],
