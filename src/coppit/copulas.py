@@ -29,7 +29,7 @@ dimension or theta, Frank exponentials for theta past ~700, Joe powers
 
 import numpy as np
 from scipy import optimize
-from scipy.special import digamma, logsumexp, spence
+from scipy.special import digamma, spence
 
 from . import samplers
 
@@ -57,6 +57,39 @@ def _log1mexp(s):
     with np.errstate(divide="ignore"):
         return np.where(s <= _LN2, np.log(-np.expm1(-np.minimum(s, _LN2))),
                         np.log1p(-np.exp(-np.maximum(s, _LN2))))
+
+
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, with the bits of scipy 1.17's
+    ``logsumexp(a, axis=-1)`` on real input but without its array-API
+    overhead.  The row max and its tie count m are exact in any order, so
+    they are taken column by column; the other terms are summed shifted by
+    the max, in numpy's own row-sum order: in sequence below 8 columns,
+    pairwise (``np.sum``) from 8.  Rows that come out non-finite (an
+    infinite or nan max) fall back to the direct log(sum(exp(a))).
+    """
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    a_max = a[..., 0]
+    for j in range(1, d):
+        a_max = np.maximum(a_max, a[..., j])
+    top = a == a_max[..., None]
+    m = top[..., 0] + 0.0
+    for j in range(1, d):
+        m += top[..., j]
+    e = np.exp(np.where(top, -np.inf, a) - a_max[..., None])
+    if d < 8:
+        s = e[..., 0]
+        for j in range(1, d):
+            s = s + e[..., j]
+    else:
+        s = np.sum(e, axis=-1)
+    s = np.where(s == 0, s, s / m)
+    out = np.log1p(s) + np.log(m) + a_max
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        out = np.where(bad, np.log(np.sum(np.exp(a), axis=-1)), out)
+    return out[()]
 
 
 # --- family namespaces ----------------------------------------------------
@@ -163,7 +196,7 @@ class _Gumbel(_Archimedean):
         th = theta[..., None] if theta.ndim else theta
         with np.errstate(divide="ignore", over="ignore"):
             lt = np.log(-np.log(u))
-            inner = logsumexp(th * lt, axis=-1) / theta
+            inner = _logsumexp(th * lt) / theta
             return np.exp(-np.exp(inner))
 
     @staticmethod

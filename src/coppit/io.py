@@ -62,10 +62,6 @@ class CaseArchive:
     metadata: dict
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
 def _check_case(forecast, y, dim, lineno):
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != forecast.dim:
@@ -192,14 +188,24 @@ def _write_archive_csv(archive, path):
     if len(ms) != 1 or any(not isinstance(fc, EnsembleForecast) for fc, _ in archive.cases):
         raise ValueError("CSV archives require ensemble forecasts with one common member count")
     m = ms.pop()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(archive.dim, m))
-        for fc, y in archive.cases:
-            writer.writerow([_fmt(c) for c in y] + [_fmt(c) for c in fc.points.ravel()])
+    header = _csv_header(archive.dim, m)
+    _write_rows(path, header, ",".join(["%.17g"] * len(header)),
+                ((*np.ravel(y).tolist(), *fc.points.ravel().tolist()) for fc, y in archive.cases))
 
 
 # --- result files -----------------------------------------------------------
+
+
+def _write_rows(path, header, row_format, rows, trailer=""):
+    """The one CSV row writer: the header, then ``row_format % row`` for each
+    row, each ending in csv's CRLF, then ``trailer``.  Every field is a number
+    or empty, so none needs csv quoting; floats go out as %.17g, which reads
+    back value-exact."""
+    row_format += "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_format % row for row in rows)
+        fh.write(trailer)
 
 
 def _lines(text):
@@ -228,12 +234,9 @@ def _parse_rows(lines, header, what, convert):
 def write_records(records, path):
     """Persist ``Records`` (columns h,k_left,k_right,v,u,rank; no rank is empty)."""
     cols = [np.atleast_1d(getattr(records, c)).tolist() for c in Records.COLUMNS[:5]]
-    ranks = [0] * len(records) if records.rank is None else np.atleast_1d(records.rank).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(Records.COLUMNS)
-        for *vals, rank in zip(*cols, ranks):
-            writer.writerow([_fmt(x) for x in vals] + [rank or ""])
+    ranks = ([""] * len(records) if records.rank is None
+             else [r or "" for r in np.atleast_1d(records.rank).tolist()])
+    _write_rows(path, Records.COLUMNS, "%.17g,%.17g,%.17g,%.17g,%.17g,%s", zip(*cols, ranks))
 
 
 def read_records(path):
@@ -247,13 +250,11 @@ def read_records(path):
 
 def write_histogram(hist, path):
     """Persist a histogram (rows bin_lo,bin_hi,count; statistics in a trailer)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "count"])
-        for i, c in enumerate(hist.counts):
-            writer.writerow([_fmt(hist.edges[i]), _fmt(hist.edges[i + 1]), int(c)])
-        ks = "" if hist.ks is None else _fmt(hist.ks)
-        fh.write(f"# chi2={_fmt(hist.chi2)},df={int(hist.chi2_df)},ks={ks}\n")
+    edges = np.asarray(hist.edges, dtype=float).tolist()
+    ks = "" if hist.ks is None else "%.17g" % hist.ks
+    _write_rows(path, ["bin_lo", "bin_hi", "count"], "%.17g,%.17g,%d",
+                zip(edges, edges[1:], np.asarray(hist.counts).tolist()),
+                "# chi2=%.17g,df=%d,ks=%s\n" % (hist.chi2, hist.chi2_df, ks))
 
 
 def read_histogram(path):
@@ -291,11 +292,8 @@ def read_histogram(path):
 
 def write_curve(curve, path):
     """Persist a calibration curve (columns w,lhs,rhs)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w", "lhs", "rhs"])
-        for w, lhs, rhs in zip(curve.grid, curve.lhs, curve.rhs):
-            writer.writerow([_fmt(w), _fmt(lhs), _fmt(rhs)])
+    _write_rows(path, ["w", "lhs", "rhs"], "%.17g,%.17g,%.17g",
+                zip(*(np.asarray(c, dtype=float).tolist() for c in (curve.grid, curve.lhs, curve.rhs))))
 
 
 def read_curve(path):

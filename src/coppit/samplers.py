@@ -110,14 +110,18 @@ def positive_stable(rng, alpha, size=None):
     theta = np.clip(theta, 1e-300, np.pi * (1 - 1e-16))
     w = np.maximum(w, 1e-300)
     out = np.ones(shape)
-    act = alpha_b < 1.0
+    # alpha keeps its own shape: a scalar index is one active flag and one
+    # pair of exponents for every draw; an array selects its active draws
+    a = np.asarray(alpha, dtype=float)
+    act = a < 1.0
     if np.any(act):
-        a = alpha_b[act]
-        t = theta[act]
-        log_a_num = a * np.log(np.sin(a * t)) + (1 - a) * np.log(np.sin((1 - a) * t)) - np.log(np.sin(t))
+        if a.ndim:
+            act = np.broadcast_to(act, shape)
+            a, theta, w = alpha_b[act], theta[act], w[act]
+        b = 1 - a
+        log_a_num = a * np.log(np.sin(a * theta)) + b * np.log(np.sin(b * theta)) - np.log(np.sin(theta))
         # V = (A/W)^((1-a)/a), log A = log_a_num / (1 - a)
-        log_v = (1 - a) / a * (log_a_num / (1 - a) - np.log(w[act]))
-        out[act] = np.exp(log_v)
+        out[act] = np.exp(b / a * (log_a_num / b - np.log(w)))
     if scalar_out:
         return float(out[()])
     return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from coppit import copulas as cp
 from coppit import samplers as sp
@@ -121,6 +122,55 @@ def test_cdf_extreme_theta_no_overflow():
     u50 = np.full(50, 0.9)
     c = cp.copula_cdf("gumbel", u50, 40.0)
     assert 0.0 < c <= 0.9
+
+
+def _lse_rows(rng, n, d):
+    """Rows of every scale, with tied maxima, +-inf, nan and all -inf rows."""
+    a = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 40.0, 700.0], size=(n, 1))
+    top = a.max(axis=1)
+    a[::5, : min(d, 3)] = top[::5, None]  # two or three ties at the max
+    a[1::9, -1] = -np.inf
+    a[2::11, 0] = np.inf
+    a[3::13, d // 2] = np.nan
+    a[4] = -np.inf
+    a[6] = 0.0
+    a[7, 0] = -0.0
+    a[8] = 1e308
+    a[10] = -1e308
+    a[12] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 50])
+def test_logsumexp_matches_scipy_bits(d):
+    # numpy adds a row of fewer than 8 terms in sequence and pairwise from 8;
+    # np.logaddexp, or summing the columns in another order, changes bits
+    a = _lse_rows(np.random.default_rng(300 + d), 4000, d)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert cp._logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()
+        for row in a[:13]:
+            got, want = cp._logsumexp(row), logsumexp(row, axis=-1)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+def _gumbel_cdf_scipy(u, theta):
+    theta = np.asarray(theta, dtype=float)
+    th = theta[..., None] if theta.ndim else theta
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inner = logsumexp(th * np.log(-np.log(u)), axis=-1) / theta
+        return np.clip(np.exp(-np.exp(inner)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_gumbel_cdf_matches_scipy_logsumexp_bits(d):
+    rng = np.random.default_rng(400 + d)
+    u = rng.random((3000, d)) ** rng.choice([0.01, 1.0, 30.0], size=(3000, 1))
+    u[::4, 0] = 0.0
+    u[1::5, -1] = 1.0
+    u[2::7] = 1.0
+    u[3::11, :2] = [0.0, 1.0]
+    for theta in (1.0, 1.7, 40.0, rng.uniform(1.0, 20.0, 3000)):
+        assert cp.copula_cdf("gumbel", u, theta).tobytes() == _gumbel_cdf_scipy(u, theta).tobytes()
 
 
 def test_cdf_validation():

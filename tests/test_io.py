@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from coppit.calibration import ClicalCurve, Records, histogram, rank_histogram
+from coppit.calibration import ClicalCurve, HistogramResult, Records, histogram, rank_histogram
 from coppit.forecasts import (
     CopulaMarginalForecast,
     EnsembleForecast,
@@ -313,6 +315,52 @@ def test_curve_rejects_bad_values(tmp_path, body, match):
     path.write_text("w,lhs,rhs\n" + body)
     with pytest.raises(ArchiveError, match=match):
         read_curve(path)
+
+
+EXTREMES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+def _csv_reference(header, rows):
+    """What csv.writer writes for rows of format(x, ".17g") floats and ints."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+def test_writers_match_csv_reference(tmp_path):
+    path = tmp_path / "out.csv"
+    vals = EXTREMES
+    cols = [np.roll(vals, k) for k in range(5)]
+    m = 6
+    for rank in (None, np.array([0, m + 1, 1, 0, 3, m + 1, 2])):
+        write_records(Records(*cols, rank=rank), path)
+        ranks = [""] * len(vals) if rank is None else [r or "" for r in rank.tolist()]
+        rows = [[*(float(c[i]) for c in cols), ranks[i]] for i in range(len(vals))]
+        assert path.read_bytes() == _csv_reference(Records.COLUMNS, rows)
+
+    counts = np.array([3, 0, 5, 1, 0, 2, 7])
+    for ks in (None, 5e-324):
+        hist = HistogramResult(counts=counts, edges=np.array(vals + [1.0]), n=18,
+                               chi2=-0.0, chi2_df=6, chi2_pvalue=1.0, ks=ks)
+        write_histogram(hist, path)
+        rows = [[vals[i], (vals + [1.0])[i + 1], int(counts[i])] for i in range(len(vals))]
+        trailer = f"# chi2=-0,df=6,ks={'' if ks is None else '4.9406564584124654e-324'}\n"
+        assert path.read_bytes() == _csv_reference(["bin_lo", "bin_hi", "count"], rows) + \
+            trailer.encode()
+
+    write_curve(ClicalCurve(grid=cols[0], lhs=cols[1], rhs=cols[2], max_abs_gap=0.0), path)
+    rows = [[float(cols[k][i]) for k in range(3)] for i in range(len(vals))]
+    assert path.read_bytes() == _csv_reference(["w", "lhs", "rhs"], rows)
+
+    finite = [v for v in vals if np.isfinite(v)]
+    cases = tuple((EnsembleForecast(np.reshape(np.roll(finite, k), (2, 2))),
+                   np.array([vals[k], vals[-1 - k]])) for k in range(len(vals)))
+    write_archive(CaseArchive(dim=2, cases=cases, metadata={}), path)
+    rows = [[float(c) for c in (*y, *fc.points.ravel())] for fc, y in cases]
+    assert path.read_bytes() == _csv_reference(["y1", "y2", "x1_1", "x1_2", "x2_1", "x2_2"], rows)
 
 
 def test_svg_histogram_structure(tmp_path):

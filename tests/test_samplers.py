@@ -104,6 +104,32 @@ def test_positive_stable_degenerate_and_array_alpha():
     assert v.shape == (3,) and v[1] == 1.0 and v[0] > 0 and v[2] > 0
 
 
+def _kanter(rng, alpha, n):
+    """Kanter's formula evaluated term by term, one alpha per draw."""
+    a = np.full(n, alpha)
+    t = np.clip(rng.random(n) * np.pi, 1e-300, np.pi * (1 - 1e-16))
+    w = np.maximum(rng.standard_exponential(n), 1e-300)
+    if alpha == 1.0:
+        return np.ones(n)
+    log_a_num = a * np.log(np.sin(a * t)) + (1 - a) * np.log(np.sin((1 - a) * t)) - np.log(np.sin(t))
+    return np.exp((1 - a) / a * (log_a_num / (1 - a) - np.log(w)))
+
+
+def test_positive_stable_scalar_alpha_matches_array_alpha():
+    # a scalar alpha computes its exponents once for every draw; the draws
+    # must not change.  alpha = 0.004 overflows some draws to inf, 1.0 gives
+    # V = 1 throughout; a 0-d array alpha counts as a scalar
+    for i, alpha in enumerate((0.004, 0.05, 0.5, 0.93, 1.0)):
+        for size in (None, 1, 4000):
+            with np.errstate(over="ignore"):
+                array = sp.positive_stable(sp.make_rng(40 + i), np.full(size or 1, alpha))
+                assert array.tobytes() == _kanter(sp.make_rng(40 + i), alpha, size or 1).tobytes()
+                for a in (alpha, np.asarray(alpha)):
+                    scalar = sp.positive_stable(sp.make_rng(40 + i), a, size)
+                    assert isinstance(scalar, float) if size is None else scalar.shape == (size,)
+                    assert np.asarray(scalar).tobytes() == array.tobytes()
+
+
 def _log_series_pmf(k, p):
     return -(p**k) / (k * np.log1p(-p))
 
