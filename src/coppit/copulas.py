@@ -74,7 +74,7 @@ def _logsumexp(a):
     for j in range(1, d):
         a_max = np.maximum(a_max, a[..., j])
     top = a == a_max[..., None]
-    m = top[..., 0] + 0.0
+    m = top[..., 0].astype(float)
     for j in range(1, d):
         m += top[..., j]
     e = np.exp(np.where(top, -np.inf, a) - a_max[..., None])

@@ -292,8 +292,8 @@ def read_histogram(path):
 
 def write_curve(curve, path):
     """Persist a calibration curve (columns w,lhs,rhs)."""
-    _write_rows(path, ["w", "lhs", "rhs"], "%.17g,%.17g,%.17g",
-                zip(*(np.asarray(c, dtype=float).tolist() for c in (curve.grid, curve.lhs, curve.rhs))))
+    cols = (np.asarray(c, dtype=float).tolist() for c in (curve.grid, curve.lhs, curve.rhs))
+    _write_rows(path, ["w", "lhs", "rhs"], "%.17g,%.17g,%.17g", zip(*cols))
 
 
 def read_curve(path):
