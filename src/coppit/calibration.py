@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy import stats
 
-from .forecasts import _as_members, dominance_counts
+from .forecasts import _as_members, cone_signs, dominance_counts
 
 __all__ = [
     "Records",
@@ -40,13 +40,6 @@ __all__ = [
     "clical_curve",
     "cone_signs",
 ]
-
-_QUADRANTS = {
-    "sw": (-1, -1),
-    "se": (1, -1),
-    "ne": (1, 1),
-    "nw": (-1, 1),
-}
 
 
 def randomize(lo, hi, v):
@@ -132,31 +125,6 @@ def _check_v(v):
     return v
 
 
-def cone_signs(spec, dim=None):
-    """Resolve a cone direction to a vector of signs.
-
-    Accepts the quadrant names 'sw', 'se', 'ne', 'nw' (first letter pairs
-    with the second coordinate: south/north, second with the first:
-    west/east), a string of '+'/'-' characters, or a sequence of +-1 values.
-    """
-    if isinstance(spec, str):
-        key = spec.strip().lower()
-        if key in _QUADRANTS:
-            signs = np.array(_QUADRANTS[key], dtype=int)
-        elif key and set(key) <= {"+", "-"}:
-            signs = np.array([1 if c == "+" else -1 for c in key], dtype=int)
-        else:
-            raise ValueError(f"cannot parse cone direction {spec!r}")
-    else:
-        signs = np.asarray(spec)
-        if signs.ndim != 1 or signs.size == 0 or not np.all(np.isin(signs, (-1, 1))):
-            raise ValueError(f"cone signs must be a vector of +-1 values, got {spec!r}")
-        signs = signs.astype(int)
-    if dim is not None and signs.size != dim:
-        raise ValueError(f"cone direction has {signs.size} signs, expected {dim}")
-    return signs
-
-
 def pit(forecast, y, v):
     """Randomized univariate PIT, F(y-) + v * (F(y) - F(y-))."""
     v = np.asarray(v, dtype=float)
@@ -217,7 +185,7 @@ def ensemble_counts(points, y, signs=None):
         raise ValueError(f"need points (n, m, d) and y (n, d), got {pts.shape} and {yv.shape}")
     pooled = np.concatenate([pts, yv[:, None, :]], axis=1)
     if signs is not None:
-        pooled = pooled * -cone_signs(signs, dim=pts.shape[2]).astype(float)
+        pooled = pooled * -cone_signs(signs, dim=pts.shape[2])
     cnt = dominance_counts(pooled[:, :-1], pooled)  # the observation's count is last
     rho = cnt + dominance_counts(pooled[:, -1:], pooled)  # pre-ranks count the observation too
     h = cnt[:, -1:]

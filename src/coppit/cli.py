@@ -13,7 +13,6 @@ is absent.
 """
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -42,6 +41,7 @@ from .io import (
     write_curve,
     write_histogram,
     write_manifest,
+    write_ranks,
     write_records,
 )
 from .kendall import DEFAULT_MC_SIZE, select_kendall
@@ -196,8 +196,6 @@ def _resolve_seed(args):
 
 
 def _check_cone_syntax(spec):
-    if spec is None:
-        return
     try:
         cone_signs(spec)
     except ValueError as exc:
@@ -265,24 +263,32 @@ def _ensemble_groups(cases, indices, signs):
             yield m, np.array(block), ensemble_counts(pts, ys, signs)
 
 
-def _ranks(seed, idx, counts):
-    """Ranks 1..m+1; case i breaks its pre-rank ties with substream (2, i)."""
-    return counts.ranks(substream(seed, 2, i) for i in idx.tolist())
+def _stacked(cases, seed, signs):
+    """Columns rank, h, k_left, k_right of the ensemble cases from one stacked
+    pass per member count; case i breaks its pre-rank ties with substream
+    (2, i).  rank is None without ensembles, else 0 on every other case."""
+    n = len(cases)
+    ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
+    rank = np.zeros(n, dtype=int) if ens else None
+    h, k_left, k_right = np.empty(n), np.empty(n), np.empty(n)
+    for m, idx, c in _ensemble_groups(cases, ens, signs):
+        rank[idx] = c.ranks(substream(seed, 2, i) for i in idx.tolist())
+        h[idx], k_left[idx], k_right[idx] = c.h / m, c.k_left / m, c.k_right / m
+    return rank, h, k_left, k_right
 
 
 def _analyze(archive, seed, strategy, kendall_n, signs, threads):
     """Copula PIT records and Kendall functions per case (substreams: 1=v, 2=ties, 3=Monte Carlo).
 
-    Ensemble ranks come from one stacked pass per member count, and so do
-    the whole ensemble records under the auto strategy, whose Kendall route
-    draws nothing.  Other cases are evaluated one by one on ``threads``
-    workers.
+    Ensemble ranks come from the stacked pass, and so do the whole ensemble
+    records under the auto strategy, whose Kendall route draws nothing.
+    Other cases are evaluated one by one on ``threads`` workers.
     """
     cases = archive.cases
     n = len(cases)
     v = substream(seed, 1).random(n)
-    ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
-    stacked = ens if strategy == "auto" else []
+    rank, h, k_left, k_right = _stacked(cases, seed, signs)
+    stacked = np.flatnonzero(rank).tolist() if rank is not None and strategy == "auto" else []
     per_case = sorted(set(range(n)) - set(stacked))
 
     def work(i):
@@ -294,17 +300,11 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads):
     def pseudo(i):
         return select_kendall(cases[i][0], signs=signs)
 
-    h, k_left, k_right = np.empty(n), np.empty(n), np.empty(n)
     kfns = [None] * n
     for i, (rec, kfn) in zip(per_case, _map_cases(work, per_case, threads)):
         h[i], k_left[i], k_right[i], kfns[i] = rec.h, rec.k_left, rec.k_right, kfn
     for i, kfn in zip(stacked, _map_cases(pseudo, stacked, 1)):
         kfns[i] = kfn
-    rank = np.zeros(n, dtype=int) if ens else None
-    for m, idx, c in _ensemble_groups(cases, ens, signs):
-        rank[idx] = _ranks(seed, idx, c)
-        if stacked:
-            h[idx], k_left[idx], k_right[idx] = c.h / m, c.k_left / m, c.k_right / m
     return Records(h, k_left, k_right, v, rank=rank), kfns
 
 
@@ -352,11 +352,7 @@ def _cmd_pit(args, seed, argv):
         return float(mfc.cdf_left(yk[0])), float(mfc.cdf(yk[0]))
 
     lo, hi = np.array(_map_cases(work, range(n), args.threads)).T
-    ens = [i for i, (mfc, _) in enumerate(cases) if isinstance(mfc, EnsembleForecast)]
-    rank = np.zeros(n, dtype=int) if ens else None
-    for _, idx, counts in _ensemble_groups(cases, ens, None):
-        rank[idx] = _ranks(seed, idx, counts)
-    recs = Records(hi, lo, hi, v, rank=rank)
+    recs = Records(hi, lo, hi, v, rank=_stacked(cases, seed, None)[0])
     out = _out_dir(args)
     outputs = []
     _write_pit(recs, args.bins, out, outputs)
@@ -374,17 +370,11 @@ def _cmd_rank_hist(args, seed, argv):
         sizes.add(fc.m)
     if len(sizes) != 1:
         raise ValueError(f"rank histograms need one common ensemble size, found {sorted(sizes)}")
-    m = sizes.pop()
-    ranks = np.empty(len(archive.cases), dtype=int)
-    for _, idx, counts in _ensemble_groups(archive.cases, range(len(archive.cases)), signs):
-        ranks[idx] = _ranks(seed, idx, counts)
+    ranks = _stacked(archive.cases, seed, signs)[0]
     out = _out_dir(args)
-    with open(out / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "rank"])
-        writer.writerows(enumerate(ranks.tolist(), start=1))
+    write_ranks(ranks, out / "ranks.csv")
     outputs = ["ranks.csv"]
-    _write_hist(ranks, None, out, "hist", outputs, ranks_m=m)
+    _write_hist(ranks, None, out, "hist", outputs, ranks_m=sizes.pop())
     _finish(args, seed, out, outputs, argv, len(ranks))
     return 0
 

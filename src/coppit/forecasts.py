@@ -9,11 +9,19 @@ Three multivariate forecast types share one interface (``dim``,
 - CopulaMarginalForecast: an Archimedean copula with normal margins.
 
 ``cdf(y, signs)`` evaluates the probability of the closed cone
-{x : signs_i (x_i - y_i) >= 0 for all i} anchored at y; ``signs=None`` is
-the lower-left orthant (all -1), the ordinary CDF.  Ensembles and Gaussians
-evaluate cones by the exact reflection identity (negate the relevant
-coordinates and use the plain CDF); copula-marginal forecasts use
-inclusion-exclusion over the "+" coordinates.
+{x : signs_i (x_i - y_i) >= 0 for all i} anchored at y.  Ensembles and
+Gaussians evaluate cones by the exact reflection identity (negate the
+relevant coordinates and use the plain CDF); copula-marginal forecasts use
+inclusion-exclusion over the "+" coordinates.  ``cone_signs`` is the one
+parser of a cone direction; every ``cdf``, ``select_kendall``,
+``monte_carlo_kendall`` and ``ensemble_counts`` resolves ``signs`` through
+it, so each accepts the same specs:
+
+- None: the lower-left orthant (all -1), the ordinary CDF;
+- a quadrant name 'sw', 'se', 'ne' or 'nw' (d = 2; the first letter places
+  the second coordinate south/north, the second the first west/east);
+- a string of '+'/'-' characters, one per coordinate;
+- a sequence of +-1 values, one per coordinate.
 
 ``UnivariateForecast`` adapts a scalar margin to the same interface for
 one-dimensional work, where the left-limit CDF also matters for randomized
@@ -40,6 +48,7 @@ __all__ = [
     "apply_permutation",
     "margin_forecast",
     "dominance_counts",
+    "cone_signs",
 ]
 
 
@@ -196,14 +205,30 @@ def dominance_counts(points, queries):
     return out if stacked else out[0]
 
 
-def _check_signs(signs, dim):
-    """Cone signs as floats; None is the lower-left orthant."""
-    if signs is None:
-        return -np.ones(dim)
-    s = np.asarray(signs, dtype=float)
-    if s.shape != (dim,) or not np.all(np.isin(s, (-1.0, 1.0))):
-        raise ValueError(f"cone signs must be a vector of +-1 with length {dim}, got {signs!r}")
-    return s
+_QUADRANTS = {"sw": (-1, -1), "se": (1, -1), "ne": (1, 1), "nw": (-1, 1)}
+
+
+def cone_signs(spec, dim=None):
+    """A cone direction, given as any spec the module docstring lists, as a
+    vector of +-1 ints; with ``dim``, it must have that many signs."""
+    if spec is None:
+        return -np.ones(dim, dtype=int)
+    if isinstance(spec, str):
+        key = spec.strip().lower()
+        if key in _QUADRANTS:
+            signs = np.array(_QUADRANTS[key], dtype=int)
+        elif key and set(key) <= {"+", "-"}:
+            signs = np.array([1 if c == "+" else -1 for c in key], dtype=int)
+        else:
+            raise ValueError(f"cannot parse cone direction {spec!r}")
+    else:
+        signs = np.asarray(spec)
+        if signs.ndim != 1 or signs.size == 0 or not np.all(np.isin(signs, (-1, 1))):
+            raise ValueError(f"cone signs must be a vector of +-1 values, got {spec!r}")
+        signs = signs.astype(int)
+    if dim is not None and signs.size != dim:
+        raise ValueError(f"cone direction has {signs.size} signs, expected {dim}")
+    return signs
 
 
 # --- forecast types -----------------------------------------------------------
@@ -226,7 +251,7 @@ class EnsembleForecast:
         y_mat, single = _as_points(y, self.dim)
         pts = self.points
         if signs is not None:
-            s = -_check_signs(signs, self.dim)
+            s = -cone_signs(signs, self.dim)
             pts, y_mat = pts * s, y_mat * s
         vals = dominance_counts(pts, y_mat) / self.m
         return float(vals[0]) if single else vals
@@ -282,7 +307,7 @@ class GaussianForecast:
         self.dim = 2
 
     def cdf(self, y, signs=None):
-        s = _check_signs(signs, 2)
+        s = cone_signs(signs, 2)
         y_mat, single = _as_points(y, 2)
         h = -s * (y_mat - self.mean) / self._sds
         vals = np.atleast_1d(bvn_cdf(h[:, 0], h[:, 1], s[0] * s[1] * self._rho))
@@ -328,7 +353,7 @@ class CopulaMarginalForecast:
         return u
 
     def cdf(self, y, signs=None):
-        s = _check_signs(signs, self.dim)
+        s = cone_signs(signs, self.dim)
         y_mat, single = _as_points(y, self.dim)
         u = self._margin_cdfs(y_mat)
         plus = np.flatnonzero(s > 0)
@@ -385,7 +410,7 @@ class UnivariateForecast:
 
     def cdf(self, y, signs=None):
         flat, single = self._flat(y)
-        if _check_signs(signs, 1)[0] < 0:
+        if cone_signs(signs, 1)[0] < 0:
             vals = np.atleast_1d(self.margin.cdf(flat))
         else:
             vals = 1.0 - np.atleast_1d(self.margin.cdf_left(flat))

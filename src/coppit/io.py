@@ -11,12 +11,12 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
   every case is an m-member ensemble.
 
-Result writers serialize copula PIT ``Records``, histograms, and
-calibration curves to CSV with 17-significant-digit floats, so a read/write
-cycle is value-exact.  ``render_svg`` emits standalone fixed-size
-SVG: histogram bars with a dashed flat-reference line, or a curve with the
-diagonal.  All outputs are byte-deterministic given their inputs; the only
-timestamp lives in ``manifest.json``.
+Result writers serialize copula PIT ``Records``, multivariate ranks,
+histograms, and calibration curves to CSV with 17-significant-digit floats,
+so a read/write cycle is value-exact.  ``render_svg`` emits standalone
+fixed-size SVG: histogram bars with a dashed flat-reference line, or a curve
+with the diagonal.  All outputs are byte-deterministic given their inputs;
+the only timestamp lives in ``manifest.json``.
 """
 
 import csv
@@ -38,6 +38,7 @@ __all__ = [
     "write_archive",
     "read_records",
     "write_records",
+    "write_ranks",
     "read_histogram",
     "write_histogram",
     "read_curve",
@@ -237,6 +238,11 @@ def write_records(records, path):
     ranks = ([""] * len(records) if records.rank is None
              else [r or "" for r in np.atleast_1d(records.rank).tolist()])
     _write_rows(path, Records.COLUMNS, "%.17g,%.17g,%.17g,%.17g,%.17g,%s", zip(*cols, ranks))
+
+
+def write_ranks(ranks, path):
+    """Persist integer ranks as rows case,rank, cases numbered from 1."""
+    _write_rows(path, ["case", "rank"], "%d,%d", enumerate(np.asarray(ranks).tolist(), start=1))
 
 
 def read_records(path):

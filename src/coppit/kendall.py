@@ -36,6 +36,7 @@ from .forecasts import (
     EnsembleForecast,
     UnivariateForecast,
     _as_members,
+    cone_signs,
     dominance_counts,
 )
 
@@ -203,14 +204,15 @@ def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs
     """
     if strategy not in ("auto", "mc"):
         raise ValueError(f"unknown Kendall strategy {strategy!r} (use auto or mc)")
-    plain = signs is None or bool(np.all(np.asarray(signs) == -1))
+    if signs is not None:
+        signs = cone_signs(signs, forecast.dim)
+    plain = signs is None or bool(np.all(signs < 0))
     if strategy == "auto":
         if isinstance(forecast, UnivariateForecast):
             return uniform_kendall()
         if isinstance(forecast, EnsembleForecast):
             # a cone CDF is the plain CDF of the ensemble reflected along the '+' axes
-            return pseudo_kendall(forecast.points if plain
-                                  else forecast.points * -np.asarray(signs, dtype=float))
+            return pseudo_kendall(forecast.points if plain else forecast.points * -signs)
         if isinstance(forecast, CopulaMarginalForecast) and forecast.dim == 2 and plain:
             return analytic_kendall(forecast.copula)
     if rng is None:

@@ -77,14 +77,10 @@ def gamma(rng, shape, size=None):
     return rng.standard_gamma(shape, size)
 
 
-def _broadcast_param(param, size, name, low, high, low_open=True, high_closed=True):
-    arr = np.asarray(param, dtype=float)
-    lo_ok = arr > low if low_open else arr >= low
-    hi_ok = arr <= high if high_closed else arr < high
-    if not np.all(lo_ok & hi_ok):
-        lo_b = "(" if low_open else "["
-        hi_b = "]" if high_closed else ")"
-        raise ValueError(f"{name} must lie in {lo_b}{low}, {high}{hi_b}, got {param!r}")
+def _broadcast_param(alpha, size):
+    arr = np.asarray(alpha, dtype=float)
+    if not np.all((arr > 0.0) & (arr <= 1.0)):
+        raise ValueError(f"alpha must lie in (0.0, 1.0], got {alpha!r}")
     if size is None:
         size = arr.shape if arr.shape else None
     shape = () if size is None else (size if isinstance(size, tuple) else (size,))
@@ -103,7 +99,7 @@ def positive_stable(rng, alpha, size=None):
     space; alpha = 1 gives the degenerate unit mass.  ``alpha`` may be an
     array (one index per draw).
     """
-    alpha_b, shape, scalar_out = _broadcast_param(alpha, size, "alpha", 0.0, 1.0)
+    alpha_b, shape, scalar_out = _broadcast_param(alpha, size)
     theta = rng.random(shape) * np.pi
     w = rng.standard_exponential(shape)
     # guard the open-interval assumptions; p(boundary) = 0 but floats happen
@@ -256,7 +252,7 @@ def sibuya(rng, alpha, size=None):
     integer-valued float64 (infinite mean for alpha < 1; values can exceed
     int64).  ``alpha`` may be an array (one index per draw).
     """
-    alpha_b, shape, scalar_out = _broadcast_param(alpha, size, "alpha", 0.0, 1.0)
+    alpha_b, shape, scalar_out = _broadcast_param(alpha, size)
     u = rng.random(shape)
     out = _sibuya_invert(u, alpha if np.ndim(alpha) == 0 else alpha_b)
     if scalar_out:

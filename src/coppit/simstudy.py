@@ -31,12 +31,12 @@ from scipy.special import ndtr, ndtri
 
 from .calibration import Records, clical_curve, ensemble_counts
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
-from .forecasts import CopulaMarginalForecast, GaussianForecast, Normal
+from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
-QUADRANTS = ("sw", "se", "ne", "nw")
+QUADRANTS = tuple(_QUADRANTS)  # sw, se, ne, nw
 HIGHDIM_VARIANTS = ("true-frank", "shrunk-frank", "joe-swap")
 DEMO_VARIANTS = ("correct", "independent", "ensemble")
 

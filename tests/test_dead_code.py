@@ -1,9 +1,12 @@
-"""Every private name in the package is used somewhere in the package.
+"""Every private name in the package is used somewhere in the package, and
+each shared concept has one home.
 
 Scans ``src/coppit`` with ``ast``: each private (single leading underscore)
 module-level function, class or assignment, and each private method, must
 be loaded by name or as an attribute somewhere besides its definition.  A
-name nothing calls should be deleted rather than kept.
+name nothing calls should be deleted rather than kept.  ``io`` is the only
+module that imports ``csv``, and the cone parser and the quadrant table are
+each defined once.
 """
 
 import ast
@@ -40,9 +43,43 @@ def _loads(tree):
             yield node.attr
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+
+
 def test_no_unreferenced_private_names():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    trees = _trees()
     used = {name for tree in trees.values() for name in _loads(tree)}
     unused = [f"{module}: {qual}" for module, tree in sorted(trees.items())
               for qual, name in _definitions(tree) if name not in used]
     assert trees and not unused, unused
+
+
+def _imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def _quadrant_tables(tree):
+    """Constant literals that list all four quadrant names, as dict keys or elements."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set)):
+            try:
+                value = ast.literal_eval(node)
+            except ValueError:
+                continue
+            if {"sw", "se", "ne", "nw"} <= {x for x in value if isinstance(x, str)}:
+                yield node
+
+
+def test_one_home_per_concept():
+    trees = _trees()
+    assert [m for m, tree in sorted(trees.items()) if "csv" in set(_imports(tree))] == ["io.py"]
+    parsers = [m for m, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "cone_signs"]
+    assert parsers == ["forecasts.py"]
+    tables = [m for m, tree in trees.items() for _ in _quadrant_tables(tree)]
+    assert tables == ["forecasts.py"]

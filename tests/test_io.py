@@ -25,6 +25,7 @@ from coppit.io import (
     write_curve,
     write_histogram,
     write_manifest,
+    write_ranks,
     write_records,
 )
 
@@ -340,6 +341,10 @@ def test_writers_match_csv_reference(tmp_path):
         ranks = [""] * len(vals) if rank is None else [r or "" for r in rank.tolist()]
         rows = [[*(float(c[i]) for c in cols), ranks[i]] for i in range(len(vals))]
         assert path.read_bytes() == _csv_reference(Records.COLUMNS, rows)
+
+    ranks = np.array([1, m + 1, 2**62, 3])
+    write_ranks(ranks, path)
+    assert path.read_bytes() == _csv_reference(["case", "rank"], enumerate(ranks.tolist(), start=1))
 
     counts = np.array([3, 0, 5, 1, 0, 2, 7])
     for ks in (None, 5e-324):

@@ -153,6 +153,29 @@ def test_select_auto_routes():
                           pseudo_kendall(-tied.points).values)
 
 
+def test_select_rejects_malformed_cones():
+    ens = EnsembleForecast(substream(3, 6).normal(size=(20, 2)))
+    for signs in ((1,), (1, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            select_kendall(ens, signs=signs)
+
+
+def test_cone_names_match_sign_tuples():
+    y = np.array([[0.3, -0.2], [1.5, 0.4], [-0.7, 2.0]])
+    ens = EnsembleForecast(substream(3, 7).normal(size=(40, 2)))
+    gauss = GaussianForecast([0.5, -0.5], [[1.0, 0.3], [0.3, 2.0]])
+    for fc in (ens, gauss, _gumbel_cm()):
+        assert np.array_equal(fc.cdf(y, "se"), fc.cdf(y, (1, -1)))
+    assert np.array_equal(select_kendall(ens, signs="ne").values,
+                          select_kendall(ens, signs=(1, 1)).values)
+    cm = select_kendall(_gumbel_cm(), signs="ne", rng=substream(3, 8), n=500)
+    assert np.array_equal(cm.values, select_kendall(_gumbel_cm(), signs=(1, 1),
+                                                    rng=substream(3, 8), n=500).values)
+    nw = monte_carlo_kendall(gauss, substream(3, 9), n=500, signs="nw")
+    assert np.array_equal(nw.values,
+                          monte_carlo_kendall(gauss, substream(3, 9), n=500, signs=(-1, 1)).values)
+
+
 def test_select_explicit_strategies():
     cm = _gumbel_cm()
     kf = select_kendall(cm, "mc", rng=substream(8, 0), n=1_000)

@@ -67,7 +67,7 @@ def test_parameter_validation():
         sp.beta(rng, 0, 1, 5)
     with pytest.raises(ValueError):
         sp.gamma(rng, -1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0\.0, 1\.0\], got 0\.0$"):
         sp.positive_stable(rng, 0.0, 5)
     with pytest.raises(ValueError):
         sp.positive_stable(rng, 1.2, 5)
@@ -77,7 +77,7 @@ def test_parameter_validation():
         sp.log_series(rng, 0.0, 5)
     with pytest.raises(ValueError):
         sp.sibuya(rng, 0.0, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0\.0, 1\.0\], got 1\.0001$"):
         sp.sibuya(rng, 1.0001, 5)
 
 
