@@ -13,14 +13,16 @@ same machinery supports orthant directions other than the lower-left one
 a climatological calibration curve that compares the pooled distribution of
 h values against the average Kendall function.  Every producer of copula PIT
 values returns them as ``Records`` columns (h, k_left, k_right, v, u, rank),
-and ``randomize`` is the one place u is computed.
+and ``randomize`` is the one place u is computed.  Histogram and curve
+results store only what the data fixes and derive their statistics on
+access; only the KS p-value imports ``scipy.stats``.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .forecasts import _as_members, cone_signs, dominance_counts
 
@@ -100,14 +102,39 @@ class Records:
 
 @dataclass
 class HistogramResult:
+    """Bin counts over ``edges`` and the KS statistic of the sample behind
+    them (None for rank histograms); n and the chi-square test against flat
+    bins derive from the counts."""
+
     counts: np.ndarray
     edges: np.ndarray
-    n: int
-    chi2: float
-    chi2_df: int
-    chi2_pvalue: float
     ks: Optional[float] = None
-    ks_pvalue: Optional[float] = None
+
+    @property
+    def n(self):
+        return int(self.counts.sum())
+
+    @property
+    def chi2(self):
+        expected = self.n / self.counts.size
+        return float(((self.counts - expected) ** 2 / expected).sum())
+
+    @property
+    def chi2_df(self):
+        return self.counts.size - 1
+
+    @property
+    def chi2_pvalue(self):
+        return float(chdtrc(self.chi2_df, self.chi2))
+
+    @property
+    def ks_pvalue(self):
+        """Exact KS p-value; imports ``scipy.stats`` on use, as it is most of the import time."""
+        if self.ks is None:
+            return None
+        from scipy import stats
+
+        return float(stats.kstwo.sf(self.ks, self.n))
 
 
 @dataclass
@@ -115,7 +142,10 @@ class ClicalCurve:
     grid: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    max_abs_gap: float
+
+    @property
+    def max_abs_gap(self):
+        return float(np.max(np.abs(self.lhs - self.rhs)))
 
 
 def _check_v(v):
@@ -230,8 +260,8 @@ def histogram(values, bins=20):
 
     Bin i covers ((i-1)/B, i/B], with 0 folded into the first bin.  The
     chi-square statistic compares counts against the flat expectation; the
-    Kolmogorov-Smirnov statistic and its exact p-value compare the sample
-    against the uniform distribution.
+    Kolmogorov-Smirnov statistic compares the sample against the uniform
+    distribution.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1 or vals.size == 0:
@@ -243,28 +273,11 @@ def histogram(values, bins=20):
         raise ValueError(f"bin count must be positive, got {bins}")
     n = vals.size
     idx = np.clip(np.ceil(vals * bins).astype(int) - 1, 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    expected = n / bins
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    chi2_df = bins - 1
-    chi2_p = float(stats.chi2.sf(chi2, chi2_df))
-
     srt = np.sort(vals)
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n
     ks = float(max(np.max(grid_hi - srt), np.max(srt - grid_lo)))
-    ks_p = float(stats.kstwo.sf(ks, n))
-
-    return HistogramResult(
-        counts=counts,
-        edges=np.linspace(0.0, 1.0, bins + 1),
-        n=n,
-        chi2=chi2,
-        chi2_df=chi2_df,
-        chi2_pvalue=chi2_p,
-        ks=ks,
-        ks_pvalue=ks_p,
-    )
+    return HistogramResult(np.bincount(idx, minlength=bins), np.linspace(0.0, 1.0, bins + 1), ks)
 
 
 def rank_histogram(ranks, m):
@@ -274,20 +287,7 @@ def rank_histogram(ranks, m):
         raise ValueError("rank histogram needs a non-empty 1-d sample")
     if not np.all((r == np.floor(r)) & (r >= 1) & (r <= m + 1)):
         raise ValueError(f"ranks must be integers in 1..{m + 1}")
-    n = r.size
-    counts = np.bincount(r.astype(int) - 1, minlength=m + 1)
-    expected = n / (m + 1)
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    chi2_df = m
-    chi2_p = float(stats.chi2.sf(chi2, chi2_df))
-    return HistogramResult(
-        counts=counts,
-        edges=np.arange(1, m + 3) - 0.5,
-        n=n,
-        chi2=chi2,
-        chi2_df=chi2_df,
-        chi2_pvalue=chi2_p,
-    )
+    return HistogramResult(np.bincount(r.astype(int) - 1, minlength=m + 1), np.arange(1, m + 3) - 0.5)
 
 
 def clical_curve(h_obs, kendall_fns, grid=None):
@@ -323,6 +323,4 @@ def clical_curve(h_obs, kendall_fns, grid=None):
         for kf in fns:
             rhs += kf.eval(grid)
         rhs /= len(fns)
-
-    gap = float(np.max(np.abs(lhs - rhs)))
-    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs, max_abs_gap=gap)
+    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs)

@@ -21,7 +21,7 @@ it, so each accepts the same specs:
 - a quadrant name 'sw', 'se', 'ne' or 'nw' (d = 2; the first letter places
   the second coordinate south/north, the second the first west/east);
 - a string of '+'/'-' characters, one per coordinate;
-- a sequence of +-1 values, one per coordinate.
+- a sequence of +-1 values (not booleans), one per coordinate.
 
 ``UnivariateForecast`` adapts a scalar margin to the same interface for
 one-dimensional work, where the left-limit CDF also matters for randomized
@@ -212,6 +212,8 @@ def cone_signs(spec, dim=None):
     """A cone direction, given as any spec the module docstring lists, as a
     vector of +-1 ints; with ``dim``, it must have that many signs."""
     if spec is None:
+        if dim is None:
+            raise ValueError("the default cone direction needs a dimension")
         return -np.ones(dim, dtype=int)
     if isinstance(spec, str):
         key = spec.strip().lower()
@@ -223,7 +225,8 @@ def cone_signs(spec, dim=None):
             raise ValueError(f"cannot parse cone direction {spec!r}")
     else:
         signs = np.asarray(spec)
-        if signs.ndim != 1 or signs.size == 0 or not np.all(np.isin(signs, (-1, 1))):
+        if (signs.ndim != 1 or signs.size == 0 or not np.all(np.isin(signs, (-1, 1)))
+                or any(isinstance(x, (bool, np.bool_)) for x in spec)):
             raise ValueError(f"cone signs must be a vector of +-1 values, got {spec!r}")
         signs = signs.astype(int)
     if dim is not None and signs.size != dim:
@@ -240,10 +243,10 @@ class EnsembleForecast:
     kind = "ensemble"
 
     def __init__(self, points):
-        pts = _as_members(points)
+        pts = _as_members(np.array(points, dtype=float))  # the one copy: never the caller's array
         if not np.all(np.isfinite(pts)):
             raise ValueError("ensemble points must be finite")
-        self.points = pts.copy()
+        self.points = pts
         self.m = pts.shape[0]
         self.dim = pts.shape[1]
 

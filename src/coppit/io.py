@@ -26,7 +26,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .calibration import ClicalCurve, HistogramResult, Records
 from .forecasts import EnsembleForecast, _is_number, forecast_from_dict
@@ -265,7 +264,8 @@ def write_histogram(hist, path):
 
 def read_histogram(path):
     """Load a histogram written by ``write_histogram``; the bins must be
-    finite, contiguous and increasing, and the counts non-negative."""
+    finite, contiguous and increasing, the counts non-negative, and the
+    trailer's chi2 and df those of the counts."""
     lines = _lines(Path(path).read_text(encoding="utf-8"))
     if not lines or not lines[-1][1].startswith("# "):
         raise ArchiveError("unexpected histogram layout", 1)
@@ -281,7 +281,6 @@ def read_histogram(path):
             raise ArchiveError("bins must be finite, contiguous and increasing", lineno)
         prev_hi = hi
     edges = [lo for lo, _, _ in rows] + [prev_hi]
-    counts = np.array([c for _, _, c in rows])
     try:
         trailer = dict(part.split("=", 1) for part in lines[-1][1][2:].split(","))
         chi2 = float(trailer["chi2"])
@@ -289,11 +288,10 @@ def read_histogram(path):
         ks = None if trailer["ks"] == "" else float(trailer["ks"])
     except (ValueError, KeyError):
         raise ArchiveError("malformed histogram trailer", lines[-1][0]) from None
-    n = int(counts.sum())
-    return HistogramResult(
-        counts=counts, edges=np.array(edges), n=n, chi2=chi2, chi2_df=df,
-        chi2_pvalue=float(stats.chi2.sf(chi2, df)), ks=ks,
-        ks_pvalue=None if ks is None else float(stats.kstwo.sf(ks, n)))
+    hist = HistogramResult(np.array([c for _, _, c in rows]), np.array(edges), ks)
+    if (chi2, df) != (hist.chi2, hist.chi2_df):
+        raise ArchiveError("histogram trailer's chi2 and df disagree with the bins", lines[-1][0])
+    return hist
 
 
 def write_curve(curve, path):
@@ -312,8 +310,7 @@ def read_curve(path):
         if not all(0.0 <= x <= 1.0 for x in row):
             raise ArchiveError("curve values must lie in [0, 1]", lineno)
     grid, lhs, rhs = np.array(rows).T.copy()
-    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs,
-                       max_abs_gap=float(np.max(np.abs(lhs - rhs))))
+    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs)
 
 
 # --- SVG --------------------------------------------------------------------

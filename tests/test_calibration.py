@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import chdtrc
 
 from coppit.calibration import (
+    HistogramResult,
     clical_curve,
     cone_signs,
     coppit,
@@ -40,6 +42,12 @@ def test_cone_signs_parsing():
         cone_signs([1, 0])
     with pytest.raises(ValueError):
         cone_signs("")
+    for booleans in ([True, True], [True, -1], (np.True_, 1), np.array([True, True])):
+        with pytest.raises(ValueError, match="vector of \\+-1"):
+            cone_signs(booleans, dim=2)
+    with pytest.raises(ValueError, match="needs a dimension"):
+        cone_signs(None)
+    assert np.array_equal(cone_signs(None, dim=3), [-1, -1, -1])
 
 
 def test_pit_discrete_interval():
@@ -179,6 +187,33 @@ def test_histogram_uniform_sample():
     assert res.ks_pvalue > 0.01
     assert res.ks == pytest.approx(stats.kstest(u, "uniform").statistic, abs=1e-12)
     assert res.ks_pvalue == pytest.approx(stats.kstest(u, "uniform").pvalue, rel=1e-6)
+
+
+def test_chi2_pvalue_bits_match_scipy_stats():
+    rng = substream(53, 1)
+    for df in [*range(1, 61), 99, 1000]:
+        bins = df + 1
+        samples = [np.full(bins, 7),                               # chi2 = 0
+                   np.eye(bins, dtype=int)[0] * (76_000 // df),   # chi2 = n * df
+                   *(rng.poisson(lam, bins) + 1 for lam in (0.5, 3.0, 40.0, 2_000.0))]
+        results = [HistogramResult(counts, np.arange(bins + 1.0)) for counts in samples]
+        assert results[0].chi2 == 0.0
+        for res in results:
+            assert res.chi2_df == df
+            assert res.chi2_pvalue == float(stats.chi2.sf(res.chi2, df))
+        for x in (0.0, 76_000.0):
+            assert float(chdtrc(df, x)) == float(stats.chi2.sf(x, df))
+    assert HistogramResult(np.eye(20, dtype=int)[3] * 4000, np.arange(21.0)).chi2 == 76_000.0
+
+
+def test_ks_pvalue_bits_match_scipy_stats():
+    rng = substream(53, 2)
+    for n in (1, 2, 7, 40, 141, 2000, 100_001):
+        for sample in (rng.random(n), rng.random(n) ** 2):
+            res = histogram(sample, bins=10)
+            assert res.n == n
+            assert res.ks_pvalue == float(stats.kstwo.sf(res.ks, n))
+    assert rank_histogram(np.array([1, 2, 2]), m=2).ks_pvalue is None
 
 
 def test_histogram_validation():

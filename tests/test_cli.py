@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,27 @@ def test_render_roundtrip(ensemble_archive, tmp_path):
         assert svg.read_bytes() == (out / f"{stem}.svg").read_bytes()
 
 
+def test_commands_leave_scipy_stats_unimported(ensemble_archive, tmp_path):
+    """``scipy.stats`` is most of the import time, and no command needs it:
+    only ``HistogramResult.ks_pvalue`` imports it, and nothing writes that."""
+    script = (
+        "import sys\n"
+        "import coppit.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        "out, archive = sys.argv[1], sys.argv[2]\n"
+        "for argv in (['coppit', '--in', archive, '--out', out + '/c', '--seed', '3'],\n"
+        "             ['simulate', 'bivariate', '--j', '50', '--seed', '3', '--out', out + '/s'],\n"
+        "             ['render', '--in', out + '/c/hist.csv', '--out', out + '/h.svg']):\n"
+        "    assert coppit.cli.main(argv) == 0, argv\n"
+        "    assert 'scipy.stats' not in sys.modules, argv\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(ensemble_archive)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 HIST_TRAILER = "# chi2=1,df=1,ks=\n"
 
 
@@ -337,8 +362,10 @@ HIST_TRAILER = "# chi2=1,df=1,ks=\n"
     ("bin_lo,bin_hi,count\n" + HIST_TRAILER, "line 1: histogram has no bins"),
     ("w,lhs,rhs\n", "line 1: curve has no rows"),
     ("w,lhs,rhs\n0,0,0\n0.5,nan,0.5\n1,1,1\n", "line 3: curve values"),
+    ("bin_lo,bin_hi,count\n0,0.5,3\n0.5,1,2\n" + HIST_TRAILER,
+     "line 4: histogram trailer's chi2 and df disagree"),
 ], ids=["garbage", "short-row", "json-histogram", "json-curve", "negative-count", "bin-gap",
-        "no-bins", "no-rows", "nan-curve"])
+        "no-bins", "no-rows", "nan-curve", "tampered-trailer"])
 def test_render_rejects_bad_files(tmp_path, capsys, text, message):
     src, svg = tmp_path / "result.csv", tmp_path / "out.svg"
     src.write_text(text)

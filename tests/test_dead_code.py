@@ -6,7 +6,8 @@ module-level function, class or assignment, and each private method, must
 be loaded by name or as an attribute somewhere besides its definition.  A
 name nothing calls should be deleted rather than kept.  ``io`` is the only
 module that imports ``csv``, and the cone parser and the quadrant table are
-each defined once.
+each defined once.  No module imports ``scipy.stats`` at import time: it is
+most of the package's import cost, and only the on-access KS p-value needs it.
 """
 
 import ast
@@ -83,3 +84,30 @@ def test_one_home_per_concept():
     assert parsers == ["forecasts.py"]
     tables = [m for m, tree in trees.items() for _ in _quadrant_tables(tree)]
     assert tables == ["forecasts.py"]
+
+
+def _import_time_nodes(tree):
+    """Nodes that run when the module is imported: everything outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_scipy_stats(node):
+    if isinstance(node, ast.Import):
+        return any(a.name == "scipy.stats" or a.name.startswith("scipy.stats.") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return (node.module == "scipy.stats" or node.module.startswith("scipy.stats.")
+                or node.module == "scipy" and any(a.name == "stats" for a in node.names))
+    return False
+
+
+def test_scipy_stats_not_imported_at_module_level():
+    trees = _trees()
+    eager = [f"{m}:{node.lineno}" for m, tree in sorted(trees.items())
+             for node in _import_time_nodes(tree) if _imports_scipy_stats(node)]
+    lazy = [m for m, tree in trees.items() for node in ast.walk(tree) if _imports_scipy_stats(node)]
+    assert trees and lazy and not eager, eager

@@ -92,6 +92,19 @@ def test_ensemble_validation_and_sampling():
         e.cdf([0.0, 0.0, 0.0])
 
 
+def test_ensemble_points_never_alias_the_input():
+    for given in (np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.5, 1.5, 2.5])):
+        e = EnsembleForecast(given)
+        before = e.points.copy()
+        given[0] = 99.0
+        assert np.array_equal(e.points, before)
+        assert not np.shares_memory(e.points, given)
+    members = [[0.0, 1.0], [2.0, 3.0]]
+    e = EnsembleForecast(members)
+    members[0][0] = 99.0
+    assert e.points[0, 0] == 0.0
+
+
 # --- gaussian -----------------------------------------------------------------
 
 

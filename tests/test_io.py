@@ -99,15 +99,14 @@ def test_curve_roundtrip_exact(tmp_path):
     grid = np.linspace(0.0, 1.0, 101)
     lhs = np.sort(rng.random(101))
     rhs = np.sort(rng.random(101))
-    curve = ClicalCurve(grid=grid, lhs=lhs, rhs=rhs,
-                        max_abs_gap=float(np.max(np.abs(lhs - rhs))))
+    curve = ClicalCurve(grid=grid, lhs=lhs, rhs=rhs)
     path = tmp_path / "c.csv"
     write_curve(curve, path)
     back = read_curve(path)
     assert np.array_equal(back.grid, curve.grid)
     assert np.array_equal(back.lhs, curve.lhs)
     assert np.array_equal(back.rhs, curve.rhs)
-    assert back.max_abs_gap == curve.max_abs_gap
+    assert back.max_abs_gap == curve.max_abs_gap == float(np.max(np.abs(lhs - rhs)))
 
 
 def test_jsonl_archive_roundtrip(tmp_path):
@@ -284,6 +283,24 @@ def test_result_file_row_errors(tmp_path):
         read_records(records)
 
 
+@pytest.mark.parametrize("tamper", ["count", "chi2", "df"])
+def test_histogram_rejects_tampered_trailer(tmp_path, tamper):
+    path = tmp_path / "hist.csv"
+    hist = histogram(np.random.default_rng(5).random(60), bins=4)
+    write_histogram(hist, path)
+    lines = path.read_text().splitlines()
+    if tamper == "count":  # a bin moved, the trailer kept: the chi2 no longer matches
+        lo, hi, count = lines[1].split(",")
+        lines[1] = f"{lo},{hi},{int(count) + 1}"
+    else:
+        trailer = dict(part.split("=", 1) for part in lines[-1][2:].split(","))
+        trailer[tamper] = "1" if tamper == "chi2" else "5"
+        lines[-1] = "# " + ",".join(f"{k}={v}" for k, v in trailer.items())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArchiveError, match="line 6.*trailer.*disagree"):
+        read_histogram(path)
+
+
 TRAILER = "# chi2=1,df=1,ks=\n"
 
 
@@ -347,16 +364,18 @@ def test_writers_match_csv_reference(tmp_path):
     assert path.read_bytes() == _csv_reference(["case", "rank"], enumerate(ranks.tolist(), start=1))
 
     counts = np.array([3, 0, 5, 1, 0, 2, 7])
+    chi2 = sum((c - 18 / 7) ** 2 / (18 / 7) for c in counts.tolist())
     for ks in (None, 5e-324):
-        hist = HistogramResult(counts=counts, edges=np.array(vals + [1.0]), n=18,
-                               chi2=-0.0, chi2_df=6, chi2_pvalue=1.0, ks=ks)
+        hist = HistogramResult(counts=counts, edges=np.array(vals + [1.0]), ks=ks)
+        assert hist.n == 18 and hist.chi2 == pytest.approx(chi2, rel=1e-15)
         write_histogram(hist, path)
         rows = [[vals[i], (vals + [1.0])[i + 1], int(counts[i])] for i in range(len(vals))]
-        trailer = f"# chi2=-0,df=6,ks={'' if ks is None else '4.9406564584124654e-324'}\n"
+        trailer = (f"# chi2={hist.chi2:.17g},df=6,"
+                   f"ks={'' if ks is None else '4.9406564584124654e-324'}\n")
         assert path.read_bytes() == _csv_reference(["bin_lo", "bin_hi", "count"], rows) + \
             trailer.encode()
 
-    write_curve(ClicalCurve(grid=cols[0], lhs=cols[1], rhs=cols[2], max_abs_gap=0.0), path)
+    write_curve(ClicalCurve(grid=cols[0], lhs=cols[1], rhs=cols[2]), path)
     rows = [[float(cols[k][i]) for k in range(3)] for i in range(len(vals))]
     assert path.read_bytes() == _csv_reference(["w", "lhs", "rhs"], rows)
 
@@ -382,7 +401,7 @@ def test_svg_histogram_structure(tmp_path):
 
 def test_svg_curve_structure(tmp_path):
     grid = np.linspace(0.0, 1.0, 101)
-    curve = ClicalCurve(grid=grid, lhs=grid, rhs=grid, max_abs_gap=0.0)
+    curve = ClicalCurve(grid=grid, lhs=grid, rhs=grid)
     path = tmp_path / "curve.svg"
     render_svg(curve, path)
     text = path.read_text()
@@ -400,7 +419,7 @@ def test_svg_deterministic_and_empty_errors(tmp_path):
     render_svg(hist, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    empty = ClicalCurve(grid=np.array([]), lhs=np.array([]), rhs=np.array([]), max_abs_gap=0.0)
+    empty = ClicalCurve(grid=np.array([]), lhs=np.array([]), rhs=np.array([]))
     target = tmp_path / "never.svg"
     with pytest.raises(ValueError, match="empty"):
         render_svg(empty, target)
