@@ -11,11 +11,12 @@ a histogram of u values exactly as univariate PIT miscalibration does.  The
 same machinery supports orthant directions other than the lower-left one
 (``signs``), multivariate rank histograms with randomized tie-breaking, and
 a climatological calibration curve that compares the pooled distribution of
-h values against the average Kendall function.  Every producer of copula PIT
-values returns them as ``Records`` columns (h, k_left, k_right, v, u, rank),
-and ``randomize`` is the one place u is computed.  Histogram and curve
-results store only what the data fixes and derive their statistics on
-access; only the KS p-value imports ``scipy.stats``.
+h values, the step Kendall function ``empirical_kendall(h)``, against the
+average Kendall function.  Every producer of copula PIT values returns them
+as ``Records`` columns (h, k_left, k_right, v, u, rank), and ``randomize``
+is the one place u is computed.  Histogram and curve results store only
+what the data fixes and derive their statistics on access; only the KS
+p-value imports ``scipy.stats``.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .forecasts import _as_members, cone_signs, dominance_counts
+from .kendall import empirical_kendall
 
 __all__ = [
     "Records",
@@ -293,16 +295,13 @@ def rank_histogram(ranks, m):
 def clical_curve(h_obs, kendall_fns, grid=None):
     """Climatological copula-calibration curve.
 
-    Compares the pooled empirical CDF of the h = H_j(y_j) values (lhs)
-    against the case-averaged Kendall function (rhs) on a grid; for a
-    calibrated system the two coincide.  ``kendall_fns`` may be a single
-    shared Kendall function or one per case.
+    Compares the pooled empirical CDF of the h = H_j(y_j) values, the step
+    function ``empirical_kendall(h)`` (lhs), against the case-averaged
+    Kendall function (rhs) on a grid; for a calibrated system the two
+    coincide.  ``kendall_fns`` may be a single shared Kendall function or
+    one per case.
     """
-    h = np.asarray(h_obs, dtype=float)
-    if h.ndim != 1 or h.size == 0:
-        raise ValueError("need a non-empty 1-d array of h values")
-    if not np.all((h >= 0.0) & (h <= 1.0)):
-        raise ValueError("h values must lie in [0, 1]")
+    pooled = empirical_kendall(h_obs)
     if grid is None:
         grid = np.linspace(0.0, 1.0, 101)
     else:
@@ -310,17 +309,14 @@ def clical_curve(h_obs, kendall_fns, grid=None):
         if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & (grid <= 1)):
             raise ValueError("grid must be a 1-d array of values in [0, 1]")
 
-    srt = np.sort(h)
-    lhs = np.searchsorted(srt, grid, side="right") / h.size
-
     if hasattr(kendall_fns, "eval"):
         rhs = np.asarray(kendall_fns.eval(grid), dtype=float)
     else:
         fns = list(kendall_fns)
-        if len(fns) != h.size:
-            raise ValueError(f"got {len(fns)} Kendall functions for {h.size} cases")
+        if len(fns) != pooled.n:
+            raise ValueError(f"got {len(fns)} Kendall functions for {pooled.n} cases")
         rhs = np.zeros_like(grid)
         for kf in fns:
             rhs += kf.eval(grid)
         rhs /= len(fns)
-    return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs)
+    return ClicalCurve(grid=grid, lhs=pooled.eval(grid), rhs=rhs)

@@ -582,15 +582,9 @@ class ArchimedeanCopula:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError(f"copula descriptor must be an object, got {type(d).__name__}")
-        extra = set(d) - {"family", "theta", "tau", "dim"}
-        if extra:
-            raise ValueError(f"unknown copula descriptor fields: {sorted(extra)}")
-        if "family" not in d or "dim" not in d:
-            raise ValueError("copula descriptor requires 'family' and 'dim'")
-        if "theta" in d and "tau" in d:
-            raise ValueError("copula descriptor must give exactly one of 'theta' and 'tau'")
-        from .forecasts import _check_numbers  # forecasts imports this module
+        from .forecasts import _check_fields, _check_numbers  # forecasts imports this module
 
+        _check_fields(d, "copula", ("family", "dim"), ("theta", "tau"))
         for key in ("theta", "tau"):
             if key in d:
                 _check_numbers(d[key], f"copula {key!r}")

@@ -24,8 +24,7 @@ it, so each accepts the same specs:
 - a sequence of +-1 values (not booleans), one per coordinate.
 
 ``UnivariateForecast`` adapts a scalar margin to the same interface for
-one-dimensional work, where the left-limit CDF also matters for randomized
-PITs of discrete forecasts.
+one-dimensional work, with the left-limit CDF that randomized PITs take.
 """
 
 import itertools
@@ -38,7 +37,6 @@ from .copulas import ArchimedeanCopula
 
 __all__ = [
     "Normal",
-    "PointMass",
     "EnsembleForecast",
     "GaussianForecast",
     "CopulaMarginalForecast",
@@ -87,33 +85,10 @@ class Normal:
         return f"Normal(mu={self.mu!r}, sigma={self.sigma!r})"
 
 
-class PointMass:
-    """Degenerate margin at c: cdf jumps 0 -> 1 at c, left limit stays 0 at c."""
-
-    def __init__(self, c):
-        self.c = float(c)
-
-    def cdf(self, x):
-        return np.where(np.asarray(x, dtype=float) >= self.c, 1.0, 0.0)[()]
-
-    def cdf_left(self, x):
-        return np.where(np.asarray(x, dtype=float) > self.c, 1.0, 0.0)[()]
-
-    def ppf(self, q):
-        return np.full_like(np.asarray(q, dtype=float), self.c)[()]
-
-    def __repr__(self):
-        return f"PointMass({self.c!r})"
-
-
 def _margin_from_dict(d):
     if not isinstance(d, dict) or d.get("dist") != "normal":
         raise ValueError(f"unsupported margin descriptor: {d!r} (expected dist 'normal')")
-    extra = set(d) - {"dist", "mu", "sigma"}
-    if extra:
-        raise ValueError(f"unknown margin fields: {sorted(extra)}")
-    if "mu" not in d or "sigma" not in d:
-        raise ValueError("normal margin requires 'mu' and 'sigma'")
+    _check_fields(d, "margin", ("mu", "sigma"), ("dist",))
     return Normal(_check_numbers(d["mu"], "margin 'mu'"),
                   _check_numbers(d["sigma"], "margin 'sigma'"))
 
@@ -124,6 +99,16 @@ def _margin_from_dict(d):
 def _is_number(x):
     """An int or a float, but not a bool."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_fields(d, what, required, optional=()):
+    """ValueError unless the descriptor ``d`` has every required field and no
+    fields besides the required and optional ones."""
+    extra = set(d) - set(required) - set(optional)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    if not all(key in d for key in required):
+        raise ValueError(f"{what} descriptor requires {' and '.join(map(repr, required))}")
 
 
 def _check_numbers(value, what):
@@ -443,29 +428,16 @@ def forecast_from_dict(d):
         raise ValueError(f"forecast descriptor must be an object with a 'type', got {d!r}")
     t = d["type"]
     if t == "ensemble":
-        extra = set(d) - {"type", "points"}
-        if extra:
-            raise ValueError(f"unknown ensemble fields: {sorted(extra)}")
-        if "points" not in d:
-            raise ValueError("ensemble descriptor requires 'points'")
+        _check_fields(d, t, ("points",), ("type",))
         return EnsembleForecast(_check_numbers(d["points"], "ensemble 'points'"))
     if t == "mvgauss":
-        extra = set(d) - {"type", "mean", "cov"}
-        if extra:
-            raise ValueError(f"unknown mvgauss fields: {sorted(extra)}")
-        if "mean" not in d or "cov" not in d:
-            raise ValueError("mvgauss descriptor requires 'mean' and 'cov'")
+        _check_fields(d, t, ("mean", "cov"), ("type",))
         return GaussianForecast(_check_numbers(d["mean"], "mvgauss 'mean'"),
                                 _check_numbers(d["cov"], "mvgauss 'cov'"))
     if t == "copula_marginal":
-        extra = set(d) - {"type", "copula", "margins"}
-        if extra:
-            raise ValueError(f"unknown copula_marginal fields: {sorted(extra)}")
-        if "copula" not in d or "margins" not in d:
-            raise ValueError("copula_marginal descriptor requires 'copula' and 'margins'")
-        copula = ArchimedeanCopula.from_dict(d["copula"])
-        margins = [_margin_from_dict(m) for m in d["margins"]]
-        return CopulaMarginalForecast(copula, margins)
+        _check_fields(d, t, ("copula", "margins"), ("type",))
+        return CopulaMarginalForecast(ArchimedeanCopula.from_dict(d["copula"]),
+                                      [_margin_from_dict(m) for m in d["margins"]])
     raise ValueError(f"unknown forecast type {t!r} (expected ensemble, mvgauss, or copula_marginal)")
 
 

@@ -316,7 +316,7 @@ def read_curve(path):
 # --- SVG --------------------------------------------------------------------
 
 _W, _H = 640, 480
-_ML, _MR, _MT, _MB = 60, 15, 15, 40
+_LEFT, _RIGHT, _TOP, _BOTTOM = 60, _W - 15, 15, _H - 40
 
 
 def _svg_open(parts):
@@ -324,19 +324,23 @@ def _svg_open(parts):
                  f'viewBox="0 0 {_W} {_H}" font-family="sans-serif" font-size="12">')
 
 
-def _svg_axes(parts, x0, x1, y0, y1, xticks, yticks):
-    left, right = _ML, _W - _MR
-    top, bottom = _MT, _H - _MB
-    parts.append(f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>')
-    parts.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>')
+def _frame(x0, x1, y0, y1):
+    """The maps (px, py) from data in [x0, x1] x [y0, y1] to plot-area pixels."""
+    return (lambda x: _LEFT + (x - x0) / (x1 - x0) * (_RIGHT - _LEFT),
+            lambda y: _BOTTOM - (y - y0) / (y1 - y0) * (_BOTTOM - _TOP))
+
+
+def _svg_axes(parts, px, py, xticks, yticks):
+    parts.append(f'<line x1="{_LEFT}" y1="{_BOTTOM}" x2="{_RIGHT}" y2="{_BOTTOM}" stroke="black"/>')
+    parts.append(f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_BOTTOM}" stroke="black"/>')
     for t in xticks:
-        px = left + (t - x0) / (x1 - x0) * (right - left)
-        parts.append(f'<line x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" y2="{bottom + 5}" stroke="black"/>')
-        parts.append(f'<text x="{px:.2f}" y="{bottom + 18}" text-anchor="middle">{t:g}</text>')
+        x = px(t)
+        parts.append(f'<line x1="{x:.2f}" y1="{_BOTTOM}" x2="{x:.2f}" y2="{_BOTTOM + 5}" stroke="black"/>')
+        parts.append(f'<text x="{x:.2f}" y="{_BOTTOM + 18}" text-anchor="middle">{t:g}</text>')
     for t in yticks:
-        py = bottom - (t - y0) / (y1 - y0) * (bottom - top)
-        parts.append(f'<line x1="{left - 5}" y1="{py:.2f}" x2="{left}" y2="{py:.2f}" stroke="black"/>')
-        parts.append(f'<text x="{left - 8}" y="{py + 4:.2f}" text-anchor="end">{t:g}</text>')
+        y = py(t)
+        parts.append(f'<line x1="{_LEFT - 5}" y1="{y:.2f}" x2="{_LEFT}" y2="{y:.2f}" stroke="black"/>')
+        parts.append(f'<text x="{_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end">{t:g}</text>')
 
 
 def _render_histogram(hist):
@@ -348,15 +352,7 @@ def _render_histogram(hist):
     x0, x1 = float(edges[0]), float(edges[-1])
     ymax = max(float(counts.max()), expected) * 1.1
     ymax = ymax if ymax > 0 else 1.0
-    left, right = _ML, _W - _MR
-    top, bottom = _MT, _H - _MB
-
-    def px(x):
-        return left + (x - x0) / (x1 - x0) * (right - left)
-
-    def py(y):
-        return bottom - y / ymax * (bottom - top)
-
+    px, py = _frame(x0, x1, 0.0, ymax)
     parts = []
     _svg_open(parts)
     for i, c in enumerate(counts):
@@ -364,12 +360,12 @@ def _render_histogram(hist):
         bw = px(edges[i + 1]) - bx
         by = py(float(c))
         parts.append(f'<rect x="{bx:.2f}" y="{by:.2f}" width="{bw:.2f}" '
-                     f'height="{bottom - by:.2f}" fill="#5b8cb8" stroke="white" stroke-width="0.5"/>')
+                     f'height="{_BOTTOM - by:.2f}" fill="#5b8cb8" stroke="white" stroke-width="0.5"/>')
     ey = py(expected)
-    parts.append(f'<line x1="{left}" y1="{ey:.2f}" x2="{right}" y2="{ey:.2f}" '
+    parts.append(f'<line x1="{_LEFT}" y1="{ey:.2f}" x2="{_RIGHT}" y2="{ey:.2f}" '
                  f'stroke="#b03030" stroke-dasharray="6 4"/>')
     yticks = [0, round(ymax / 2), round(ymax)] if ymax >= 2 else [0, ymax]
-    _svg_axes(parts, x0, x1, 0.0, ymax, [x0, (x0 + x1) / 2, x1], yticks)
+    _svg_axes(parts, px, py, [x0, (x0 + x1) / 2, x1], yticks)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -378,22 +374,14 @@ def _render_curve(curve):
     grid = np.asarray(curve.grid, dtype=float)
     if grid.size == 0:
         raise ValueError("cannot render an empty curve")
-    left, right = _ML, _W - _MR
-    top, bottom = _MT, _H - _MB
-
-    def px(x):
-        return left + x * (right - left)
-
-    def py(y):
-        return bottom - y * (bottom - top)
-
+    px, py = _frame(0.0, 1.0, 0.0, 1.0)
     parts = []
     _svg_open(parts)
     parts.append(f'<line x1="{px(0):.2f}" y1="{py(0):.2f}" x2="{px(1):.2f}" y2="{py(1):.2f}" '
                  f'stroke="#b03030" stroke-dasharray="6 4"/>')
     pts = " ".join(f"{px(r):.2f},{py(l):.2f}" for r, l in zip(curve.rhs, curve.lhs))
     parts.append(f'<polyline points="{pts}" fill="none" stroke="#2f5d8a" stroke-width="1.5"/>')
-    _svg_axes(parts, 0.0, 1.0, 0.0, 1.0, [0, 0.5, 1], [0, 0.5, 1])
+    _svg_axes(parts, px, py, [0, 0.5, 1], [0, 0.5, 1])
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -4,21 +4,23 @@ K is the CDF of the forecast's own CDF evaluated at a draw from itself.
 Both the value K(w) and the left limit K(w-) matter: the copula PIT places
 a randomized point inside the jump interval [K(H(y)-), K(H(y))].
 
-Construction routes:
+K comes in two shapes (Genest & Rivest 1993), and each has one type:
 
-- uniform_kendall: K(w) = w, exact for continuous univariate forecasts.
-- analytic_kendall: bivariate Archimedean closed form w - phi(w)/phi'(w).
-- monte_carlo_kendall: empirical CDF of H(X_1..n) for X_i sampled from the
-  forecast; works for any forecast and any orthant direction.
-- archimedean_mc_kendall: the same for a d-dimensional Archimedean copula,
-  sampled through the frailty identity.
-- empirical_kendall: the empirical CDF of a given sample of H values; the
-  Monte Carlo routes are built on it.
-- pseudo_kendall: the empirical Kendall function of an ensemble, built from
-  pseudo-observations w_k = (1/m) #{j : x_j <= x_k coordinatewise}.  The
-  O(m^2 d) count runs at the first evaluation, not at construction, so a
-  caller that never evaluates it (``coppit`` on stacked ensembles) pays
-  nothing for it.
+- ``KendallFn``, a continuous K given by its CDF, where K(w-) = K(w):
+  - uniform_kendall: K(w) = w, exact for continuous univariate forecasts;
+  - analytic_kendall: the bivariate Archimedean closed form
+    w - phi(w)/phi'(w).
+- ``_Empirical``, the step function of a sample of H values, which it
+  takes and sorts at the first evaluation, once:
+  - empirical_kendall: the step function of a given sample in [0, 1];
+  - monte_carlo_kendall: the sample H(X_1..n) for X_i drawn from the
+    forecast; works for any forecast and any orthant direction;
+  - archimedean_mc_kendall: the same for a d-dimensional Archimedean copula,
+    sampled through the frailty identity;
+  - pseudo_kendall: the ensemble's own pseudo-observations
+    w_k = (1/m) #{j : x_j <= x_k coordinatewise}.  Their O(m^2 d) count
+    runs at the first evaluation, so a caller that never evaluates it
+    (``coppit`` on stacked ensembles) pays nothing for it.
 
 ``select_kendall`` takes the route the forecast fixes: uniform for
 univariate continuous forecasts, pseudo-observations for ensembles, the
@@ -64,52 +66,34 @@ def _check_w(w):
 
 
 class KendallFn:
-    """A Kendall distribution function with value and left-limit evaluation."""
+    """A continuous Kendall function K(w) = cdf(w); without jumps K(w-) = K(w)."""
 
-    def __init__(self, source):
+    def __init__(self, source, cdf):
         self.source = source
+        self.cdf = cdf
 
     def eval(self, w):
-        raise NotImplementedError
-
-    def eval_left(self, w):
-        raise NotImplementedError
-
-
-class _Uniform(KendallFn):
-    def __init__(self):
-        super().__init__("uniform")
-
-    def eval(self, w):
-        arr = _check_w(w)
-        return float(arr) if arr.ndim == 0 else arr.copy()
+        return self.cdf(_check_w(w))
 
     eval_left = eval
 
 
-class _Analytic(KendallFn):
-    def __init__(self, copula):
-        if not isinstance(copula, ArchimedeanCopula) or copula.dim != 2:
-            raise ValueError("analytic Kendall functions require a bivariate Archimedean copula")
-        super().__init__("analytic")
-        self.copula = copula
+class _Empirical:
+    """The step Kendall function of n values in [0, 1]: K(w) counts the values
+    <= w and K(w-) those < w, over n.  ``sample()`` gives the values at first
+    use; they are sorted once, and the sampler is dropped then, so a kept
+    Kendall function holds only its sorted values."""
 
-    def eval(self, w):
-        return self.copula.kendall_cdf(_check_w(w))
+    def __init__(self, source, n, sample):
+        self.source = source
+        self.n = n
+        self._sample = sample
 
-    eval_left = eval  # continuous: no jumps
-
-
-class _Empirical(KendallFn):
-    def __init__(self, values, source):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("empirical Kendall function needs a non-empty 1-d sample")
-        if not np.all((vals >= 0.0) & (vals <= 1.0)):
-            raise ValueError("empirical Kendall sample must lie in [0, 1]")
-        super().__init__(source)
-        self.values = np.sort(vals)
-        self.n = vals.size
+    @cached_property
+    def values(self):
+        values = np.sort(self._sample())
+        del self._sample
+        return values
 
     def eval(self, w):
         arr = _check_w(w)
@@ -122,32 +106,26 @@ class _Empirical(KendallFn):
         return float(out) if arr.ndim == 0 else out
 
 
-class _Pseudo(_Empirical):
-    """Pseudo-observation Kendall function whose sample is counted on first use."""
-
-    def __init__(self, points):
-        KendallFn.__init__(self, "pseudo")
-        self._points = _as_members(points)
-        self.n = self._points.shape[0]
-
-    @cached_property
-    def values(self):
-        return np.sort(pseudo_observations(self._points))
-
-
 def uniform_kendall():
     """K(w) = w: the Kendall function of any continuous univariate forecast."""
-    return _Uniform()
+    return KendallFn("uniform", lambda w: float(w) if w.ndim == 0 else w.copy())
 
 
 def analytic_kendall(copula):
     """Closed-form bivariate Archimedean Kendall function."""
-    return _Analytic(copula)
+    if not isinstance(copula, ArchimedeanCopula) or copula.dim != 2:
+        raise ValueError("analytic Kendall functions require a bivariate Archimedean copula")
+    return KendallFn("analytic", copula.kendall_cdf)
 
 
 def empirical_kendall(values):
     """Empirical Kendall function of a Monte Carlo sample of H values in [0, 1]."""
-    return _Empirical(values, "mc")
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError("empirical Kendall function needs a non-empty 1-d sample")
+    if not np.all((vals >= 0.0) & (vals <= 1.0)):
+        raise ValueError("empirical Kendall sample must lie in [0, 1]")
+    return _Empirical("mc", vals.size, lambda: vals)
 
 
 def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
@@ -190,7 +168,8 @@ def pseudo_kendall(points):
     The points are validated now; the pseudo-observations are counted and
     sorted at the first ``eval``, ``eval_left`` or ``values``, once.
     """
-    return _Pseudo(points)
+    pts = _as_members(points)
+    return _Empirical("pseudo", pts.shape[0], lambda: pseudo_observations(pts))
 
 
 def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs=None):

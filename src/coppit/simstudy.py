@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 from .calibration import Records, clical_curve, ensemble_counts
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
-from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
+from .kendall import KendallFn, archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
@@ -185,16 +185,6 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
     return {q: Records(*cols[q], v) for q in QUADRANTS}
 
 
-class _MeanGumbelKendall:
-    """Case average of closed-form Gumbel Kendall functions, one theta per case."""
-
-    def __init__(self, theta):
-        self.theta = theta
-
-    def eval(self, w):
-        return kendall_cdf("gumbel", w[None, :], self.theta[:, None]).mean(axis=0)
-
-
 def bivariate_clical(study, label, grid=None):
     """Climatological calibration curve of one forecaster in a bivariate run.
 
@@ -202,7 +192,8 @@ def bivariate_clical(study, label, grid=None):
     closed-form Gumbel Kendall functions over the study.
     """
     fb = study.batch(label)
-    return clical_curve(fb.h, _MeanGumbelKendall(fb.theta), grid)
+    mean_k = KendallFn("analytic", lambda w: kendall_cdf("gumbel", w[None, :], fb.theta[:, None]).mean(axis=0))
+    return clical_curve(fb.h, mean_k, grid)
 
 
 @dataclass(eq=False, kw_only=True)

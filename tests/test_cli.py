@@ -285,6 +285,10 @@ def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
     the Kendall functions.  Both write what eager Kendall functions give."""
     real = kendall.pseudo_observations
 
+    def eager_kendall(pts):
+        w = real(pts)
+        return kendall._Empirical("pseudo", w.size, lambda: w)
+
     def outputs(command, cone, out):
         argv = [command, "--in", str(ensemble_archive), "--out", str(out), "--seed", "4", *cone]
         assert main(argv) == 0
@@ -293,8 +297,7 @@ def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
     for command, per_case in (("coppit", 0), ("clical", 1)):
         for cone in ([], ["--cone", "se"]):
             with monkeypatch.context() as mp:
-                mp.setattr(kendall, "pseudo_kendall",
-                           lambda pts: kendall._Empirical(real(pts), "pseudo"))
+                mp.setattr(kendall, "pseudo_kendall", eager_kendall)
                 eager = outputs(command, cone, tmp_path / "eager")
             calls = []
             with monkeypatch.context() as mp:

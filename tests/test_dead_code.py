@@ -6,8 +6,10 @@ module-level function, class or assignment, and each private method, must
 be loaded by name or as an attribute somewhere besides its definition.  A
 name nothing calls should be deleted rather than kept.  ``io`` is the only
 module that imports ``csv``, and the cone parser and the quadrant table are
-each defined once.  No module imports ``scipy.stats`` at import time: it is
-most of the package's import cost, and only the on-access KS p-value needs it.
+each defined once.  Kendall functions live in ``kendall``: it alone defines
+a class with an ``eval`` method and calls ``searchsorted``.  No module
+imports ``scipy.stats`` at import time: it is most of the package's import
+cost, and only the on-access KS p-value needs it.
 """
 
 import ast
@@ -84,6 +86,13 @@ def test_one_home_per_concept():
     assert parsers == ["forecasts.py"]
     tables = [m for m, tree in trees.items() for _ in _quadrant_tables(tree)]
     assert tables == ["forecasts.py"]
+    evaluators = {m for m, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(
+                      isinstance(item, ast.FunctionDef) and item.name == "eval" for item in node.body)}
+    assert evaluators == {"kendall.py"}
+    step_counts = {m for m, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "searchsorted"}
+    assert step_counts == {"kendall.py"}
 
 
 def _import_time_nodes(tree):

@@ -11,7 +11,6 @@ from coppit.forecasts import (
     EnsembleForecast,
     GaussianForecast,
     Normal,
-    PointMass,
     UnivariateForecast,
     apply_monotone,
     apply_permutation,
@@ -40,12 +39,6 @@ def test_normal_margin():
         Normal(0.0, 0.0)
     with pytest.raises(ValueError):
         m.ppf(0.0)
-
-
-def test_point_mass_margin():
-    m = PointMass(0.0)
-    assert m.cdf(0.0) == 1.0 and m.cdf_left(0.0) == 0.0
-    assert m.cdf(-0.1) == 0.0 and m.cdf_left(0.1) == 1.0
 
 
 # --- ensemble -----------------------------------------------------------------
