@@ -28,7 +28,6 @@ dimension or theta, Frank exponentials for theta past ~700, Joe powers
 """
 
 import numpy as np
-from scipy import optimize
 from scipy.special import digamma, spence
 
 from . import samplers
@@ -102,7 +101,8 @@ class _Archimedean:
     transform psi.  A one-parameter family takes theta finite and above
     ``theta_min``, or at it when ``theta_closed`` (where the family reaches
     independence, tau = 0); without a closed form, ``theta_from_tau``
-    inverts tau per element with the family's ``_solve_tau``."""
+    solves tau(theta) = tau for the whole array with ``_brent_solve``
+    inside the family's ``_tau_bracket``."""
 
     theta_min = 0.0
     theta_closed = False
@@ -130,7 +130,13 @@ class _Archimedean:
 
     @classmethod
     def theta_from_tau(cls, tau):
-        return np.vectorize(cls._solve_tau, otypes=[float])(tau)
+        # tau = 0 is exactly the closed bound theta_min (Joe's independence);
+        # tau_to_theta passes it to no open family
+        theta = np.full(tau.shape, cls.theta_min)
+        solve = tau != 0.0
+        t = tau[solve]
+        theta[solve] = _brent_solve(cls.tau, t, *cls._tau_bracket(t))
+        return theta
 
 
 class _Independence(_Archimedean):
@@ -305,9 +311,8 @@ class _Frank(_Archimedean):
         return 1.0 - 4.0 * (1.0 - _debye1(theta)) / theta
 
     @staticmethod
-    def _solve_tau(tau):
-        hi = max(100.0, 8.0 / (1.0 - tau))
-        return optimize.brentq(lambda th: float(_Frank.tau(th)) - tau, 1e-10, hi, xtol=1e-13, rtol=1e-15)
+    def _tau_bracket(tau):
+        return 1e-10, np.maximum(100.0, 8.0 / (1.0 - tau))
 
     @staticmethod
     def frailty(rng, theta, size):
@@ -372,15 +377,83 @@ class _Joe(_Archimedean):
         return float(out[0]) if scalar else out
 
     @staticmethod
-    def _solve_tau(tau):
-        if tau == 0.0:
-            return 1.0
-        hi = max(10.0, 6.0 / (1.0 - tau))
-        return optimize.brentq(lambda th: float(_Joe.tau(th)) - tau, 1.0, hi, xtol=1e-13, rtol=1e-15)
+    def _tau_bracket(tau):
+        return 1.0, np.maximum(10.0, 6.0 / (1.0 - tau))
 
     @staticmethod
     def frailty(rng, theta, size):
         return samplers.sibuya(rng, 1.0 / np.asarray(theta, dtype=float), size)
+
+
+def _brent_solve(g, y, lo, hi):
+    """theta in [lo, hi] with g(theta) = y, for a 1-d array y; lo and hi
+    broadcast against it.
+
+    Brent's method (Brent 1973, "Algorithms for Minimization without
+    Derivatives", ch. 4), step for step the C ``brentq`` behind
+    ``scipy.optimize.brentq`` with xtol = 1e-13, rtol = 1e-15 and 100
+    iterations applied to f = g - y: the same float expressions, the same
+    branch tests and so the same root to the bit.  Every element follows
+    its own bracket and stops at its own convergence; g is evaluated once
+    per iteration, on the elements still active.  A bracket whose ends
+    share a sign, a nan from g, or an element still active after 100
+    iterations raises ValueError.
+    """
+    xtol, rtol = 1e-13, 1e-15
+    n = y.size
+    xpre, xcur = np.broadcast_to(lo, y.shape), np.broadcast_to(hi, y.shape)
+
+    def f(x, target):
+        fx = g(x) - target
+        if np.any(np.isnan(fx)):
+            raise ValueError(f"tau solve: function value is nan at theta={x[np.isnan(fx)][0]!r}")
+        return fx
+
+    both = f(np.concatenate([xpre, xcur]), np.concatenate([y, y]))
+    fpre, fcur = both[:n], both[n:]
+    root = np.where(fpre == 0, xpre, xcur)
+    act = (fpre != 0) & (fcur != 0)
+    if np.any(act & (np.signbit(fpre) == np.signbit(fcur))):
+        raise ValueError("tau solve: g - y has the same sign at both ends of a bracket")
+    at = np.flatnonzero(act)
+    xpre, xcur, fpre, fcur = xpre[at], xcur[at], fpre[at], fcur[at]
+    xblk, fblk, spre, scur = (np.zeros(at.size) for _ in range(4))
+    for _ in range(100):
+        # keep the root between xcur and xblk
+        flip = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        # xcur is the better end: swap it with xblk, xpre taking the old xcur
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        root[at[done]] = xcur[done]
+        keep = ~done
+        at = at[keep]
+        if not at.size:
+            return root
+        xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            v[keep] for v in (xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, interpolate, extrapolate)
+        # a good short step, or bisection
+        good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
+        fcur = f(xcur, y[at])
+    raise ValueError(f"tau solve: {at.size} element(s) did not converge in 100 iterations")
 
 
 def _debye1(x):

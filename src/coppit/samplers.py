@@ -174,18 +174,24 @@ def log_series(rng, p, size=None):
     return _log_series_from_log1mp(rng, np.log1p(-arr), size)
 
 
-def _sibuya_log_sf(k, alpha):
-    """log S(k) for the Sibuya(alpha) survival S(k) = 1/(k B(k, 1-alpha)).
+def _sibuya_log_sf(k, alpha, lgamma_1ma):
+    """log S(k) for the Sibuya(alpha) survival S(k) = 1/(k B(k, 1-alpha)),
+    given ``lgamma_1ma`` = gammaln(1 - alpha); the three broadcast.
 
     The gammaln difference cancels catastrophically for large k (both terms
     ~ k log k while the result is ~ -alpha log k), so past 1e6 the
     asymptotic expansion takes over; at the crossover both forms agree to
-    ~1e-9 absolute.
+    ~1e-9 absolute.  Each element evaluates only its own form.
     """
-    k = np.asarray(k, dtype=float)
-    direct = gammaln(k + 1 - alpha) - gammaln(k + 1) - gammaln(1 - alpha)
-    expand = -alpha * np.log(k) - gammaln(1 - alpha) - alpha * (1 - alpha) / (2 * k)
-    return np.where(k <= 1e6, direct, expand)
+    k, alpha, lgamma_1ma = np.broadcast_arrays(np.asarray(k, dtype=float), alpha, lgamma_1ma)
+    out = np.empty(k.shape)
+    direct = k <= 1e6
+    kd, ad = k[direct], alpha[direct]
+    out[direct] = gammaln(kd + 1 - ad) - gammaln(kd + 1) - lgamma_1ma[direct]
+    expand = ~direct
+    ke, ae = k[expand], alpha[expand]
+    out[expand] = -ae * np.log(ke) - lgamma_1ma[expand] - ae * (1 - ae) / (2 * ke)
+    return out
 
 
 _SIBUYA_TABLE_K = 24
@@ -220,13 +226,16 @@ def _sibuya_invert(u, alpha):
         k_big[in_table] = 1.0 + (rows > log_tail[in_table, None]).sum(axis=1)
     rest = ~in_table
     if np.any(rest):
-        ar = np.broadcast_to(a, log_tail.shape)[rest]
         tr = log_tail[rest]
+        # gammaln(1 - alpha) once per table row, so once for a scalar alpha
+        a = a if a.size == 1 else a[rest]
+        ar = np.broadcast_to(a, tr.shape)
+        lg = np.broadcast_to(gammaln(1 - a), tr.shape)
         # solve -alpha log k - alpha (1-alpha)/(2k) = T for log k; the
         # second-order term matters because the residual gets divided by
         # alpha.  Past float granularity (k ~ 2^53) skip the refinement,
         # and cap at ~1e299: beyond that no representable integer is exact.
-        log_kc = -(tr + gammaln(1 - ar)) / ar
+        log_kc = -(tr + lg) / ar
         log_kc = np.minimum(log_kc, 690.0)
         small_enough = log_kc < 36.0
         k0 = np.exp(np.minimum(log_kc, 36.0))
@@ -235,7 +244,7 @@ def _sibuya_invert(u, alpha):
         # the survival falls in k, so an entry that did not step never steps again
         moving = np.arange(k.size)
         for _ in range(6):
-            moving = moving[_sibuya_log_sf(k[moving], ar[moving]) > tr[moving]]
+            moving = moving[_sibuya_log_sf(k[moving], ar[moving], lg[moving]) > tr[moving]]
             k[moving] += 1.0
         k_big[rest] = k
     out[big] = k_big

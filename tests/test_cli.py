@@ -352,6 +352,30 @@ def test_commands_leave_scipy_stats_unimported(ensemble_archive, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_commands_leave_scipy_optimize_linalg_sparse_unimported(ensemble_archive, tmp_path):
+    """The tau solve is the package's own, so no command loads
+    ``scipy.optimize`` or the ``scipy.linalg`` and ``scipy.sparse`` it
+    pulls in; joe-swap solves tau -> theta for both Frank and Joe."""
+    script = (
+        "import sys\n"
+        "import coppit.cli\n"
+        "heavy = ('scipy.optimize', 'scipy.linalg', 'scipy.sparse')\n"
+        "assert not [m for m in heavy if m in sys.modules], 'import'\n"
+        "out, archive = sys.argv[1], sys.argv[2]\n"
+        "for argv in (['coppit', '--in', archive, '--out', out + '/c', '--seed', '3'],\n"
+        "             ['simulate', 'bivariate', '--j', '50', '--seed', '3', '--out', out + '/s'],\n"
+        "             ['simulate', 'highdim', '--variant', 'joe-swap', '--j', '20', '--d', '3',\n"
+        "              '--m', '10', '--kendall-n', '50', '--seed', '3', '--out', out + '/h']):\n"
+        "    assert coppit.cli.main(argv) == 0, argv\n"
+        "    assert not [m for m in heavy if m in sys.modules], argv\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path), str(ensemble_archive)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 HIST_TRAILER = "# chi2=1,df=1,ks=\n"
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -220,6 +220,52 @@ def test_tau_to_theta_array_matches_scalar_calls():
         scalars = [[cp.tau_to_theta(fam, float(t)) for t in row] for row in taus]
         assert all(isinstance(t, float) for row in scalars for t in row)
         assert th.shape == taus.shape and np.array_equal(th, scalars), fam
+
+
+def _brentq_theta(fam, tau):
+    """theta for one tau by scipy's brentq on the family's 0-d tau, in the
+    bracket ``tau_to_theta`` uses; Joe's tau = 0 is theta = 1 exactly."""
+    if fam == "joe" and tau == 0.0:
+        return 1.0
+    f = cp._family(fam)
+    lo, hi = (1e-10, max(100.0, 8.0 / (1.0 - tau))) if fam == "frank" else (1.0, max(10.0, 6.0 / (1.0 - tau)))
+    return optimize.brentq(lambda th: float(f.tau(th)) - tau, lo, hi, xtol=1e-13, rtol=1e-15)
+
+
+@pytest.mark.parametrize("fam", ["frank", "joe"])
+def test_tau_solve_matches_scipy_brentq_bits(fam):
+    # the array Brent solve is scipy's brentq to the bit, element by element:
+    # random tau, Frank's small-theta region (the strict xfail below), Joe's
+    # independence, Joe's theta near 2 (the series branch of its tau) and
+    # tau near 1, for 0-d, empty and 2-d input
+    special = [1e-9, 0.999999]
+    if fam == "joe":
+        near2 = [float(cp._Joe.tau(th)) for th in (1.99995, 2.0, 2.00003)]
+        assert all(abs(2.0 / _brentq_theta("joe", t) - 1.0) < 1e-4 for t in near2)
+        special += [0.0] + near2
+    taus = np.concatenate([np.random.default_rng(11).uniform(0.0, 1.0, 10_000), special])
+    got = cp.tau_to_theta(fam, taus)
+    expected = [_brentq_theta(fam, float(t)) for t in taus]
+    assert [i for i, (a, b) in enumerate(zip(got, expected)) if a != b] == []
+    block = taus[:200].reshape(40, 5)
+    assert np.array_equal(cp.tau_to_theta(fam, block), np.reshape(expected[:200], (40, 5)))
+    assert cp.tau_to_theta(fam, np.float64(taus[0])) == expected[0]
+    assert cp.tau_to_theta(fam, np.array(taus[-1])) == expected[-1]
+    empty = cp.tau_to_theta(fam, np.zeros(0))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def test_tau_solve_errors():
+    one = np.array([0.5])
+    with pytest.raises(ValueError, match="same sign"):
+        cp._brent_solve(cp._Frank.tau, one, 2.0, np.array([3.0]))
+    with pytest.raises(ValueError, match="same sign"):
+        cp.tau_to_theta("joe", -5e-10)
+    with pytest.raises(ValueError, match="nan"):
+        cp._brent_solve(lambda th: np.where(th > 0.6, np.nan, th), one, 0.0, np.array([1.0]))
+    # a step across 1e300 needs ~1000 bisections to close to xtol
+    with pytest.raises(ValueError, match="did not converge"):
+        cp._brent_solve(lambda th: np.sign(th - 1e200), np.zeros(1), 0.0, np.array([1e300]))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the Frank tau closed form "

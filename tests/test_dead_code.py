@@ -9,7 +9,8 @@ module that imports ``csv``, and the cone parser and the quadrant table are
 each defined once.  Kendall functions live in ``kendall``: it alone defines
 a class with an ``eval`` method and calls ``searchsorted``.  No module
 imports ``scipy.stats`` at import time: it is most of the package's import
-cost, and only the on-access KS p-value needs it.
+cost, and only the on-access KS p-value needs it.  No module imports
+``scipy.optimize`` at all: the tau solve is the package's own.
 """
 
 import ast
@@ -105,18 +106,27 @@ def _import_time_nodes(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _imports_scipy_stats(node):
+def _imports_scipy(node, sub):
+    """Whether an import node imports ``scipy.<sub>`` or something inside it."""
+    full = f"scipy.{sub}"
     if isinstance(node, ast.Import):
-        return any(a.name == "scipy.stats" or a.name.startswith("scipy.stats.") for a in node.names)
+        return any(a.name == full or a.name.startswith(full + ".") for a in node.names)
     if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-        return (node.module == "scipy.stats" or node.module.startswith("scipy.stats.")
-                or node.module == "scipy" and any(a.name == "stats" for a in node.names))
+        return (node.module == full or node.module.startswith(full + ".")
+                or node.module == "scipy" and any(a.name == sub for a in node.names))
     return False
 
 
 def test_scipy_stats_not_imported_at_module_level():
     trees = _trees()
     eager = [f"{m}:{node.lineno}" for m, tree in sorted(trees.items())
-             for node in _import_time_nodes(tree) if _imports_scipy_stats(node)]
-    lazy = [m for m, tree in trees.items() for node in ast.walk(tree) if _imports_scipy_stats(node)]
+             for node in _import_time_nodes(tree) if _imports_scipy(node, "stats")]
+    lazy = [m for m, tree in trees.items() for node in ast.walk(tree) if _imports_scipy(node, "stats")]
     assert trees and lazy and not eager, eager
+
+
+def test_scipy_optimize_not_imported():
+    trees = _trees()
+    found = [f"{m}:{node.lineno}" for m, tree in sorted(trees.items())
+             for node in ast.walk(tree) if _imports_scipy(node, "optimize")]
+    assert trees and not found, found
