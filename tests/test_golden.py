@@ -137,6 +137,9 @@ RUNS = {
     "clical-cone": (
         [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21", "--cone", "se"]],
         "db9f66ac212598f275d4289c42db70db127ad59fb94eb5f1c2bc393ddcb0b119"),
+    "clical-threads": (
+        [["clical", "--in", "mixed.jsonl", "--kendall-n", "500", "--grid", "21", "--threads", "3"]],
+        "3f3440d9fb45e03aefbae8ae20da1d071b96a336984e9c9c8d65457d991216ac"),
     "coppit-gumbel-dims": (
         [["coppit", "--in", f"gumbel{d}.jsonl", "--kendall", "mc", "--kendall-n", "300"]
          for d in (3, 9)],
