@@ -12,7 +12,8 @@ same machinery supports orthant directions other than the lower-left one
 (``signs``), multivariate rank histograms with randomized tie-breaking, and
 a climatological calibration curve that compares the pooled distribution of
 h values, the step Kendall function ``empirical_kendall(h)``, against the
-average Kendall function.  Every producer of copula PIT values returns them
+case-averaged Kendall function, which the caller evaluates on the curve's
+grid.  Every producer of copula PIT values returns them
 as ``Records`` columns (h, k_left, k_right, v, u, rank), and ``randomize``
 is the one place u is computed.  Histogram and curve results store only
 what the data fixes and derive their statistics on access; only the KS
@@ -292,31 +293,19 @@ def rank_histogram(ranks, m):
     return HistogramResult(np.bincount(r.astype(int) - 1, minlength=m + 1), np.arange(1, m + 3) - 0.5)
 
 
-def clical_curve(h_obs, kendall_fns, grid=None):
+def clical_curve(h_obs, mean_k, grid):
     """Climatological copula-calibration curve.
 
     Compares the pooled empirical CDF of the h = H_j(y_j) values, the step
-    function ``empirical_kendall(h)`` (lhs), against the case-averaged
-    Kendall function (rhs) on a grid; for a calibrated system the two
-    coincide.  ``kendall_fns`` may be a single shared Kendall function or
-    one per case.
+    function ``empirical_kendall(h)`` (lhs), against ``mean_k``, the
+    case-averaged Kendall function evaluated on ``grid`` (rhs); for a
+    calibrated system the two coincide.
     """
     pooled = empirical_kendall(h_obs)
-    if grid is None:
-        grid = np.linspace(0.0, 1.0, 101)
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & (grid <= 1)):
-            raise ValueError("grid must be a 1-d array of values in [0, 1]")
-
-    if hasattr(kendall_fns, "eval"):
-        rhs = np.asarray(kendall_fns.eval(grid), dtype=float)
-    else:
-        fns = list(kendall_fns)
-        if len(fns) != pooled.n:
-            raise ValueError(f"got {len(fns)} Kendall functions for {pooled.n} cases")
-        rhs = np.zeros_like(grid)
-        for kf in fns:
-            rhs += kf.eval(grid)
-        rhs /= len(fns)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & (grid <= 1)):
+        raise ValueError("grid must be a 1-d array of values in [0, 1]")
+    rhs = np.asarray(mean_k, dtype=float)
+    if rhs.shape != grid.shape:
+        raise ValueError(f"mean Kendall function has shape {rhs.shape}, grid has {grid.shape}")
     return ClicalCurve(grid=grid, lhs=pooled.eval(grid), rhs=rhs)

@@ -277,35 +277,41 @@ def _stacked(cases, seed, signs):
     return rank, h, k_left, k_right
 
 
-def _analyze(archive, seed, strategy, kendall_n, signs, threads):
-    """Copula PIT records and Kendall functions per case (substreams: 1=v, 2=ties, 3=Monte Carlo).
+def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
+    """Copula PIT records per case (substreams: 1=v, 2=ties, 3=Monte Carlo);
+    given a ``grid``, also the case mean of the Kendall functions on it.
 
-    Ensemble ranks come from the stacked pass, and so do the whole ensemble
-    records under the auto strategy, whose Kendall route draws nothing.
-    Other cases are evaluated one by one on ``threads`` workers.
+    Each case builds its Kendall function, uses it and drops it.  Ensemble
+    ranks come from the stacked pass, and so do the whole ensemble records
+    under the auto strategy, whose Kendall route draws nothing; those cases
+    stay on this thread, and the others run on ``threads`` workers.
     """
     cases = archive.cases
     n = len(cases)
     v = substream(seed, 1).random(n)
     rank, h, k_left, k_right = _stacked(cases, seed, signs)
-    stacked = np.flatnonzero(rank).tolist() if rank is not None and strategy == "auto" else []
-    per_case = sorted(set(range(n)) - set(stacked))
+    stacked = rank > 0 if rank is not None and strategy == "auto" else np.zeros(n, dtype=bool)
 
     def work(i):
         fc, y = cases[i]
-        kfn = select_kendall(fc, strategy=strategy, rng=substream(seed, 3, i),
-                             n=kendall_n, signs=signs)
-        return coppit(fc, kfn, y, float(v[i]), signs=signs), kfn
+        rng = None if stacked[i] else substream(seed, 3, i)  # the stacked route draws nothing
+        kfn = select_kendall(fc, strategy=strategy, rng=rng, n=kendall_n, signs=signs)
+        if rng is not None:
+            rec = coppit(fc, kfn, y, float(v[i]), signs=signs)
+            h[i], k_left[i], k_right[i] = rec.h, rec.k_left, rec.k_right
+        return None if grid is None else kfn.eval(grid)
 
-    def pseudo(i):
-        return select_kendall(cases[i][0], signs=signs)
-
-    kfns = [None] * n
-    for i, (rec, kfn) in zip(per_case, _map_cases(work, per_case, threads)):
-        h[i], k_left[i], k_right[i], kfns[i] = rec.h, rec.k_left, rec.k_right, kfn
-    for i, kfn in zip(stacked, _map_cases(pseudo, stacked, 1)):
-        kfns[i] = kfn
-    return Records(h, k_left, k_right, v, rank=rank), kfns
+    rows = [None] * n
+    for idx, workers in ((np.flatnonzero(~stacked), threads), (np.flatnonzero(stacked), 1)):
+        for i, row in zip(idx, _map_cases(work, idx.tolist(), workers)):
+            rows[i] = row
+    recs = Records(h, k_left, k_right, v, rank=rank)
+    if grid is None:
+        return recs
+    mean_k = np.zeros_like(grid)
+    for row in rows:  # in case order
+        mean_k += row
+    return recs, mean_k / n
 
 
 def _write_hist(values, bins, out, stem, outputs, ranks_m=None):
@@ -330,7 +336,7 @@ def _write_pit(recs, bins, out, outputs, suffix="", ranks_m=None):
 def _cmd_coppit(args, seed, argv):
     archive = read_archive(args.inp)
     signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
-    recs, _ = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
+    recs = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
     out = _out_dir(args)
     outputs = []
     _write_pit(recs, args.bins, out, outputs)
@@ -382,8 +388,9 @@ def _cmd_rank_hist(args, seed, argv):
 def _cmd_clical(args, seed, argv):
     archive = read_archive(args.inp)
     signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
-    recs, kfns = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
-    curve = clical_curve(recs.h, kfns, grid=np.linspace(0.0, 1.0, args.grid))
+    grid = np.linspace(0.0, 1.0, args.grid)
+    recs, mean_k = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads, grid)
+    curve = clical_curve(recs.h, mean_k, grid)
     out = _out_dir(args)
     write_curve(curve, out / "curve.csv")
     render_svg(curve, out / "curve.svg")

@@ -28,7 +28,7 @@ dimension or theta, Frank exponentials for theta past ~700, Joe powers
 """
 
 import numpy as np
-from scipy.special import digamma, spence
+from scipy.special import digamma, spence, zeta
 
 from . import samplers
 
@@ -352,28 +352,22 @@ class _Joe(_Archimedean):
         return k
 
     @staticmethod
-    def _tau_series(theta, terms=200_000):
-        k = np.arange(1, terms + 1, dtype=float)
-        s = np.sum(1.0 / (k * (theta * k + 2.0) * (theta * (k - 1.0) + 2.0)))
-        s += 1.0 / (2.0 * theta**2 * terms**2)  # integral tail estimate
-        return 1.0 - 4.0 * s
-
-    @staticmethod
     def tau(theta):
         theta = np.asarray(theta, dtype=float)
         scalar = theta.ndim == 0
         th = np.atleast_1d(theta).astype(float)
         a = 2.0 / th
-        out = np.empty(th.shape)
-        near = np.abs(a - 1.0) < 1e-4  # partial fractions degenerate at theta = 2
-        if np.any(near):
-            out[near] = [_Joe._tau_series(t) for t in th[near]]
+        egamma = np.euler_gamma
+        # (digamma(a) + gamma) / (1 - a) is 0/0 at theta = 2; near it take the
+        # Taylor series -sum_j (1 - a)^j zeta(j + 2), six terms
+        second = np.empty(th.shape)
+        near = np.abs(a - 1.0) < 1e-4
+        x = 1.0 - a[near]
+        second[near] = -sum(x**j * zeta(j + 2.0) for j in range(6))
         rest = ~near
-        if np.any(rest):
-            ar, tr = a[rest], th[rest]
-            egamma = np.euler_gamma
-            ssum = -(digamma(1.0 + ar) + egamma) / ar - (digamma(ar) + egamma) / (1.0 - ar)
-            out[rest] = 1.0 - 4.0 * ssum / tr**2
+        second[rest] = (digamma(a[rest]) + egamma) / (1.0 - a[rest])
+        ssum = -(digamma(1.0 + a) + egamma) / a - second
+        out = 1.0 - 4.0 * ssum / th**2
         return float(out[0]) if scalar else out
 
     @staticmethod

@@ -77,14 +77,18 @@ def gamma(rng, shape, size=None):
     return rng.standard_gamma(shape, size)
 
 
+def _broadcast(arr, size):
+    """``arr`` broadcast to the draw shape, the shape, and whether the output
+    is a scalar: ``size`` draws, or one per element of ``arr`` without it."""
+    shape = arr.shape if size is None else (size if isinstance(size, tuple) else (size,))
+    return np.broadcast_to(arr, shape), shape, size is None and arr.shape == ()
+
+
 def _broadcast_param(alpha, size):
     arr = np.asarray(alpha, dtype=float)
     if not np.all((arr > 0.0) & (arr <= 1.0)):
         raise ValueError(f"alpha must lie in (0.0, 1.0], got {alpha!r}")
-    if size is None:
-        size = arr.shape if arr.shape else None
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-    return np.broadcast_to(arr, shape), shape, size is None and arr.shape == ()
+    return _broadcast(arr, size)
 
 
 def positive_stable(rng, alpha, size=None):
@@ -135,11 +139,7 @@ def _log_series_from_log1mp(rng, log1mp, size=None):
     r = np.asarray(log1mp, dtype=float)
     if not np.all(r < 0):
         raise ValueError(f"log(1-p) must be negative, got {log1mp!r}")
-    if size is None:
-        size = r.shape if r.shape else None
-    shape = () if size is None else (size if isinstance(size, tuple) else (size,))
-    scalar_out = size is None and r.shape == ()
-    r = np.broadcast_to(r, shape)
+    r, shape, scalar_out = _broadcast(r, size)
     v = np.maximum(rng.random(shape), 2.0**-53)
     u = np.maximum(rng.random(shape), 2.0**-53)
     out = np.ones(shape)

@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 from .calibration import Records, clical_curve, ensemble_counts
 from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
-from .kendall import KendallFn, archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
+from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
@@ -188,11 +188,12 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
 def bivariate_clical(study, label, grid=None):
     """Climatological calibration curve of one forecaster in a bivariate run.
 
-    lhs is the empirical CDF of the h values; rhs averages the per-case
-    closed-form Gumbel Kendall functions over the study.
+    lhs is the empirical CDF of the h values; rhs is the case mean of the
+    closed-form Gumbel Kendall functions on ``grid`` (101 points by default).
     """
     fb = study.batch(label)
-    mean_k = KendallFn("analytic", lambda w: kendall_cdf("gumbel", w[None, :], fb.theta[:, None]).mean(axis=0))
+    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
+    mean_k = kendall_cdf("gumbel", grid[None, :], fb.theta[:, None]).mean(axis=0)
     return clical_curve(fb.h, mean_k, grid)
 
 

@@ -287,7 +287,8 @@ def test_clical_curve_shared_kendall():
     fc = CopulaMarginalForecast(cop, [Normal(0.0, 1.0), Normal(0.0, 1.0)])
     y = fc.sample(substream(56, 0), 1500)
     h = fc.cdf(y)
-    curve = clical_curve(h, analytic_kendall(cop))
+    grid = np.linspace(0.0, 1.0, 101)
+    curve = clical_curve(h, analytic_kendall(cop).eval(grid), grid)
     assert curve.max_abs_gap <= 0.04
     assert curve.grid.size == 101
     assert curve.lhs[0] == 0.0 and curve.lhs[-1] == 1.0
@@ -297,23 +298,30 @@ def test_clical_curve_shared_kendall():
 def test_clical_curve_per_case_and_gap():
     # two degenerate cases with known step functions
     h = np.array([0.2, 0.6])
+    grid = np.array([0.0, 0.5, 1.0])
     kf = uniform_kendall()
-    curve = clical_curve(h, [kf, kf], grid=np.array([0.0, 0.5, 1.0]))
+    mean_k = np.mean([kf.eval(grid), kf.eval(grid)], axis=0)
+    curve = clical_curve(h, mean_k, grid)
     assert np.array_equal(curve.lhs, [0.0, 0.5, 1.0])
     assert np.array_equal(curve.rhs, [0.0, 0.5, 1.0])
     assert curve.max_abs_gap == 0.0
-    shifted = clical_curve(np.array([0.9, 0.95]), [kf, kf], grid=np.array([0.0, 0.5, 1.0]))
+    shifted = clical_curve(np.array([0.9, 0.95]), mean_k, grid)
     assert shifted.max_abs_gap == 0.5  # lhs 0 vs rhs 0.5 at w=0.5
+    mixed = clical_curve(h, np.mean([kf.eval(grid), grid**2], axis=0), grid)
+    assert np.array_equal(mixed.rhs, [0.0, 0.375, 1.0])
+    assert mixed.max_abs_gap == 0.125  # lhs 0.5 vs rhs 0.375 at w=0.5
 
 
 def test_clical_curve_validation():
-    kf = uniform_kendall()
+    grid = np.array([0.0, 0.5, 1.0])
     with pytest.raises(ValueError):
-        clical_curve(np.array([0.5, 1.3]), kf)
+        clical_curve(np.array([0.5, 1.3]), grid, grid)
+    with pytest.raises(ValueError, match="shape"):
+        clical_curve(np.array([0.5, 0.6]), grid[:2], grid)
+    with pytest.raises(ValueError, match="shape"):
+        clical_curve(np.array([0.5, 0.6]), np.stack([grid, grid]), grid)
     with pytest.raises(ValueError):
-        clical_curve(np.array([0.5, 0.6]), [kf])
-    with pytest.raises(ValueError):
-        clical_curve(np.array([0.5]), kf, grid=np.array([0.5, 2.0]))
+        clical_curve(np.array([0.5]), np.array([0.5, 1.0]), np.array([0.5, 2.0]))
 
 
 def test_coppit_v_validation():

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -108,15 +109,45 @@ def test_repeat_run_is_byte_identical(ensemble_archive, tmp_path):
 def test_threads_do_not_change_output(gaussian_archive, ensemble_archive, mixed_archive,
                                       tmp_path):
     for archive in (gaussian_archive, ensemble_archive, mixed_archive):
+        cases = len(archive.read_text().splitlines())
+        runs = (("coppit", "records.csv", cases, []), ("clical", "curve.csv", 21, ["--grid", "21"]))
         for cone in ([], ["--cone", "se"]):
-            base = ["coppit", "--in", str(archive), "--seed", "3", "--kendall-n", "400", *cone]
-            one = tmp_path / f"{archive.stem}{len(cone)}-1"
-            four = tmp_path / f"{archive.stem}{len(cone)}-4"
-            assert main(base + ["--out", str(one)]) == 0
-            assert main(base + ["--out", str(four), "--threads", "4"]) == 0
-            records = (one / "records.csv").read_bytes()
-            assert records == (four / "records.csv").read_bytes()
-            assert len(records.splitlines()) == 1 + len(archive.read_text().splitlines())
+            for command, name, rows, extra in runs:
+                base = [command, "--in", str(archive), "--seed", "3", "--kendall-n", "400",
+                        *extra, *cone]
+                one = tmp_path / f"{command}-{archive.stem}{len(cone)}-1"
+                four = tmp_path / f"{command}-{archive.stem}{len(cone)}-4"
+                assert main(base + ["--out", str(one)]) == 0
+                assert main(base + ["--out", str(four), "--threads", "4"]) == 0
+                written = (one / name).read_bytes()
+                assert written == (four / name).read_bytes()
+                assert len(written.splitlines()) == 1 + rows
+
+
+def test_no_kendall_function_outlives_its_case(gaussian_archive, ensemble_archive, tmp_path,
+                                              monkeypatch):
+    """Each case drops its Kendall function once it is scored, so none is
+    alive while coppit writes its records or clical its curve."""
+    def live():
+        gc.collect()
+        return sum(isinstance(o, (kendall.KendallFn, kendall._Empirical)) for o in gc.get_objects())
+
+    def counted(write):
+        def wrapper(*args, **kwargs):
+            seen.append(live())
+            return write(*args, **kwargs)
+        return wrapper
+
+    seen = []
+    before = live()
+    monkeypatch.setattr(cli, "write_records", counted(cli.write_records))
+    monkeypatch.setattr(cli, "write_curve", counted(cli.write_curve))
+    for archive in (gaussian_archive, ensemble_archive):  # Monte Carlo and pseudo routes
+        for command in ("coppit", "clical"):
+            out = tmp_path / f"{command}-{archive.stem}"
+            argv = [command, "--in", str(archive), "--out", str(out), "--kendall-n", "200"]
+            assert main(argv) == 0
+    assert seen == [before] * 4
 
 
 def test_stacked_blocks_do_not_change_output(mixed_archive, ensemble_archive, tmp_path,

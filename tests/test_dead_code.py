@@ -94,6 +94,11 @@ def test_one_home_per_concept():
     step_counts = {m for m, tree in trees.items() for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "searchsorted"}
     assert step_counts == {"kendall.py"}
+    builders = {m for m, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("KendallFn", "_Empirical")}
+    assert builders == {"kendall.py"}
 
 
 def _import_time_nodes(tree):
