@@ -13,11 +13,11 @@ same machinery supports orthant directions other than the lower-left one
 a climatological calibration curve that compares the pooled distribution of
 h values, the step Kendall function ``empirical_kendall(h)``, against the
 case-averaged Kendall function, which the caller evaluates on the curve's
-grid.  Every producer of copula PIT values returns them
-as ``Records`` columns (h, k_left, k_right, v, u, rank), and ``randomize``
-is the one place u is computed.  Histogram and curve results store only
-what the data fixes and derive their statistics on access; only the KS
-p-value imports ``scipy.stats``.
+grid.  Every producer of copula PIT values returns them as ``Records``
+columns (h, k_left, k_right, v, u, rank), and ``randomize`` is the one
+place u is computed.  Histogram and curve results store only what the data
+fixes and derive their statistics on access; only the KS p-value imports
+``scipy.stats``.
 """
 
 from dataclasses import dataclass

@@ -309,7 +309,7 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     if grid is None:
         return recs
     mean_k = np.zeros_like(grid)
-    for row in rows:  # in case order
+    for row in rows:  # one at a time in case order; .mean sums a one-point grid pairwise
         mean_k += row
     return recs, mean_k / n
 

@@ -108,20 +108,28 @@ def test_repeat_run_is_byte_identical(ensemble_archive, tmp_path):
 
 def test_threads_do_not_change_output(gaussian_archive, ensemble_archive, mixed_archive,
                                       tmp_path):
-    for archive in (gaussian_archive, ensemble_archive, mixed_archive):
-        cases = len(archive.read_text().splitlines())
-        runs = (("coppit", "records.csv", cases, []), ("clical", "curve.csv", 21, ["--grid", "21"]))
-        for cone in ([], ["--cone", "se"]):
-            for command, name, rows, extra in runs:
-                base = [command, "--in", str(archive), "--seed", "3", "--kendall-n", "400",
-                        *extra, *cone]
-                one = tmp_path / f"{command}-{archive.stem}{len(cone)}-1"
-                four = tmp_path / f"{command}-{archive.stem}{len(cone)}-4"
-                assert main(base + ["--out", str(one)]) == 0
-                assert main(base + ["--out", str(four), "--threads", "4"]) == 0
-                written = (one / name).read_bytes()
-                assert written == (four / name).read_bytes()
-                assert len(written.splitlines()) == 1 + rows
+    """Workers write their cases' record fields and grid rows; switching
+    threads often would show a lost or reordered update."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for archive in (gaussian_archive, ensemble_archive, mixed_archive):
+            cases = len(archive.read_text().splitlines())
+            runs = (("coppit", "records.csv", cases, []),
+                    ("clical", "curve.csv", 21, ["--grid", "21"]))
+            for cone in ([], ["--cone", "se"]):
+                for command, name, rows, extra in runs:
+                    base = [command, "--in", str(archive), "--seed", "3", "--kendall-n", "400",
+                            *extra, *cone]
+                    one = tmp_path / f"{command}-{archive.stem}{len(cone)}-1"
+                    four = tmp_path / f"{command}-{archive.stem}{len(cone)}-4"
+                    assert main(base + ["--out", str(one)]) == 0
+                    assert main(base + ["--out", str(four), "--threads", "4"]) == 0
+                    written = (one / name).read_bytes()
+                    assert written == (four / name).read_bytes()
+                    assert len(written.splitlines()) == 1 + rows
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_no_kendall_function_outlives_its_case(gaussian_archive, ensemble_archive, tmp_path,
