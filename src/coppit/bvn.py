@@ -10,6 +10,12 @@ Everything is vectorized over (h, k).  rho keeps its own shape: a scalar rho
 has its rule chosen and its node terms (arcsin, the node sines) computed once
 per call, so only the terms in h and k are evaluated per point.  An array rho
 takes the points' shape and runs through the same lines, one rule per point.
+
+The quadrature terms are laid out node-major, (nodes, points), so every
+elementwise step runs along the points rather than over a 6-20 long inner
+axis.  The nodes are then summed row by row by ``_node_sum`` in numpy's own
+order for ``np.sum(terms, axis=-1)`` on the (points, nodes) layout: any other
+order changes last bits, and the golden digests record those bits.
 """
 
 import numpy as np
@@ -44,29 +50,66 @@ _X20, _W20 = _GL_RULES[2][1], _GL_RULES[2][2]
 _SATURATE = 40.0
 
 
+def _node_sum(terms):
+    """Sum node-major terms (nodes, points) over the nodes, bit for bit as
+    ``np.sum`` sums each row of the (points, nodes) transpose.
+
+    numpy adds a row of fewer than 8 terms in sequence; from 8 (up to its
+    128-term pairwise block, beyond every rule here) it runs 8 accumulators
+    over the whole groups of 8, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the rest in sequence.  The
+    result is added to the +0.0 the reduction starts from, so a row of -0.0
+    sums to +0.0.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row
+    else:
+        acc = terms[:8]
+        for i in range(8, n - n % 8, 8):
+            acc = acc + terms[i:i + 8]
+        total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+        total += (acc[4] + acc[5]) + (acc[6] + acc[7])
+        for row in terms[n - n % 8:]:
+            total += row
+    total += 0.0
+    return total
+
+
 def _bvnu_moderate(h, k, r, x2, w2):
     """Upper-orthant probability for |r| < 0.925 with the given doubled GL rule.
 
     r holds one value shared by every point, shape (1,), or one value per
-    point.  Its node terms are computed at that shape and broadcast against
-    the points; the (points, nodes) terms are updated in place, so a call
-    allocates one such array rather than one per operation.
+    point.  Its node terms are computed at that shape as (nodes, 1) or
+    (nodes, points) and broadcast along the points.  The (nodes, points)
+    terms are updated in place, so a call allocates one such array rather
+    than one per operation, and each in-place step runs along the points.
+    ``_node_sum`` adds the node rows in the order ``np.sum(axis=-1)`` adds
+    the same terms laid out (points, nodes): the golden digests record the
+    bits of that order.
     """
     hk = h * k
     hs = (h * h + k * k) / 2.0
     asr = np.arcsin(r) / 2.0
-    sn = np.sin(asr[..., None] * x2)
-    terms = sn * hk[..., None]
-    terms -= hs[..., None]
+    sn = np.sin(x2[:, None] * asr)
+    terms = sn * hk
+    terms -= hs
     terms /= 1.0 - sn * sn
     np.exp(terms, out=terms)
-    terms *= w2
-    total = np.sum(terms, axis=-1)
+    terms *= w2[:, None]
+    total = _node_sum(terms)
     return total * asr / (2.0 * np.pi) + ndtr(-h) * ndtr(-k)
 
 
 def _bvnu_high(h, k, r):
-    """Upper-orthant probability for 0.925 <= |r| <= 1, r as in _bvnu_moderate."""
+    """Upper-orthant probability for 0.925 <= |r| <= 1, r as in _bvnu_moderate.
+
+    The 20-point rule's terms for each sign of the node offsets are built
+    node-major, (10, points), and summed by ``_node_sum`` like the moderate
+    rules' terms.
+    """
     neg = r < 0
     k = np.where(neg, -k, k)
     hk = h * k
@@ -90,13 +133,13 @@ def _bvnu_high(h, k, r):
             acc = acc - np.where(-hk < 100.0, t1, 0.0)
             a2 = a / 2.0
             for sign in (-1.0, 1.0):
-                xs = (a2[..., None] * (sign * _X20 + 1.0)) ** 2
+                xs = ((sign * _X20 + 1.0)[:, None] * a2) ** 2
                 rs = np.sqrt(np.maximum(1.0 - xs, 0.0))
-                asr1 = -(bs[..., None] / np.where(xs > 0, xs, np.inf) + hk[..., None]) / 2.0
-                sp = 1.0 + c[..., None] * xs * (1.0 + d[..., None] * xs)
-                ep = np.exp(-hk[..., None] * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                term = a2[..., None] * _W20 * np.exp(asr1) * (ep - sp)
-                acc = acc + np.sum(np.where(asr1 > -100.0, term, 0.0), axis=-1)
+                asr1 = -(bs / np.where(xs > 0, xs, np.inf) + hk) / 2.0
+                sp = 1.0 + c * xs * (1.0 + d * xs)
+                ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+                term = _W20[:, None] * a2 * np.exp(asr1) * (ep - sp)
+                acc = acc + _node_sum(np.where(asr1 > -100.0, term, 0.0))
         bvn = np.where(interior, -acc / (2.0 * np.pi), bvn)
     pos_part = bvn + ndtr(-np.maximum(h, k))
     neg_part = np.maximum(0.0, ndtr(-h) - ndtr(-k)) - bvn

@@ -297,8 +297,10 @@ class GaussianForecast:
     def cdf(self, y, signs=None):
         s = cone_signs(signs, 2)
         y_mat, single = _as_points(y, 2)
-        h = -s * (y_mat - self.mean) / self._sds
-        vals = np.atleast_1d(bvn_cdf(h[:, 0], h[:, 1], s[0] * s[1] * self._rho))
+        # each coordinate as its own contiguous array: bvn_cdf then reads no
+        # strided column of the (n, 2) points
+        h, k = (-s[j] * (y_mat[:, j] - self.mean[j]) / self._sds[j] for j in (0, 1))
+        vals = np.atleast_1d(bvn_cdf(h, k, s[0] * s[1] * self._rho))
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n=None):

@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import stats
 from scipy.special import ndtr
 
-from coppit.bvn import _GL_RULES, bvn_cdf, bvn_upper
+from coppit.bvn import _GL_RULES, _node_sum, bvn_cdf, bvn_upper
 
 GRID = np.array([-3.5, -2.0, -1.5, -0.5, 0.0, 0.7, 2.0, 3.5])
 RHOS = (-0.99, -0.95, -0.926, -0.924, -0.6, -0.2, 0.0, 0.3, 0.75, 0.9, 0.924, 0.926, 0.99)
@@ -107,6 +107,35 @@ def test_scalar_rho_matches_per_point_rho_bitwise():
             for fn in (bvn_cdf, bvn_upper):
                 got, ref = fn(h, k, rho), fn(h, k, per_point)
                 assert np.array_equal(np.atleast_1d(got), ref), (fn.__name__, rho, h.shape)
+
+
+
+def test_node_sum_matches_numpy_row_sum_bitwise():
+    # the node-major sum must reproduce np.sum over the rows of the
+    # (points, nodes) layout bit for bit, signed zeros included
+    rng = np.random.default_rng(9)
+    for nodes in range(1, 25):
+        rows = rng.normal(size=(12, nodes)) * 10.0 ** rng.integers(-8, 9, size=(12, nodes))
+        rows[0] = -0.0
+        rows[1] = 0.0
+        rows[2] = rng.choice([0.0, -0.0], size=nodes)
+        rows[3] = rng.choice([1.0, -1.0], size=nodes) * rng.choice([0.0, 1e-8, 1e8], size=nodes)
+        rows[4] = np.abs(rows[4])
+        rows[5] = -np.abs(rows[5])
+        got = _node_sum(np.ascontiguousarray(rows.T))
+        ref = np.sum(rows, axis=-1)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), nodes
+
+
+def test_strided_inputs_match_contiguous_bitwise():
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(2000, 2)) * 2.5
+    h, k = pts[:, 0], pts[:, 1]
+    assert not h.flags.c_contiguous
+    for rho in (0.2, -0.2, 0.5, -0.5, 0.85, -0.85, 0.95, -0.95):
+        for fn in (bvn_cdf, bvn_upper):
+            got, ref = fn(h, k, rho), fn(h.copy(), k.copy(), rho)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (fn.__name__, rho)
 
 
 def test_large_finite_bounds_saturate():
