@@ -188,7 +188,9 @@ class EnsembleCounts(NamedTuple):
     [K(H(y)-), K(H(y))] of the ensemble's own empirical Kendall function is
     [k_left, k_right] / m.  ``below`` and ``tied`` count the members whose
     pre-rank in the pooled set (members and observation) is below or equal
-    to the observation's.
+    to the observation's; in one dimension below / m is H(y-).  ``members``
+    is (n, m): member k's count m w_k of the members at or below it, from
+    which the cli evaluates each case's Kendall function on a grid.
     """
 
     h: np.ndarray
@@ -196,6 +198,7 @@ class EnsembleCounts(NamedTuple):
     k_right: np.ndarray
     below: np.ndarray
     tied: np.ndarray
+    members: np.ndarray
 
     def ranks(self, rngs):
         """Ranks in 1..m+1: each case breaks its pre-rank ties uniformly with
@@ -221,10 +224,10 @@ def ensemble_counts(points, y, signs=None):
         pooled = pooled * -cone_signs(signs, dim=pts.shape[2])
     cnt = dominance_counts(pooled[:, :-1], pooled)  # the observation's count is last
     rho = cnt + dominance_counts(pooled[:, -1:], pooled)  # pre-ranks count the observation too
-    h = cnt[:, -1:]
+    members, h = cnt[:, :-1], cnt[:, -1:]
     pre = rho[:, -1:]
-    return EnsembleCounts(h[:, 0], (cnt[:, :-1] < h).sum(axis=1), (cnt[:, :-1] <= h).sum(axis=1),
-                          (rho[:, :-1] < pre).sum(axis=1), (rho[:, :-1] == pre).sum(axis=1))
+    return EnsembleCounts(h[:, 0], (members < h).sum(axis=1), (members <= h).sum(axis=1),
+                          (rho[:, :-1] < pre).sum(axis=1), (rho[:, :-1] == pre).sum(axis=1), members)
 
 
 def _one_case(points, y, signs):

@@ -31,7 +31,7 @@ from .calibration import (
     histogram,
     rank_histogram,
 )
-from .forecasts import EnsembleForecast, margin_forecast
+from .forecasts import EnsembleForecast, Normal, margin_forecast
 from .io import (
     ArchiveError,
     read_archive,
@@ -263,53 +263,67 @@ def _ensemble_groups(cases, indices, signs):
             yield m, np.array(block), ensemble_counts(pts, ys, signs)
 
 
-def _stacked(cases, seed, signs):
-    """Columns rank, h, k_left, k_right of the ensemble cases from one stacked
-    pass per member count; case i breaks its pre-rank ties with substream
-    (2, i).  rank is None without ensembles, else 0 on every other case."""
+def _stacked(cases, seed, signs, grid=None, k_grid=None):
+    """Columns rank, h, h_left, k_left, k_right of the ensemble cases from one
+    stacked pass per member count; case i breaks its pre-rank ties with
+    substream (2, i).  rank is None without ensembles, else 0 on every other
+    case.  h_left is below / m, which is H(y-) of a one-dimensional ensemble.
+
+    Given a ``grid`` and an (n, grid size) array ``k_grid``, it also writes
+    each ensemble case's Kendall function K(g) = #{k : w_k <= g} / m into its
+    row, one grid column at a time, from the members' counts m w_k.
+    """
     n = len(cases)
     ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
     rank = np.zeros(n, dtype=int) if ens else None
-    h, k_left, k_right = np.empty(n), np.empty(n), np.empty(n)
+    h, h_left, k_left, k_right = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for m, idx, c in _ensemble_groups(cases, ens, signs):
         rank[idx] = c.ranks(substream(seed, 2, i) for i in idx.tolist())
-        h[idx], k_left[idx], k_right[idx] = c.h / m, c.k_left / m, c.k_right / m
-    return rank, h, k_left, k_right
+        h[idx], h_left[idx] = c.h / m, c.below / m
+        k_left[idx], k_right[idx] = c.k_left / m, c.k_right / m
+        if k_grid is not None:
+            w = c.members / m  # the pseudo-observations, as pseudo_observations divides them
+            for j, g in enumerate(grid.tolist()):
+                k_grid[idx, j] = (w <= g).sum(axis=1) / m
+    return rank, h, h_left, k_left, k_right
 
 
 def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     """Copula PIT records per case (substreams: 1=v, 2=ties, 3=Monte Carlo);
     given a ``grid``, also the case mean of the Kendall functions on it.
 
-    Each case builds its Kendall function, uses it and drops it.  Ensemble
-    ranks come from the stacked pass, and so do the whole ensemble records
-    under the auto strategy, whose Kendall route draws nothing; those cases
-    stay on this thread, and the others run on ``threads`` workers.
+    Under the auto strategy the stacked pass finishes the ensemble cases:
+    their records and Kendall rows come from its counts.  Every other case
+    (mvgauss and copula cases, and all cases under mc) builds its Kendall
+    function, uses it and drops it, on ``threads`` workers.
     """
     cases = archive.cases
     n = len(cases)
     v = substream(seed, 1).random(n)
-    rank, h, k_left, k_right = _stacked(cases, seed, signs)
-    stacked = rank > 0 if rank is not None and strategy == "auto" else np.zeros(n, dtype=bool)
+    k_grid = None if grid is None else np.empty((n, grid.size))
+    auto = strategy == "auto"
+    rank, h, _, k_left, k_right = _stacked(cases, seed, signs, grid, k_grid if auto else None)
+    done = rank > 0 if rank is not None and auto else np.zeros(n, dtype=bool)
+    # the finished cases' Kendall functions are never used; this call per case
+    # only records its route, which traced runs count against the case mix
+    for i in np.flatnonzero(done).tolist():
+        select_kendall(cases[i][0], strategy=strategy, signs=signs)
 
     def work(i):
         fc, y = cases[i]
-        rng = None if stacked[i] else substream(seed, 3, i)  # the stacked route draws nothing
-        kfn = select_kendall(fc, strategy=strategy, rng=rng, n=kendall_n, signs=signs)
-        if rng is not None:
-            rec = coppit(fc, kfn, y, float(v[i]), signs=signs)
-            h[i], k_left[i], k_right[i] = rec.h, rec.k_left, rec.k_right
-        return None if grid is None else kfn.eval(grid)
+        kfn = select_kendall(fc, strategy=strategy, rng=substream(seed, 3, i), n=kendall_n,
+                             signs=signs)
+        rec = coppit(fc, kfn, y, float(v[i]), signs=signs)
+        h[i], k_left[i], k_right[i] = rec.h, rec.k_left, rec.k_right
+        if grid is not None:
+            k_grid[i] = kfn.eval(grid)
 
-    rows = [None] * n
-    for idx, workers in ((np.flatnonzero(~stacked), threads), (np.flatnonzero(stacked), 1)):
-        for i, row in zip(idx, _map_cases(work, idx.tolist(), workers)):
-            rows[i] = row
+    _map_cases(work, np.flatnonzero(~done).tolist(), threads)
     recs = Records(h, k_left, k_right, v, rank=rank)
     if grid is None:
         return recs
     mean_k = np.zeros_like(grid)
-    for row in rows:  # one at a time in case order; .mean sums a one-point grid pairwise
+    for row in k_grid:  # one at a time in case order; .mean sums a one-point grid pairwise
         mean_k += row
     return recs, mean_k / n
 
@@ -350,15 +364,12 @@ def _cmd_pit(args, seed, argv):
         raise ValueError(f"--margin {args.margin} exceeds archive dimension {archive.dim}")
     k = args.margin - 1
     cases = [(margin_forecast(fc, k), y[k:k + 1]) for fc, y in archive.cases]
-    n = len(cases)
-    v = substream(seed, 1).random(n)
-
-    def work(i):
-        mfc, yk = cases[i]
-        return float(mfc.cdf_left(yk[0])), float(mfc.cdf(yk[0]))
-
-    lo, hi = np.array(_map_cases(work, range(n), args.threads)).T
-    recs = Records(hi, lo, hi, v, rank=_stacked(cases, seed, None)[0])
+    v = substream(seed, 1).random(len(cases))
+    rank, hi, lo = _stacked(cases, seed, None)[:3]  # F(y) and F(y-) of the ensemble margins
+    for i, (mfc, yk) in enumerate(cases):
+        if isinstance(mfc, Normal):
+            lo[i], hi[i] = mfc.cdf_left(yk[0]), mfc.cdf(yk[0])
+    recs = Records(hi, lo, hi, v, rank=rank)
     out = _out_dir(args)
     outputs = []
     _write_pit(recs, args.bins, out, outputs)

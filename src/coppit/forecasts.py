@@ -23,8 +23,9 @@ it, so each accepts the same specs:
 - a string of '+'/'-' characters, one per coordinate;
 - a sequence of +-1 values (not booleans), one per coordinate.
 
-``UnivariateForecast`` adapts a scalar margin to the same interface for
-one-dimensional work, with the left-limit CDF that randomized PITs take.
+``Normal`` is both the margin of a copula-marginal forecast and the one
+univariate forecast: it has the same interface with ``dim = 1``, plus the
+left-limit CDF that randomized PITs take.
 """
 
 import itertools
@@ -40,7 +41,6 @@ __all__ = [
     "EnsembleForecast",
     "GaussianForecast",
     "CopulaMarginalForecast",
-    "UnivariateForecast",
     "forecast_from_dict",
     "apply_monotone",
     "apply_permutation",
@@ -54,7 +54,11 @@ __all__ = [
 
 
 class Normal:
-    """Normal margin with mean mu and standard deviation sigma > 0."""
+    """Normal law with mean mu and standard deviation sigma > 0: a margin, and
+    the univariate forecast.  A scalar y gives a float, an (n,) or (n, 1)
+    one gives n values; the '+' cone's CDF is 1 - F(y-)."""
+
+    dim = 1
 
     def __init__(self, mu, sigma):
         mu, sigma = float(mu), float(sigma)
@@ -63,11 +67,24 @@ class Normal:
         self.mu = mu
         self.sigma = sigma
 
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
+    def cdf(self, y, signs=None):
+        x = np.asarray(y, dtype=float)
+        if x.ndim == 2 and x.shape[1] == 1:
+            x = x[:, 0]
+        elif x.ndim > 1:
+            raise ValueError(f"univariate outcome must be scalar, (n,), or (n, 1); got {x.shape}")
+        vals = ndtr((x - self.mu) / self.sigma)
+        if signs is not None and cone_signs(signs, 1)[0] > 0:
+            vals = 1.0 - vals
+        return float(vals) if x.ndim == 0 else vals
 
-    def cdf_left(self, x):
-        return self.cdf(x)
+    def cdf_left(self, y):
+        return self.cdf(y)
+
+    def sample(self, rng, n=None):
+        q = np.clip(rng.random((1 if n is None else int(n), 1)), 2.0**-53, 1.0 - 2.0**-53)
+        draws = self.ppf(q)
+        return draws[0] if n is None else draws
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
@@ -225,8 +242,6 @@ def cone_signs(spec, dim=None):
 class EnsembleForecast:
     """Empirical measure of m member vectors, shape (m, d)."""
 
-    kind = "ensemble"
-
     def __init__(self, points):
         pts = _as_members(np.array(points, dtype=float))  # the one copy: never the caller's array
         if not np.all(np.isfinite(pts)):
@@ -269,8 +284,6 @@ class EnsembleForecast:
 
 class GaussianForecast:
     """Bivariate normal forecast with non-degenerate covariance."""
-
-    kind = "mvgauss"
 
     def __init__(self, mean, cov):
         mean = np.asarray(mean, dtype=float)
@@ -321,8 +334,6 @@ class GaussianForecast:
 
 class CopulaMarginalForecast:
     """Archimedean copula joined to one normal margin per coordinate."""
-
-    kind = "copula_marginal"
 
     def __init__(self, copula, margins):
         if not isinstance(copula, ArchimedeanCopula):
@@ -379,48 +390,6 @@ class CopulaMarginalForecast:
         return f"CopulaMarginalForecast({self.copula!r}, margins={self.margins!r})"
 
 
-class UnivariateForecast:
-    """A scalar margin viewed as a one-dimensional forecast."""
-
-    kind = "univariate"
-
-    def __init__(self, margin):
-        self.margin = margin
-        self.dim = 1
-
-    def _flat(self, y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return arr[None], True
-        if arr.ndim == 1:
-            return arr, False
-        if arr.ndim == 2 and arr.shape[1] == 1:
-            return arr[:, 0], False
-        raise ValueError(f"univariate outcome must be scalar, (n,), or (n, 1); got {arr.shape}")
-
-    def cdf(self, y, signs=None):
-        flat, single = self._flat(y)
-        if cone_signs(signs, 1)[0] < 0:
-            vals = np.atleast_1d(self.margin.cdf(flat))
-        else:
-            vals = 1.0 - np.atleast_1d(self.margin.cdf_left(flat))
-        return float(vals[0]) if single else vals
-
-    def cdf_left(self, y):
-        flat, single = self._flat(y)
-        vals = np.atleast_1d(self.margin.cdf_left(flat))
-        return float(vals[0]) if single else vals
-
-    def sample(self, rng, n=None):
-        q = rng.random((1 if n is None else int(n), 1))
-        q = np.clip(q, 2.0**-53, 1.0 - 2.0**-53)
-        draws = np.asarray(self.margin.ppf(q), dtype=float)
-        return draws[0] if n is None else draws
-
-    def __repr__(self):
-        return f"UnivariateForecast({self.margin!r})"
-
-
 # --- serialization and transforms ----------------------------------------------
 
 
@@ -475,9 +444,9 @@ def margin_forecast(forecast, k):
     if isinstance(forecast, EnsembleForecast):
         return EnsembleForecast(forecast.points[:, [k]])
     if isinstance(forecast, GaussianForecast):
-        return UnivariateForecast(Normal(forecast.mean[k], np.sqrt(forecast.cov[k, k])))
+        return Normal(forecast.mean[k], np.sqrt(forecast.cov[k, k]))
     if isinstance(forecast, CopulaMarginalForecast):
-        return UnivariateForecast(forecast.margins[k])
-    if isinstance(forecast, UnivariateForecast):
+        return forecast.margins[k]
+    if isinstance(forecast, Normal):
         return forecast
     raise TypeError(f"cannot extract a margin from {type(forecast).__name__}")

@@ -7,7 +7,8 @@ a randomized point inside the jump interval [K(H(y)-), K(H(y))].
 K comes in two shapes (Genest & Rivest 1993), and each has one type:
 
 - ``KendallFn``, a continuous K given by its CDF, where K(w-) = K(w):
-  - uniform_kendall: K(w) = w, exact for continuous univariate forecasts;
+  - uniform_kendall: K(w) = w, exact for continuous univariate forecasts,
+    which ``select_kendall`` takes for a ``Normal``;
   - analytic_kendall: the bivariate Archimedean closed form
     w - phi(w)/phi'(w).
 - ``_Empirical``, the step function of a sample of H values, which it
@@ -19,12 +20,13 @@ K comes in two shapes (Genest & Rivest 1993), and each has one type:
     sampled through the frailty identity;
   - pseudo_kendall: the ensemble's own pseudo-observations
     w_k = (1/m) #{j : x_j <= x_k coordinatewise}.  Their O(m^2 d) count
-    runs at the first evaluation, so a caller that never evaluates it
-    (``coppit`` on stacked ensembles) pays nothing for it.
+    runs at the first evaluation, so a caller that never evaluates it (the
+    cli on stacked ensembles, which takes K from the counts) pays nothing
+    for it.
 
-``select_kendall`` takes the route the forecast fixes: uniform for
-univariate continuous forecasts, pseudo-observations for ensembles, the
-closed form for bivariate copula-marginal forecasts, Monte Carlo otherwise.
+``select_kendall`` takes the route the forecast fixes: uniform for a
+``Normal``, pseudo-observations for ensembles, the closed form for
+bivariate copula-marginal forecasts, Monte Carlo otherwise.
 The one alternative, 'mc', estimates every forecast's by Monte Carlo.
 """
 
@@ -36,7 +38,7 @@ from .copulas import ArchimedeanCopula, kendall_sample
 from .forecasts import (
     CopulaMarginalForecast,
     EnsembleForecast,
-    UnivariateForecast,
+    Normal,
     _as_members,
     cone_signs,
     dominance_counts,
@@ -175,10 +177,10 @@ def pseudo_kendall(points):
 def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs=None):
     """Build the Kendall function for a forecast.
 
-    The forecast fixes the route under 'auto': uniform for univariate
-    continuous forecasts, pseudo-observations for ensembles (reflected along
-    the '+' axes of a cone), the closed form for bivariate copula-marginal
-    forecasts evaluated on the plain CDF, and Monte Carlo otherwise.  'mc'
+    The forecast fixes the route under 'auto': uniform for a ``Normal``,
+    pseudo-observations for ensembles (reflected along the '+' axes of a
+    cone), the closed form for bivariate copula-marginal forecasts evaluated
+    on the plain CDF, and Monte Carlo otherwise.  'mc'
     estimates every forecast's Kendall function by Monte Carlo instead.
     """
     if strategy not in ("auto", "mc"):
@@ -187,7 +189,7 @@ def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs
         signs = cone_signs(signs, forecast.dim)
     plain = signs is None or bool(np.all(signs < 0))
     if strategy == "auto":
-        if isinstance(forecast, UnivariateForecast):
+        if isinstance(forecast, Normal):
             return uniform_kendall()
         if isinstance(forecast, EnsembleForecast):
             # a cone CDF is the plain CDF of the ensemble reflected along the '+' axes

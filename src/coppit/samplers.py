@@ -245,6 +245,8 @@ def _sibuya_invert(u, alpha):
         moving = np.arange(k.size)
         for _ in range(6):
             moving = moving[_sibuya_log_sf(k[moving], ar[moving], lg[moving]) > tr[moving]]
+            if not moving.size:
+                break
             k[moving] += 1.0
         k_big[rest] = k
     out[big] = k_big

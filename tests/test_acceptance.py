@@ -15,7 +15,7 @@ from coppit.bvn import bvn_cdf
 from coppit.calibration import coppit, coppit_interval, histogram, multivariate_rank, pit
 from coppit.cli import main
 from coppit.copulas import ArchimedeanCopula, kendall_cdf, tau_to_theta
-from coppit.forecasts import CopulaMarginalForecast, EnsembleForecast, Normal, UnivariateForecast
+from coppit.forecasts import CopulaMarginalForecast, EnsembleForecast, Normal
 from coppit.kendall import monte_carlo_kendall, pseudo_kendall, uniform_kendall
 from coppit.samplers import substream
 from coppit.simstudy import (
@@ -194,7 +194,7 @@ def test_08_univariate_reduction_to_pit():
     for _ in range(100):
         mu = 3.0 * float(rng.standard_normal())
         sigma = 0.2 + 2.0 * float(rng.random())
-        fc = UnivariateForecast(Normal(mu, sigma))
+        fc = Normal(mu, sigma)
         y = mu + 2.5 * sigma * float(rng.standard_normal())
         v = float(rng.random())
         rec = coppit(fc, uniform_kendall(), y, v)

@@ -20,7 +20,6 @@ from coppit.forecasts import (
     EnsembleForecast,
     GaussianForecast,
     Normal,
-    UnivariateForecast,
 )
 from coppit.kendall import analytic_kendall, pseudo_kendall, select_kendall, uniform_kendall
 from coppit.samplers import substream
@@ -62,7 +61,7 @@ def test_pit_discrete_interval():
 
 
 def test_pit_continuous_ignores_v():
-    fc = UnivariateForecast(Normal(1.0, 2.0))
+    fc = Normal(1.0, 2.0)
     vals = [pit(fc, 1.5, v) for v in (0.0, 0.37, 1.0)]
     assert vals[0] == vals[1] == vals[2] == pytest.approx(stats.norm.cdf(0.25), abs=1e-14)
 

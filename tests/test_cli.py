@@ -161,13 +161,15 @@ def test_no_kendall_function_outlives_its_case(gaussian_archive, ensemble_archiv
 def test_stacked_blocks_do_not_change_output(mixed_archive, ensemble_archive, tmp_path,
                                              monkeypatch):
     runs = [["coppit", "--in", str(mixed_archive), "--kendall-n", "300", "--cone", "ne"],
-            ["rank-hist", "--in", str(ensemble_archive)]]
+            ["rank-hist", "--in", str(ensemble_archive)],
+            ["clical", "--in", str(mixed_archive), "--kendall-n", "300", "--grid", "21"],
+            ["pit", "--in", str(mixed_archive), "--margin", "2"]]
     for budget in (None, 1, 200):  # one block per member count, one case, a few cases
         if budget is not None:
             monkeypatch.setattr(cli, "_STACK_COMPARISONS", budget)
         for k, argv in enumerate(runs):
             assert main(argv + ["--out", str(tmp_path / f"{budget}-{k}"), "--seed", "6"]) == 0
-    for k, name in enumerate(["records.csv", "ranks.csv"]):
+    for k, name in enumerate(["records.csv", "ranks.csv", "curve.csv", "records.csv"]):
         want = (tmp_path / f"None-{k}" / name).read_bytes()
         assert (tmp_path / f"1-{k}" / name).read_bytes() == want
         assert (tmp_path / f"200-{k}" / name).read_bytes() == want
@@ -318,10 +320,10 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
-    """coppit stacks its ensemble records, so it never counts a case's own
-    pseudo-observations; clical counts them once per case, when it evaluates
-    the Kendall functions.  Both write what eager Kendall functions give."""
+def test_coppit_and_clical_take_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
+    """coppit and clical take their ensemble records and Kendall functions
+    from the stacked counts, so neither counts a case's own
+    pseudo-observations.  Both write what eager Kendall functions give."""
     real = kendall.pseudo_observations
 
     def eager_kendall(pts):
@@ -333,7 +335,7 @@ def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
         assert main(argv) == 0
         return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
 
-    for command, per_case in (("coppit", 0), ("clical", 1)):
+    for command in ("coppit", "clical"):
         for cone in ([], ["--cone", "se"]):
             with monkeypatch.context() as mp:
                 mp.setattr(kendall, "pseudo_kendall", eager_kendall)
@@ -342,7 +344,7 @@ def test_coppit_takes_no_pseudo_pass(ensemble_archive, tmp_path, monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(kendall, "pseudo_observations", lambda pts: calls.append(1) or real(pts))
                 lazy = outputs(command, cone, tmp_path / "lazy")
-            assert len(calls) == 12 * per_case, (command, cone)
+            assert not calls, (command, cone)
             assert lazy == eager
 
 

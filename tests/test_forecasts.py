@@ -11,7 +11,6 @@ from coppit.forecasts import (
     EnsembleForecast,
     GaussianForecast,
     Normal,
-    UnivariateForecast,
     apply_monotone,
     apply_permutation,
     forecast_from_dict,
@@ -177,7 +176,7 @@ def test_copula_marginal_validation():
 
 
 def test_univariate_forecast():
-    f = UnivariateForecast(Normal(0.0, 1.0))
+    f = Normal(0.0, 1.0)
     assert f.cdf(0.0) == pytest.approx(0.5)
     assert f.cdf_left(0.0) == f.cdf(0.0)
     assert f.cdf(0.0, (-1,)) == pytest.approx(0.5)

@@ -8,7 +8,6 @@ from coppit.forecasts import (
     EnsembleForecast,
     GaussianForecast,
     Normal,
-    UnivariateForecast,
 )
 from coppit.kendall import (
     analytic_kendall,
@@ -130,7 +129,7 @@ def test_mc_orthant_gaussian_symmetry():
 
 
 def test_select_auto_routes():
-    uni = UnivariateForecast(Normal(0.0, 1.0))
+    uni = Normal(0.0, 1.0)
     assert select_kendall(uni).source == "uniform"
 
     pts = substream(3, 3).normal(size=(50, 2))

@@ -191,6 +191,21 @@ def test_sibuya_scalar_alpha_matches_array_alpha():
                               sp._sibuya_invert(u, np.full_like(u, alpha)))
 
 
+def test_sibuya_correction_stops_when_settled(monkeypatch):
+    """The correction rounds end once every draw has settled: the exact
+    survival is never evaluated on an empty set of draws."""
+    sizes = []
+    real = sp._sibuya_log_sf
+
+    def spy(k, alpha, lgamma_1ma):
+        sizes.append(np.size(k))
+        return real(k, alpha, lgamma_1ma)
+
+    monkeypatch.setattr(sp, "_sibuya_log_sf", spy)
+    sp.sibuya(sp.make_rng(7), 0.4, 10_000)
+    assert sizes and min(sizes) > 0
+
+
 def test_sibuya_pmf_chi2():
     for seed, alpha in ((16, 0.3), (17, 0.5), (18, 0.8)):
         x = sp.sibuya(sp.make_rng(seed), alpha, N)

@@ -3,7 +3,9 @@
 The cli evaluates ensemble cases in one ``ensemble_counts`` pass per member
 count; every count must equal, bit for bit, what the per-case route gives:
 ``coppit`` with the ensemble's own pseudo-observation Kendall function for
-h and the jump interval, and the pooled pre-ranks for the rank.
+h and the jump interval, that function's ``eval`` for the Kendall rows on a
+grid, ``cdf_left`` for H(y-) in one dimension, and the pooled pre-ranks for
+the rank.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from coppit import forecasts
 from coppit.calibration import coppit, ensemble_counts, multivariate_rank
-from coppit.cli import _ensemble_groups
+from coppit.cli import _ensemble_groups, _stacked
 from coppit.forecasts import EnsembleForecast, dominance_counts
 from coppit.kendall import pseudo_kendall
 
@@ -79,6 +81,16 @@ def test_stacked_pass_equals_per_case(batch):
             assert draw.high == tied + 1
             seen.append(i)
     assert sorted(seen) == list(range(len(cases)))
+
+    for size in (1, 21, 101):
+        grid = np.linspace(0.0, 1.0, size)
+        k_grid = np.empty((len(cases), size))
+        h_left = _stacked(cases, 0, signs, grid, k_grid)[2]
+        for i, (fc, y) in enumerate(cases):
+            pts = fc.points if signs is None else fc.points * -np.asarray(signs, dtype=float)
+            assert k_grid[i].tobytes() == pseudo_kendall(pts).eval(grid).tobytes()
+            if fc.dim == 1 and (signs is None or signs[0] < 0):
+                assert h_left[i] == fc.cdf_left(y)
 
 
 def test_ensemble_counts_validation():
