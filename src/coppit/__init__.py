@@ -18,7 +18,8 @@ calibration curves.  Sub-modules:
   directional (orthant) variants
 - simstudy: packaged simulation studies (bivariate forecaster suite,
   high-dimensional rank-vs-copula-PIT contrast, ensemble demo)
-- io: case archives, result tables, SVG rendering
+- io: every on-disk format: forecast descriptors, case archives, result
+  tables, SVG rendering
 - cli: the ``coppit`` command
 """
 

@@ -43,7 +43,6 @@ __all__ = [
     "histogram",
     "rank_histogram",
     "clical_curve",
-    "cone_signs",
 ]
 
 

@@ -25,18 +25,16 @@ from . import __version__, simstudy
 from .calibration import (
     Records,
     clical_curve,
-    cone_signs,
     coppit,
     ensemble_counts,
     histogram,
     rank_histogram,
 )
-from .forecasts import EnsembleForecast, Normal, margin_forecast
+from .forecasts import EnsembleForecast, Normal, cone_signs, margin_forecast
 from .io import (
     ArchiveError,
     read_archive,
-    read_curve,
-    read_histogram,
+    read_result,
     render_svg,
     write_curve,
     write_histogram,
@@ -186,12 +184,9 @@ def _resolve_seed(args):
     env = os.environ.get("COPPIT_SEED")
     if env is not None:
         try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"COPPIT_SEED must be an integer, got {env!r}")
-        if value < 0:
-            raise UsageError(f"COPPIT_SEED must be non-negative, got {value}")
-        return value
+            return _seed_value(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"COPPIT_SEED: {exc}")
     return DEFAULT_SEED
 
 
@@ -443,12 +438,7 @@ def _cmd_simulate_batch(run, args, seed, argv):
 
 
 def _cmd_render(args, seed, argv):
-    readers = {"bin_lo,bin_hi,count": read_histogram, "w,lhs,rhs": read_curve}
-    with open(args.inp, encoding="utf-8") as fh:
-        head = fh.readline().strip()
-    if head not in readers:
-        raise ArchiveError("unrecognized result file", 1)
-    render_svg(readers[head](args.inp), args.out)
+    render_svg(read_result(args.inp), args.out)
     print(f"coppit render: {args.inp} -> {args.out}", file=sys.stderr)
     return 0
 

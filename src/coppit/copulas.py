@@ -24,7 +24,8 @@ closed form K(w) = w - phi(w)/phi'(w), specialized per family below.
 
 Everything that can overflow in the naive forms (Gumbel powers at high
 dimension or theta, Frank exponentials for theta past ~700, Joe powers
-(1-u)^theta) is evaluated in log space.
+(1-u)^theta) is evaluated in log space.  The copula's JSON descriptor is
+read and written by ``io``.
 """
 
 import numpy as np
@@ -638,24 +639,6 @@ class ArchimedeanCopula:
             raise ValueError("closed-form Kendall distribution is bivariate only; "
                              "use a Monte Carlo estimate for higher dimensions")
         return kendall_cdf(self.family, w, self.theta)
-
-    def to_dict(self):
-        d = {"family": self.family, "dim": self.dim}
-        if self.theta is not None:
-            d["theta"] = self.theta
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ValueError(f"copula descriptor must be an object, got {type(d).__name__}")
-        from .forecasts import _check_fields, _check_numbers  # forecasts imports this module
-
-        _check_fields(d, "copula", ("family", "dim"), ("theta", "tau"))
-        for key in ("theta", "tau"):
-            if key in d:
-                _check_numbers(d[key], f"copula {key!r}")
-        return cls(d["family"], theta=d.get("theta"), tau=d.get("tau"), dim=d["dim"])
 
     def __eq__(self, other):
         return (isinstance(other, ArchimedeanCopula)

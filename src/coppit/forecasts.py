@@ -1,7 +1,8 @@
-"""Forecast objects: multivariate CDFs in any orthant, sampling, serialization.
+"""Forecast objects: multivariate CDFs in any orthant, and sampling.
 
 Three multivariate forecast types share one interface (``dim``,
-``cdf(y, signs=None)``, ``sample``, ``to_dict``):
+``cdf(y, signs=None)``, ``sample``), and ``io`` reads and writes their JSON
+descriptors:
 
 - EnsembleForecast: the empirical measure of m member vectors; CDF counts
   are weak (<=) coordinatewise.
@@ -41,7 +42,6 @@ __all__ = [
     "EnsembleForecast",
     "GaussianForecast",
     "CopulaMarginalForecast",
-    "forecast_from_dict",
     "apply_monotone",
     "apply_permutation",
     "margin_forecast",
@@ -92,9 +92,6 @@ class Normal:
             raise ValueError("quantile levels must lie in (0, 1)")
         return self.mu + self.sigma * ndtri(q)
 
-    def to_dict(self):
-        return {"dist": "normal", "mu": self.mu, "sigma": self.sigma}
-
     def __eq__(self, other):
         return isinstance(other, Normal) and (self.mu, self.sigma) == (other.mu, other.sigma)
 
@@ -102,52 +99,7 @@ class Normal:
         return f"Normal(mu={self.mu!r}, sigma={self.sigma!r})"
 
 
-def _margin_from_dict(d):
-    if not isinstance(d, dict) or d.get("dist") != "normal":
-        raise ValueError(f"unsupported margin descriptor: {d!r} (expected dist 'normal')")
-    _check_fields(d, "margin", ("mu", "sigma"), ("dist",))
-    return Normal(_check_numbers(d["mu"], "margin 'mu'"),
-                  _check_numbers(d["sigma"], "margin 'sigma'"))
-
-
 # --- shared helpers -----------------------------------------------------------
-
-
-def _is_number(x):
-    """An int or a float, but not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _check_fields(d, what, required, optional=()):
-    """ValueError unless the descriptor ``d`` has every required field and no
-    fields besides the required and optional ones."""
-    extra = set(d) - set(required) - set(optional)
-    if extra:
-        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
-    if not all(key in d for key in required):
-        raise ValueError(f"{what} descriptor requires {' and '.join(map(repr, required))}")
-
-
-def _check_numbers(value, what):
-    """``value`` if it is a number or evenly nested lists of numbers, else ValueError.
-
-    Descriptor fields pass through ``float()``, which would take "1.5" and
-    true as silently as 1.5 and 1.  The walk goes one nesting level at a
-    time and looks at each element only through ``set(map(type, ...))``
-    unless that level holds something other than lists or plain numbers.
-    """
-    level = [value]
-    while level:
-        kinds = set(map(type, level))
-        if kinds == {list}:
-            level = list(itertools.chain.from_iterable(level))
-            continue
-        if not kinds <= {float, int}:
-            bad = [x for x in level if not _is_number(x)]
-            if bad:
-                raise ValueError(f"{what} must hold numbers only, got {bad[0]!r}")
-        break
-    return value
 
 
 def _as_points(y, dim, what="y"):
@@ -272,9 +224,6 @@ class EnsembleForecast:
         picked = self.points[rows]
         return picked[0] if n is None else picked
 
-    def to_dict(self):
-        return {"type": "ensemble", "points": self.points.tolist()}
-
     def __eq__(self, other):
         return isinstance(other, EnsembleForecast) and np.array_equal(self.points, other.points)
 
@@ -320,9 +269,6 @@ class GaussianForecast:
         z = rng.standard_normal((1 if n is None else int(n), 2))
         draws = self.mean + z @ self._chol.T
         return draws[0] if n is None else draws
-
-    def to_dict(self):
-        return {"type": "mvgauss", "mean": self.mean.tolist(), "cov": self.cov.tolist()}
 
     def __eq__(self, other):
         return (isinstance(other, GaussianForecast)
@@ -378,10 +324,6 @@ class CopulaMarginalForecast:
             draws[:, j] = mg.ppf(u[:, j])
         return draws[0] if n is None else draws
 
-    def to_dict(self):
-        return {"type": "copula_marginal", "copula": self.copula.to_dict(),
-                "margins": [mg.to_dict() for mg in self.margins]}
-
     def __eq__(self, other):
         return (isinstance(other, CopulaMarginalForecast)
                 and self.copula == other.copula and self.margins == other.margins)
@@ -390,26 +332,7 @@ class CopulaMarginalForecast:
         return f"CopulaMarginalForecast({self.copula!r}, margins={self.margins!r})"
 
 
-# --- serialization and transforms ----------------------------------------------
-
-
-def forecast_from_dict(d):
-    """Build a forecast object from its JSON descriptor."""
-    if not isinstance(d, dict) or "type" not in d:
-        raise ValueError(f"forecast descriptor must be an object with a 'type', got {d!r}")
-    t = d["type"]
-    if t == "ensemble":
-        _check_fields(d, t, ("points",), ("type",))
-        return EnsembleForecast(_check_numbers(d["points"], "ensemble 'points'"))
-    if t == "mvgauss":
-        _check_fields(d, t, ("mean", "cov"), ("type",))
-        return GaussianForecast(_check_numbers(d["mean"], "mvgauss 'mean'"),
-                                _check_numbers(d["cov"], "mvgauss 'cov'"))
-    if t == "copula_marginal":
-        _check_fields(d, t, ("copula", "margins"), ("type",))
-        return CopulaMarginalForecast(ArchimedeanCopula.from_dict(d["copula"]),
-                                      [_margin_from_dict(m) for m in d["margins"]])
-    raise ValueError(f"unknown forecast type {t!r} (expected ensemble, mvgauss, or copula_marginal)")
+# --- transforms ---------------------------------------------------------------
 
 
 def apply_monotone(forecast, transforms):

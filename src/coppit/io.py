@@ -1,25 +1,34 @@
-"""Forecast-case archives, result files, and dependency-free SVG plots.
+"""The on-disk formats: forecast descriptors, case archives, result files,
+and dependency-free SVG plots.  No other module reads or writes JSON or CSV.
+
+A forecast descriptor is one forecast's JSON object, ``type`` first:
+``ensemble`` (``points``), ``mvgauss`` (``mean``, ``cov``) or
+``copula_marginal`` (``copula``: ``family``, ``dim`` and ``theta`` or
+``tau``; ``margins``: ``dist`` "normal", ``mu``, ``sigma``).
+``forecast_from_dict`` checks every field before it builds the forecast,
+and ``forecast_to_dict`` writes its descriptor.
 
 Archives hold the evaluation sample: one (forecast, observation) pair per
 case.  Two on-disk forms are supported, chosen by file suffix:
 
 - JSON lines (any suffix but ``.csv``): one object per line,
   ``{"forecast": {...}, "y": [...]}``, with an optional leading
-  ``{"metadata": {...}}`` line.  Forecast descriptors are the dictionaries
-  understood by ``forecasts.forecast_from_dict``.
+  ``{"metadata": {...}}`` line.
 - CSV ensemble shorthand (suffix ``.csv``): header
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
   every case is an m-member ensemble.
 
 Result writers serialize copula PIT ``Records``, multivariate ranks,
 histograms, and calibration curves to CSV with 17-significant-digit floats,
-so a read/write cycle is value-exact.  ``render_svg`` emits standalone
-fixed-size SVG: histogram bars with a dashed flat-reference line, or a curve
-with the diagonal.  All outputs are byte-deterministic given their inputs;
-the only timestamp lives in ``manifest.json``.
+so a read/write cycle is value-exact; ``read_result`` tells a histogram from
+a curve by its header line.  ``render_svg`` emits standalone fixed-size SVG:
+histogram bars with a dashed flat-reference line, or a curve with the
+diagonal.  All outputs are byte-deterministic given their inputs; the only
+timestamp lives in ``manifest.json``.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -28,11 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ClicalCurve, HistogramResult, Records
-from .forecasts import EnsembleForecast, _is_number, forecast_from_dict
+from .copulas import ArchimedeanCopula
+from .forecasts import CopulaMarginalForecast, EnsembleForecast, GaussianForecast, Normal
 
 __all__ = [
     "ArchiveError",
     "CaseArchive",
+    "forecast_from_dict",
+    "forecast_to_dict",
     "read_archive",
     "write_archive",
     "read_records",
@@ -42,6 +54,7 @@ __all__ = [
     "write_histogram",
     "read_curve",
     "write_curve",
+    "read_result",
     "render_svg",
     "write_manifest",
 ]
@@ -60,6 +73,103 @@ class CaseArchive:
     dim: int
     cases: tuple  # of (forecast, observation ndarray) pairs
     metadata: dict
+
+
+# --- forecast descriptors ---------------------------------------------------
+
+
+def _is_number(x):
+    """An int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_fields(d, what, required, optional=()):
+    """ValueError unless the descriptor ``d`` has every required field and no
+    fields besides the required and optional ones."""
+    extra = set(d) - set(required) - set(optional)
+    if extra:
+        raise ValueError(f"unknown {what} fields: {sorted(extra)}")
+    if not all(key in d for key in required):
+        raise ValueError(f"{what} descriptor requires {' and '.join(map(repr, required))}")
+
+
+def _check_numbers(value, what):
+    """``value`` if it is a number or evenly nested lists of numbers, else ValueError.
+
+    Descriptor fields pass through ``float()``, which would take "1.5" and
+    true as silently as 1.5 and 1.  The walk goes one nesting level at a
+    time and looks at each element only through ``set(map(type, ...))``
+    unless that level holds something other than lists or plain numbers.
+    """
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            level = list(itertools.chain.from_iterable(level))
+            continue
+        if not kinds <= {float, int}:
+            bad = [x for x in level if not _is_number(x)]
+            if bad:
+                raise ValueError(f"{what} must hold numbers only, got {bad[0]!r}")
+        break
+    return value
+
+
+def _copula_from_dict(d):
+    if not isinstance(d, dict):
+        raise ValueError(f"copula descriptor must be an object, got {type(d).__name__}")
+    _check_fields(d, "copula", ("family", "dim"), ("theta", "tau"))
+    for key in ("theta", "tau"):
+        if key in d:
+            _check_numbers(d[key], f"copula {key!r}")
+    return ArchimedeanCopula(d["family"], theta=d.get("theta"), tau=d.get("tau"), dim=d["dim"])
+
+
+def _margin_from_dict(d):
+    if not isinstance(d, dict) or d.get("dist") != "normal":
+        raise ValueError(f"unsupported margin descriptor: {d!r} (expected dist 'normal')")
+    _check_fields(d, "margin", ("mu", "sigma"), ("dist",))
+    return Normal(_check_numbers(d["mu"], "margin 'mu'"),
+                  _check_numbers(d["sigma"], "margin 'sigma'"))
+
+
+def forecast_from_dict(d):
+    """Build a forecast object from its JSON descriptor."""
+    if not isinstance(d, dict) or "type" not in d:
+        raise ValueError(f"forecast descriptor must be an object with a 'type', got {d!r}")
+    t = d["type"]
+    if t == "ensemble":
+        _check_fields(d, t, ("points",), ("type",))
+        return EnsembleForecast(_check_numbers(d["points"], "ensemble 'points'"))
+    if t == "mvgauss":
+        _check_fields(d, t, ("mean", "cov"), ("type",))
+        return GaussianForecast(_check_numbers(d["mean"], "mvgauss 'mean'"),
+                                _check_numbers(d["cov"], "mvgauss 'cov'"))
+    if t == "copula_marginal":
+        _check_fields(d, t, ("copula", "margins"), ("type",))
+        return CopulaMarginalForecast(_copula_from_dict(d["copula"]),
+                                      [_margin_from_dict(m) for m in d["margins"]])
+    raise ValueError(f"unknown forecast type {t!r} (expected ensemble, mvgauss, or copula_marginal)")
+
+
+def forecast_to_dict(forecast):
+    """The JSON descriptor of a forecast, which ``forecast_from_dict`` reads back."""
+    if isinstance(forecast, EnsembleForecast):
+        return {"type": "ensemble", "points": forecast.points.tolist()}
+    if isinstance(forecast, GaussianForecast):
+        return {"type": "mvgauss", "mean": forecast.mean.tolist(), "cov": forecast.cov.tolist()}
+    if isinstance(forecast, CopulaMarginalForecast):
+        cop = forecast.copula
+        copula = {"family": cop.family, "dim": cop.dim}
+        if cop.theta is not None:
+            copula["theta"] = cop.theta
+        return {"type": "copula_marginal", "copula": copula,
+                "margins": [{"dist": "normal", "mu": mg.mu, "sigma": mg.sigma}
+                            for mg in forecast.margins]}
+    raise TypeError(f"cannot describe forecast of type {type(forecast).__name__}")
+
+
+# --- case archives ----------------------------------------------------------
 
 
 def _check_case(forecast, y, dim, lineno):
@@ -179,7 +289,7 @@ def _write_archive_jsonl(archive, path):
         if archive.metadata:
             fh.write(json.dumps({"metadata": archive.metadata}, sort_keys=True) + "\n")
         for fc, y in archive.cases:
-            fh.write(json.dumps({"forecast": fc.to_dict(), "y": [float(c) for c in y]}) + "\n")
+            fh.write(json.dumps({"forecast": forecast_to_dict(fc), "y": [float(c) for c in y]}) + "\n")
 
 
 def _write_archive_csv(archive, path):
@@ -311,6 +421,16 @@ def read_curve(path):
             raise ArchiveError("curve values must lie in [0, 1]", lineno)
     grid, lhs, rhs = np.array(rows).T.copy()
     return ClicalCurve(grid=grid, lhs=lhs, rhs=rhs)
+
+
+def read_result(path):
+    """Load a histogram or a curve written above, told apart by its header line."""
+    readers = {"bin_lo,bin_hi,count": read_histogram, "w,lhs,rhs": read_curve}
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline().strip()
+    if head not in readers:
+        raise ArchiveError("unrecognized result file", 1)
+    return readers[head](path)
 
 
 # --- SVG --------------------------------------------------------------------

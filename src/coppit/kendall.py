@@ -13,11 +13,10 @@ K comes in two shapes (Genest & Rivest 1993), and each has one type:
     w - phi(w)/phi'(w).
 - ``_Empirical``, the step function of a sample of H values, which it
   takes and sorts at the first evaluation, once:
-  - empirical_kendall: the step function of a given sample in [0, 1];
+  - empirical_kendall: the step function of a given sample in [0, 1],
+    such as the frailty draws of ``copulas.kendall_sample``;
   - monte_carlo_kendall: the sample H(X_1..n) for X_i drawn from the
     forecast; works for any forecast and any orthant direction;
-  - archimedean_mc_kendall: the same for a d-dimensional Archimedean copula,
-    sampled through the frailty identity;
   - pseudo_kendall: the ensemble's own pseudo-observations
     w_k = (1/m) #{j : x_j <= x_k coordinatewise}.  Their O(m^2 d) count
     runs at the first evaluation, so a caller that never evaluates it (the
@@ -34,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .copulas import ArchimedeanCopula, kendall_sample
+from .copulas import ArchimedeanCopula
 from .forecasts import (
     CopulaMarginalForecast,
     EnsembleForecast,
@@ -53,7 +52,6 @@ __all__ = [
     "analytic_kendall",
     "empirical_kendall",
     "monte_carlo_kendall",
-    "archimedean_mc_kendall",
     "pseudo_kendall",
     "pseudo_observations",
     "select_kendall",
@@ -142,20 +140,6 @@ def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
     x = forecast.sample(rng, n)
     h = forecast.cdf(x, signs)
     return empirical_kendall(h)
-
-
-def archimedean_mc_kendall(family, theta, dim, rng, n=DEFAULT_MC_SIZE):
-    """Empirical Kendall function of a d-dimensional Archimedean copula.
-
-    Samples the Kendall distribution directly through the frailty identity
-    instead of evaluating the copula CDF at each draw; the result is
-    distributed identically to ``monte_carlo_kendall`` on a copula-marginal
-    forecast but far cheaper in high dimension.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"Monte Carlo sample size must be positive, got {n}")
-    return empirical_kendall(kendall_sample(family, rng, theta=theta, dim=dim, n=n))
 
 
 def pseudo_observations(points):

@@ -30,9 +30,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .calibration import Records, clical_curve, ensemble_counts
-from .copulas import ArchimedeanCopula, copula_cdf, kendall_cdf, sample_copula, tau_to_theta
+from .copulas import (ArchimedeanCopula, copula_cdf, kendall_cdf, kendall_sample, sample_copula,
+                      tau_to_theta)
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
-from .kendall import archimedean_mc_kendall, empirical_kendall, monte_carlo_kendall
+from .kendall import empirical_kendall, monte_carlo_kendall
 from .samplers import DEFAULT_SEED, beta, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
@@ -261,7 +262,7 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
     for i in range(j):
         th = float(theta_hat[i])
         ens[i] = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
-        kfn = archimedean_mc_kendall(family, th, d, rng_f, kendall_n)
+        kfn = empirical_kendall(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
         k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
     ranks = ensemble_counts(ens, y).ranks(itertools.repeat(ties))
 
@@ -312,14 +313,11 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         kfn = monte_carlo_kendall(truth, substream(seed, 3, 0), kendall_n)
         k_left, k_right = kfn.eval_left(h), kfn.eval(h)
     elif variant == "independent":
-        h = ndtr(resid[:, 0]) * ndtr(resid[:, 1])
+        h = copula_cdf("independence", ndtr(resid))
         k_left = k_right = kendall_cdf("independence", h)
     else:
         rng_f = substream(seed, 3, 2)
-        pts = np.empty((j, m, 2))
-        scale = (_DEMO_SHRINK * chol).T
-        for i in range(j):
-            pts[i] = mu[i] + rng_f.normal(size=(m, 2)) @ scale
+        pts = mu[:, None, :] + rng_f.normal(size=(j, m, 2)) @ (_DEMO_SHRINK * chol).T
         counts = ensemble_counts(pts, y)
         h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
         ranks = counts.ranks(itertools.repeat(ties))

@@ -6,7 +6,6 @@ from scipy.special import chdtrc
 from coppit.calibration import (
     HistogramResult,
     clical_curve,
-    cone_signs,
     coppit,
     coppit_interval,
     histogram,
@@ -20,6 +19,7 @@ from coppit.forecasts import (
     EnsembleForecast,
     GaussianForecast,
     Normal,
+    cone_signs,
 )
 from coppit.kendall import analytic_kendall, pseudo_kendall, select_kendall, uniform_kendall
 from coppit.samplers import substream

@@ -5,7 +5,9 @@ Scans ``src/coppit`` with ``ast``: each private (single leading underscore)
 module-level function, class or assignment, and each private method, must
 be loaded by name or as an attribute somewhere besides its definition.  A
 name nothing calls should be deleted rather than kept.  ``io`` is the only
-module that imports ``csv``, and the cone parser and the quadrant table are
+module that imports ``csv`` or ``json`` and the only one that defines the
+forecast descriptor functions; no class serializes itself, and no function
+body imports a package module.  The cone parser and the quadrant table are
 each defined once.  Kendall functions live in ``kendall``: it alone defines
 a class with an ``eval`` method and calls ``searchsorted``.  No module
 imports ``scipy.stats`` at import time: it is most of the package's import
@@ -79,9 +81,30 @@ def _quadrant_tables(tree):
                 yield node
 
 
+def _imports_package(node):
+    """Whether an import node imports a module of this package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "coppit"
+    return isinstance(node, ast.Import) and any(a.name.split(".")[0] == "coppit" for a in node.names)
+
+
 def test_one_home_per_concept():
     trees = _trees()
-    assert [m for m, tree in sorted(trees.items()) if "csv" in set(_imports(tree))] == ["io.py"]
+    for fmt in ("csv", "json"):
+        assert [m for m, tree in sorted(trees.items()) if fmt in set(_imports(tree))] == ["io.py"], fmt
+    descriptors = [m for m, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("forecast_from_dict", "forecast_to_dict")]
+    assert sorted(descriptors) == ["io.py", "io.py"]
+    serializers = [f"{m}: {node.name}.{item.name}" for m, tree in sorted(trees.items())
+                   for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body
+                   if isinstance(item, ast.FunctionDef) and item.name in ("to_dict", "from_dict")]
+    assert not serializers, serializers
+    deferred = [f"{m}:{inner.lineno}" for m, tree in sorted(trees.items())
+                for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for inner in ast.walk(node) if _imports_package(inner)]
+    assert not deferred, deferred
     parsers = [m for m, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "cone_signs"]
     assert parsers == ["forecasts.py"]

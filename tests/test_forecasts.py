@@ -1,4 +1,4 @@
-"""Forecast object tests: CDFs, orthants, sampling, transforms, descriptors."""
+"""Forecast object tests: CDFs, orthants, sampling, transforms."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from coppit.forecasts import (
     Normal,
     apply_monotone,
     apply_permutation,
-    forecast_from_dict,
     margin_forecast,
 )
 
@@ -186,7 +185,7 @@ def test_univariate_forecast():
     assert stats.kstest(x[:, 0], "norm").pvalue >= 0.01
 
 
-# --- transforms and descriptors ---------------------------------------------------
+# --- transforms -----------------------------------------------------------------
 
 
 def test_apply_monotone_and_permutation():
@@ -216,39 +215,3 @@ def test_margin_forecast_consistency():
     assert margin_forecast(e, 1).cdf(5.5) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         margin_forecast(f, 2)
-
-
-def test_descriptor_roundtrips():
-    cases = [
-        EnsembleForecast([[0.0, 1.0], [2.0, -1.0]]),
-        GaussianForecast([0.5, -1.0], [[2.0, 0.8], [0.8, 1.0]]),
-        _gumbel_forecast(),
-    ]
-    for f in cases:
-        assert forecast_from_dict(f.to_dict()) == f
-
-
-def test_descriptor_validation():
-    with pytest.raises(ValueError):
-        forecast_from_dict({"points": [[0.0]]})
-    with pytest.raises(ValueError):
-        forecast_from_dict({"type": "banana"})
-    with pytest.raises(ValueError):
-        forecast_from_dict({"type": "ensemble"})
-    with pytest.raises(ValueError):
-        forecast_from_dict({"type": "ensemble", "points": [[0.0]], "extra": 1})
-    with pytest.raises(ValueError):
-        forecast_from_dict({"type": "mvgauss", "mean": [0, 0]})
-    with pytest.raises(ValueError, match="numbers only"):
-        forecast_from_dict({"type": "ensemble", "points": [["1.5", True], [0.0, 1.0]]})
-    with pytest.raises(ValueError, match="shape"):
-        forecast_from_dict({"type": "ensemble", "points": [[], []]})
-    with pytest.raises(ValueError, match="numbers only"):
-        forecast_from_dict({"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, True]]})
-    assert forecast_from_dict({"type": "ensemble", "points": [[np.float64(1.5), 2]]}) \
-        == EnsembleForecast([[1.5, 2.0]])
-    with pytest.raises(ValueError):
-        forecast_from_dict({"type": "copula_marginal",
-                            "copula": {"family": "gumbel", "theta": 2.0, "dim": 2},
-                            "margins": [{"dist": "lognormal", "mu": 0, "sigma": 1},
-                                        {"dist": "normal", "mu": 0, "sigma": 1}]})

@@ -16,6 +16,8 @@ from coppit.copulas import ArchimedeanCopula
 from coppit.io import (
     ArchiveError,
     CaseArchive,
+    forecast_from_dict,
+    forecast_to_dict,
     read_archive,
     read_curve,
     read_histogram,
@@ -107,6 +109,78 @@ def test_curve_roundtrip_exact(tmp_path):
     assert np.array_equal(back.lhs, curve.lhs)
     assert np.array_equal(back.rhs, curve.rhs)
     assert back.max_abs_gap == curve.max_abs_gap == float(np.max(np.abs(lhs - rhs)))
+
+
+def _gumbel_forecast(tau=0.5):
+    cop = ArchimedeanCopula("gumbel", tau=tau, dim=2)
+    return CopulaMarginalForecast(cop, [Normal(1.0, 2.0), Normal(-0.5, 0.7)])
+
+
+def _with_copula(copula, dim=2):
+    """A copula_marginal descriptor around a copula descriptor, standard normal margins."""
+    return {"type": "copula_marginal", "copula": copula,
+            "margins": [{"dist": "normal", "mu": 0.0, "sigma": 1.0}] * dim}
+
+
+def test_descriptor_roundtrips():
+    cases = [
+        EnsembleForecast([[0.0, 1.0], [2.0, -1.0]]),
+        GaussianForecast([0.5, -1.0], [[2.0, 0.8], [0.8, 1.0]]),
+        _gumbel_forecast(),
+    ]
+    for f in cases:
+        assert forecast_from_dict(forecast_to_dict(f)) == f
+    # archives keep this key order: type first, then family, dim, theta and dist, mu, sigma
+    assert json.dumps(forecast_to_dict(_gumbel_forecast())) == (
+        '{"type": "copula_marginal", "copula": {"family": "gumbel", "dim": 2, "theta": 2.0}, '
+        '"margins": [{"dist": "normal", "mu": 1.0, "sigma": 2.0}, '
+        '{"dist": "normal", "mu": -0.5, "sigma": 0.7}]}')
+
+    c = ArchimedeanCopula("gumbel", tau=0.5, dim=3)
+    d = forecast_to_dict(CopulaMarginalForecast(c, [Normal(0.0, 1.0)] * 3))["copula"]
+    assert d == {"family": "gumbel", "dim": 3, "theta": c.theta}
+    assert forecast_from_dict(_with_copula(d, 3)).copula == c
+    assert forecast_from_dict(_with_copula({"family": "gumbel", "tau": 0.5, "dim": 3}, 3)).copula == c
+    ind = CopulaMarginalForecast(ArchimedeanCopula("independence", dim=2), [Normal(0.0, 1.0)] * 2)
+    assert forecast_from_dict(forecast_to_dict(ind)) == ind
+
+
+def test_descriptor_validation():
+    with pytest.raises(ValueError):
+        forecast_from_dict({"points": [[0.0]]})
+    with pytest.raises(ValueError):
+        forecast_from_dict({"type": "banana"})
+    with pytest.raises(ValueError):
+        forecast_from_dict({"type": "ensemble"})
+    with pytest.raises(ValueError):
+        forecast_from_dict({"type": "ensemble", "points": [[0.0]], "extra": 1})
+    with pytest.raises(ValueError):
+        forecast_from_dict({"type": "mvgauss", "mean": [0, 0]})
+    with pytest.raises(ValueError, match="numbers only"):
+        forecast_from_dict({"type": "ensemble", "points": [["1.5", True], [0.0, 1.0]]})
+    with pytest.raises(ValueError, match="shape"):
+        forecast_from_dict({"type": "ensemble", "points": [[], []]})
+    with pytest.raises(ValueError, match="numbers only"):
+        forecast_from_dict({"type": "mvgauss", "mean": [0, 0], "cov": [["1", 0.2], [0.2, True]]})
+    assert forecast_from_dict({"type": "ensemble", "points": [[np.float64(1.5), 2]]}) \
+        == EnsembleForecast([[1.5, 2.0]])
+    with pytest.raises(ValueError):
+        forecast_from_dict({"type": "copula_marginal",
+                            "copula": {"family": "gumbel", "theta": 2.0, "dim": 2},
+                            "margins": [{"dist": "lognormal", "mu": 0, "sigma": 1},
+                                        {"dist": "normal", "mu": 0, "sigma": 1}]})
+
+    with pytest.raises(ValueError):
+        forecast_from_dict(_with_copula({"family": "gumbel", "theta": 2.0, "tau": 0.5, "dim": 2}))
+    with pytest.raises(ValueError):
+        forecast_from_dict(_with_copula({"family": "gumbel", "theta": 2.0}))
+    with pytest.raises(ValueError):
+        forecast_from_dict(_with_copula({"family": "gumbel", "theta": 2.0, "dim": 2, "color": "red"}))
+    for field, value in (("theta", "2"), ("theta", True), ("tau", "0.5")):
+        with pytest.raises(ValueError, match="numbers only"):
+            forecast_from_dict(_with_copula({"family": "gumbel", field: value, "dim": 2}))
+    with pytest.raises(ValueError, match="copula descriptor must be an object, got list"):
+        forecast_from_dict(_with_copula(["gumbel", 2.0]))
 
 
 def test_jsonl_archive_roundtrip(tmp_path):
