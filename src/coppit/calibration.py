@@ -199,11 +199,10 @@ class EnsembleCounts(NamedTuple):
     tied: np.ndarray
     members: np.ndarray
 
-    def ranks(self, rngs):
-        """Ranks in 1..m+1: each case breaks its pre-rank ties uniformly with
-        the next generator from ``rngs``."""
-        draws = [rng.integers(0, t + 1) for rng, t in zip(rngs, self.tied.tolist())]
-        return 1 + self.below + np.array(draws, dtype=int)
+    def ranks(self, offsets):
+        """Ranks in 1..m+1, given each case's uniform tie-break offset
+        ``offsets[i]`` in 0..tied[i]."""
+        return 1 + self.below + np.asarray(offsets, dtype=int)
 
 
 def ensemble_counts(points, y, signs=None):
@@ -216,8 +215,9 @@ def ensemble_counts(points, y, signs=None):
     """
     pts = np.asarray(points, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if pts.ndim != 3 or pts.shape[1] < 1 or yv.shape != (pts.shape[0], pts.shape[2]):
-        raise ValueError(f"need points (n, m, d) and y (n, d), got {pts.shape} and {yv.shape}")
+    if pts.ndim != 3 or min(pts.shape[1:]) < 1 or yv.shape != (pts.shape[0], pts.shape[2]):
+        raise ValueError(f"need points (n, m, d) and y (n, d) with m, d >= 1, got {pts.shape} "
+                         f"and {yv.shape}")
     pooled = np.concatenate([pts, yv[:, None, :]], axis=1)
     if signs is not None:
         pooled = pooled * -cone_signs(signs, dim=pts.shape[2])
@@ -245,7 +245,7 @@ def multivariate_rank(points, y, rng, signs=None):
     among tied pre-ranks, an integer in 1..m+1.
     """
     _, c = _one_case(points, y, signs)
-    return int(c.ranks([rng])[0])
+    return int(c.ranks([rng.integers(0, int(c.tied[0]) + 1)])[0])
 
 
 def coppit_interval(points, y, signs=None):

@@ -43,7 +43,7 @@ from .io import (
     write_records,
 )
 from .kendall import DEFAULT_MC_SIZE, select_kendall
-from .samplers import DEFAULT_SEED, substream
+from .samplers import DEFAULT_SEED, substream, substream_integers
 
 __all__ = ["main", "build_parser"]
 
@@ -273,7 +273,7 @@ def _stacked(cases, seed, signs, grid=None, k_grid=None):
     rank = np.zeros(n, dtype=int) if ens else None
     h, h_left, k_left, k_right = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for m, idx, c in _ensemble_groups(cases, ens, signs):
-        rank[idx] = c.ranks(substream(seed, 2, i) for i in idx.tolist())
+        rank[idx] = c.ranks(substream_integers(seed, (2,), idx, c.tied + 1))
         h[idx], h_left[idx] = c.h / m, c.below / m
         k_left[idx], k_right[idx] = c.k_left / m, c.k_right / m
         if k_grid is not None:

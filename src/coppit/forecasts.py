@@ -138,8 +138,9 @@ def dominance_counts(points, queries):
 
     ``points`` is (m, d) and ``queries`` (n, d), giving n counts; or both
     carry the same leading case axis, (c, m, d) and (c, n, d), giving (c, n)
-    counts of each case's queries against that case's points.  The
-    (c, n, m, d) comparison runs in chunks of at most ~_CHUNK_ELEMENTS
+    counts of each case's queries against that case's points.  A (c, n, m)
+    boolean block starts from the comparison of coordinate 0 and ands in
+    the others one at a time, in chunks of at most ~_CHUNK_ELEMENTS
     elements; counts are exact integers.
     """
     stacked = points.ndim == 3
@@ -147,15 +148,18 @@ def dominance_counts(points, queries):
         points, queries = points[None], queries[None]
     c, m, d = points.shape
     n = queries.shape[1]
-    rows = max(1, _CHUNK_ELEMENTS // max(1, m * d))  # query rows per chunk
+    rows = max(1, _CHUNK_ELEMENTS // max(1, m))  # query rows per chunk
     step = max(1, rows // max(1, n))  # cases per chunk; 1 when one case needs row chunks
     out = np.empty((c, n), dtype=np.int64)
     for a in range(0, c, step):
         b = min(c, a + step)
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)
-            le = points[a:b, None, :, :] <= queries[a:b, lo:hi, None, :]
-            out[a:b, lo:hi] = le.all(axis=3).sum(axis=2)
+            p, q = points[a:b, None, :, :], queries[a:b, lo:hi, None, :]
+            le = p[..., 0] <= q[..., 0]
+            for k in range(1, d):
+                le &= p[..., k] <= q[..., k]
+            out[a:b, lo:hi] = np.count_nonzero(le, axis=2)
     return out if stacked else out[0]
 
 

@@ -30,6 +30,7 @@ timestamp lives in ``manifest.json``.
 import csv
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -79,8 +80,10 @@ class CaseArchive:
 
 
 def _is_number(x):
-    """An int or a float, but not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A float, or an int (not a bool) that a float can hold: JSON integers
+    have no size limit, and one past the float range overflows ``float()``."""
+    return isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool)
+                                    and abs(x) <= sys.float_info.max)
 
 
 def _check_fields(d, what, required, optional=()):
@@ -97,9 +100,10 @@ def _check_numbers(value, what):
     """``value`` if it is a number or evenly nested lists of numbers, else ValueError.
 
     Descriptor fields pass through ``float()``, which would take "1.5" and
-    true as silently as 1.5 and 1.  The walk goes one nesting level at a
-    time and looks at each element only through ``set(map(type, ...))``
-    unless that level holds something other than lists or plain numbers.
+    true as silently as 1.5 and 1, and raise OverflowError on an int past
+    the float range.  The walk goes one nesting level at a time and looks at
+    each element only through ``set(map(type, ...))`` unless that level
+    holds something other than lists or floats.
     """
     level = [value]
     while level:
@@ -107,10 +111,11 @@ def _check_numbers(value, what):
         if kinds == {list}:
             level = list(itertools.chain.from_iterable(level))
             continue
-        if not kinds <= {float, int}:
+        if kinds != {float}:
             bad = [x for x in level if not _is_number(x)]
             if bad:
-                raise ValueError(f"{what} must hold numbers only, got {bad[0]!r}")
+                shown = "an integer past the float range" if type(bad[0]) is int else repr(bad[0])
+                raise ValueError(f"{what} must hold numbers only, got {shown}")
         break
     return value
 
@@ -204,8 +209,8 @@ def _read_archive_jsonl(path):
                 continue
             try:
                 obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ArchiveError(f"invalid JSON ({exc.msg})", lineno) from None
+            except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+                raise ArchiveError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from None
             if not isinstance(obj, dict):
                 raise ArchiveError("expected a JSON object", lineno)
             if not cases and set(obj) == {"metadata"}:
@@ -217,7 +222,8 @@ def _read_archive_jsonl(path):
                 raise ArchiveError("expected exactly the keys 'forecast' and 'y'", lineno)
             y = obj["y"]
             if not (_is_number(y) or isinstance(y, list) and all(map(_is_number, y))):
-                raise ArchiveError("'y' must be a number or a flat list of numbers", lineno)
+                raise ArchiveError(
+                    "'y' must be a number or a flat list of numbers in the float range", lineno)
             try:
                 fc = forecast_from_dict(obj["forecast"])
             except (ValueError, TypeError, KeyError) as exc:

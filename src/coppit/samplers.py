@@ -6,7 +6,10 @@ bit across platforms for a given seed.  Independent simulation components
 get independent sub-streams derived from the master seed through
 SeedSequence spawn keys: ``substream(seed, k, ...)`` is the stream for
 component ``(k, ...)``, and adding a new component (a new spawn key) never
-perturbs the draws of existing ones.
+perturbs the draws of existing ones.  ``substream_integers`` gives, for
+many components ``(k, ..., i)`` at once, the one bounded integer that each
+of their streams would draw first, bit for bit, without building the
+generators.
 
 Callers draw uniforms, normals and exponentials from the Generator itself.
 Beyond parameter-checked beta and gamma, the module provides three samplers
@@ -28,6 +31,7 @@ __all__ = [
     "DEFAULT_SEED",
     "make_rng",
     "substream",
+    "substream_integers",
     "beta",
     "gamma",
     "positive_stable",
@@ -49,6 +53,15 @@ def make_rng(seed=DEFAULT_SEED):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
 
 
+def _check_key(key):
+    if not key:
+        raise ValueError("substream requires at least one key component")
+    key = tuple(int(k) for k in key)
+    if any(k < 0 for k in key):
+        raise ValueError(f"substream key components must be non-negative, got {key}")
+    return key
+
+
 def substream(seed, *key):
     """Independent Generator for component ``key`` under ``seed``.
 
@@ -56,13 +69,102 @@ def substream(seed, *key):
     distinct keys are statistically independent, and the mapping
     (seed, key) -> stream is stable: new keys never disturb old ones.
     """
-    seed = _check_seed(seed)
-    if not key:
-        raise ValueError("substream requires at least one key component")
-    key = tuple(int(k) for k in key)
-    if any(k < 0 for k in key):
-        raise ValueError(f"substream key components must be non-negative, got {key}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(_check_seed(seed), spawn_key=_check_key(key))))
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq_fe) and the
+# Philox4x64-10 multipliers and Weyl key increments (Salmon et al. 2011)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _words(x):
+    """The number of uint32 words SeedSequence makes of the integer ``x``."""
+    return max(1, -(-x.bit_length() // 32))
+
+
+def _hash(x, const, mult):
+    """SeedSequence's hashmix step on the uint32 array ``x``, and the next constant."""
+    following = const * mult & _MASK32
+    x = (x ^ np.uint32(const)) * np.uint32(following)
+    return x ^ x >> np.uint32(16), following
+
+
+def _mulhilo(a, b):
+    """High and low 64-bit words of the 128-bit products of the constant
+    ``a`` and the uint64 array ``b``, from 32-bit halves."""
+    lo32 = np.uint64(_MASK32)
+    a0, a1, b0, b1 = np.uint64(a & _MASK32), np.uint64(a >> 32), b & lo32, b >> np.uint64(32)
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> np.uint64(32)) + (cross0 & lo32) + (cross1 & lo32)
+    hi = a1 * b1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, np.uint64(a) * b
+
+
+def _first_words(seed, key, idx):
+    """Low 32 bits of the first 64-bit output of the Philox stream of each
+    component ``(*key, idx[i])``, for ``idx`` below 2**32.
+
+    A child's entropy is its parent's plus the one word idx[i], so its pool
+    is the parent's pool mixed with that word: four hashmix/mix steps whose
+    hash constant continues past the parent's 16 + 4 (words - 4) calls.
+    ``generate_state(2, uint64)`` hashes the pool into the Philox key, and
+    the first output is block 1: Philox increments its counter before it
+    generates.
+    """
+    words = max(4, _words(seed)) + sum(_words(k) for k in key)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _MASK32
+    pool = np.random.SeedSequence(seed, spawn_key=key).pool.tolist()
+    x = idx.astype(np.uint32)
+    state, hash_b = [], _INIT_B
+    with np.errstate(over="ignore"):
+        for p in pool:
+            hashed, const = _hash(x, const, _MULT_A)
+            mixed = np.uint32(_MIX_L * p & _MASK32) - np.uint32(_MIX_R) * hashed
+            word, hash_b = _hash(mixed ^ mixed >> np.uint32(16), hash_b, _MULT_B)
+            state.append(word.astype(np.uint64))
+        k0, k1 = state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)
+        c0 = np.ones(idx.shape, dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros(idx.shape, dtype=np.uint64)
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0 & np.uint64(_MASK32)
+
+
+def substream_integers(seed, key, idx, high):
+    """``substream(seed, *key, idx[i]).integers(0, high[i])`` for each i, as
+    an int64 array, bit for bit, without building the generators.
+
+    ``idx`` and ``high`` are equal-length integer sequences, with idx >= 0
+    and high >= 1.  The draw is Lemire's bounded integer on the stream's
+    first 32-bit output: u * high >> 32, rejected when the low word of
+    u * high falls below (2**32 - high) mod high.  Rejected draws, idx of
+    2**32 or more and high past 2**32 - 1 are drawn by ``substream``
+    itself; high = 1 gives 0, as numpy does without drawing.
+    """
+    seed, key = _check_seed(seed), _check_key(key)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    high = np.asarray(high, dtype=np.int64).reshape(-1)
+    if idx.shape != high.shape or np.any(idx < 0) or np.any(high < 1):
+        raise ValueError("need equal-length idx >= 0 and high >= 1")
+    u = _first_words(seed, key, idx)
+    with np.errstate(over="ignore"):
+        h = high.astype(np.uint64)
+        scaled = u * h
+        rejected = (scaled & np.uint64(_MASK32)) < (np.uint64(1 << 32) - h) % h
+    out = (scaled >> np.uint64(32)).astype(np.int64)
+    for i in np.flatnonzero(rejected | (idx > _MASK32) | (high > _MASK32)).tolist():
+        out[i] = substream(seed, *key, int(idx[i])).integers(0, int(high[i]))
+    return out
 
 
 def beta(rng, a, b, size=None):

@@ -22,7 +22,6 @@ reproduces the full run's values bit for bit and reruns are deterministic.
 """
 
 import hashlib
-import itertools
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -264,7 +263,8 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         ens[i] = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
         kfn = empirical_kendall(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
         k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
-    ranks = ensemble_counts(ens, y).ranks(itertools.repeat(ties))
+    counts = ensemble_counts(ens, y)
+    ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
     return HighDimBatch(h, k_left, k_right, v, rank=ranks, variant=variant, family=family,
                         j=j, d=d, m=m, seed=int(seed), kendall_n=kendall_n,
@@ -320,7 +320,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         pts = mu[:, None, :] + rng_f.normal(size=(j, m, 2)) @ (_DEMO_SHRINK * chol).T
         counts = ensemble_counts(pts, y)
         h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
-        ranks = counts.ranks(itertools.repeat(ties))
+        ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
     return DemoBatch(h, k_left, k_right, v, rank=ranks, variant=variant, j=j,
                      m=m if variant == "ensemble" else None, seed=int(seed))

@@ -305,6 +305,23 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
             assert main([command, "--in", str(path), "--out", str(tmp_path / "o")]) == 2
             assert f"error: {line}: bad forecast descriptor" in capsys.readouterr().err
 
+    # JSON integers past the float range, and past Python's 4300-digit limit
+    big = str(10**400)
+    margin = '{"dist": "normal", "mu": 0, "sigma": 1}'
+    for forecast, y in [
+            ('{"type": "ensemble", "points": [[0, 0]]}', f"[0, {big}]"),
+            ('{"type": "ensemble", "points": [[0, %s]]}' % big, "[0, 0]"),
+            ('{"type": "mvgauss", "mean": [0, 0], "cov": [[%s, 0], [0, 1]]}' % big, "[0, 0]"),
+            ('{"type": "copula_marginal", "copula": {"family": "clayton", "theta": %s, "dim": 2}, '
+             '"margins": [%s, %s]}' % (big, margin, margin.replace("1}", big + "}")), "[0, 0]"),
+            ('{"type": "ensemble", "points": [[0, 0]]}', "[0, 1%s]" % ("0" * 5000))]:
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": %s, "y": %s}\n' % (forecast, y))
+        for command in ("coppit", "clical"):
+            assert main([command, "--in", str(huge), "--out", str(tmp_path / "o")]) == 2
+            assert "error: line 2: " in capsys.readouterr().err
+
     capsys.readouterr()
     nonfinite = tmp_path / "nonfinite.csv"
     nonfinite.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,nan,4\n")

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -264,6 +265,36 @@ def test_jsonl_archive_errors(tmp_path):
         path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
                         '{"forecast": %s, "y": [0, 0]}\n' % forecast)
         with pytest.raises(ArchiveError, match=f"line 2.*{field} must hold numbers only"):
+            read_archive(path)
+
+    # a JSON integer past the float range is no number: float() would overflow
+    big = str(10**400)
+    for field, forecast in [
+            ("ensemble 'points'", '{"type": "ensemble", "points": [[0, %s], [0, 0]]}' % big),
+            ("mvgauss 'mean'",
+             '{"type": "mvgauss", "mean": [0, -%s], "cov": [[1, 0], [0, 1]]}' % big),
+            ("mvgauss 'cov'",
+             '{"type": "mvgauss", "mean": [0, 0], "cov": [[1, 0], [0, %s]]}' % big),
+            ("copula 'theta'", copula % ('"theta": %s' % big, normal, normal)),
+            ("copula 'tau'", copula % ('"tau": %s' % big, normal, normal)),
+            ("margin 'mu'",
+             copula % ('"theta": 2', normal, normal.replace('"mu": 0', '"mu": ' + big))),
+            ("margin 'sigma'", copula % ('"theta": 2', normal, normal.replace("1}", big + "}"))),
+    ]:
+        path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": %s, "y": [0, 0]}\n' % forecast)
+        with pytest.raises(ArchiveError, match=f"line 2.*{field} must hold numbers only, got an "
+                                               "integer past the float range"):
+            read_archive(path)
+    # ints up to the largest float are numbers, as are their floats
+    path.write_text('{"forecast": {"type": "ensemble", "points": [[0, %d]]}, "y": [0, 0]}\n'
+                    % int(sys.float_info.max))
+    assert read_archive(path).cases[0][0].points[0, 1] == sys.float_info.max
+    # Python refuses to parse an int of more than 4300 digits
+    for y in (f"[0, {big}]", big, "[0, 1%s]" % ("0" * 5000)):
+        path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": %s}\n' % y)
+        with pytest.raises(ArchiveError, match="line 2"):
             read_archive(path)
 
     for y in ("[[0], [1]]", "[true, false]", '["a", "b"]', "true"):

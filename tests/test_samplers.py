@@ -34,6 +34,35 @@ def test_substream_independent_and_stable():
     assert not np.array_equal(sp.substream(42, 0, 0).random(50), a0)
 
 
+def test_substream_integers_match_substreams(monkeypatch):
+    # every idx from 2**32 on, and the rejected draws, go to substream itself;
+    # idx is a reversed (negative-stride) view of gapped values
+    idx = np.r_[np.arange(0, 300, 3), 2**32 - 1, 2**32, 2**32 + 7][::-1]
+    high = np.resize([1, *range(2, 22), 2**31 + 6, 2**32 - 1], idx.size)
+    real, big, rejected = sp.substream, int(np.sum(idx >= 2**32)), 0
+    for seed in (0, 1, 123456789, 2**32 - 1, 2**32, 2**64 + 3, 2**130):
+        for key in ((2,), (7, 3), (2**33,)):
+            want = [real(seed, *key, i).integers(0, h)
+                    for i, h in zip(idx.tolist(), high.tolist())]
+            calls = []
+            monkeypatch.setattr(sp, "substream", lambda *a: calls.append(a) or real(*a))
+            got = sp.substream_integers(seed, key, idx, high)
+            monkeypatch.setattr(sp, "substream", real)
+            assert got.dtype == np.int64 and got.tolist() == want, (seed, key)
+            # high = 2**31 + 6 rejects about half its draws; smaller ranges almost never
+            assert big <= len(calls) <= np.sum((idx >= 2**32) | (high > 2**31))
+            rejected += len(calls) - big
+    assert rejected > 10
+    assert sp.substream_integers(5, (2,), [], []).size == 0
+    for bad in ([-1], [0, 1]):
+        with pytest.raises(ValueError):
+            sp.substream_integers(5, (2,), bad, [3])
+    with pytest.raises(ValueError):
+        sp.substream_integers(5, (2,), [0], [0])
+    with pytest.raises(ValueError):
+        sp.substream_integers(5, (), [0], [3])
+
+
 def test_seed_validation():
     for bad in (-1, 1.5, "7", None, True):
         with pytest.raises(ValueError):

@@ -100,15 +100,24 @@ def test_ensemble_counts_validation():
         ensemble_counts(np.zeros((3, 2)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         ensemble_counts(np.zeros((2, 0, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        ensemble_counts(np.zeros((2, 3, 0)), np.zeros((2, 0)))
 
 
 def test_dominance_counts_chunks(monkeypatch):
     rng = np.random.default_rng(12)
-    pts = np.round(rng.standard_normal((7, 5, 2)), 1)
-    queries = np.round(rng.standard_normal((7, 9, 2)), 1)
-    want = (pts[:, None, :, :] <= queries[:, :, None, :]).all(axis=3).sum(axis=2)
-    # budgets give row chunks within a case, one case per chunk, two, and all seven
-    for budget in (10, 25, 100, 200, 10_000):
-        monkeypatch.setattr(forecasts, "_CHUNK_ELEMENTS", budget)
-        assert np.array_equal(dominance_counts(pts, queries), want)
-        assert np.array_equal(dominance_counts(pts[0], queries[0]), want[0])
+    for d in (1, 2, 3, 50):
+        pts = rng.integers(0, 3, (7, 5, d)).astype(float)
+        # each query is the coordinatewise max of a random subset of its case's
+        # members: it dominates them, ties them in many coordinates, and is
+        # one of them when the subset has one member
+        pick = rng.random((7, 9, 5)) < 0.4
+        queries = np.where(pick[..., None], pts[:, None], -np.inf).max(axis=2)
+        want = (pts[:, None, :, :] <= queries[:, :, None, :]).all(axis=3).sum(axis=2)
+        assert len(np.unique(want)) > 2
+        # a case is 9 x 5 = 45 elements: budgets give row chunks within a case,
+        # one case per chunk, two, and all seven
+        for budget in (10, 25, 50, 100, 10_000):
+            monkeypatch.setattr(forecasts, "_CHUNK_ELEMENTS", budget)
+            assert np.array_equal(dominance_counts(pts, queries), want)
+            assert np.array_equal(dominance_counts(pts[0], queries[0]), want[0])
