@@ -422,7 +422,7 @@ def _cmd_simulate_bivariate(args, seed, argv):
         for quadrant, rec in (fb.directional or {}).items():
             _write_pit(rec, args.bins, sub, sub_outputs, f"_{quadrant}")
         outputs += [f"{fb.label}/{name}" for name in sub_outputs]
-    _finish(args, seed, out, outputs, argv, study.j * len(study.forecasters))
+    _finish(args, seed, out, outputs, argv, len(study.y) * len(study.forecasters))
     return 0
 
 
@@ -433,7 +433,7 @@ def _cmd_simulate_batch(run, args, seed, argv):
     out = _out_dir(args)
     outputs = []
     _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
-    _finish(args, seed, out, outputs, argv, batch.j)
+    _finish(args, seed, out, outputs, argv, len(batch))
     return 0
 
 

@@ -631,7 +631,7 @@ class ArchimedeanCopula:
             raise ValueError(f"expected points of dimension {self.dim}, got shape {u_arr.shape}")
         return copula_cdf(self.family, u_arr, self.theta)
 
-    def sample(self, rng, n=None):
+    def sample(self, rng, n):
         return sample_copula(self.family, rng, self.theta, self.dim, n)
 
     def kendall_cdf(self, w):

@@ -1,8 +1,8 @@
 """Forecast objects: multivariate CDFs in any orthant, and sampling.
 
 Three multivariate forecast types share one interface (``dim``,
-``cdf(y, signs=None)``, ``sample``), and ``io`` reads and writes their JSON
-descriptors:
+``cdf(y, signs=None)``, and ``sample(rng, n)``, which returns n draws as an
+(n, dim) array), and ``io`` reads and writes their JSON descriptors:
 
 - EnsembleForecast: the empirical measure of m member vectors; CDF counts
   are weak (<=) coordinatewise.
@@ -81,10 +81,8 @@ class Normal:
     def cdf_left(self, y):
         return self.cdf(y)
 
-    def sample(self, rng, n=None):
-        q = np.clip(rng.random((1 if n is None else int(n), 1)), 2.0**-53, 1.0 - 2.0**-53)
-        draws = self.ppf(q)
-        return draws[0] if n is None else draws
+    def sample(self, rng, n):
+        return self.ppf(np.clip(rng.random((int(n), 1)), 2.0**-53, 1.0 - 2.0**-53))
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
@@ -102,7 +100,7 @@ class Normal:
 # --- shared helpers -----------------------------------------------------------
 
 
-def _as_points(y, dim, what="y"):
+def _as_points(y, dim):
     """Coerce y to (n, dim); report whether the input was a single point."""
     arr = np.asarray(y, dtype=float)
     if arr.ndim == 0 and dim == 1:
@@ -111,13 +109,13 @@ def _as_points(y, dim, what="y"):
         if dim == 1 and arr.shape[0] != 1:
             return arr[:, None], False
         if arr.shape[0] != dim:
-            raise ValueError(f"{what} has dimension {arr.shape[0]}, forecast has {dim}")
+            raise ValueError(f"y has dimension {arr.shape[0]}, forecast has {dim}")
         return arr[None, :], True
     if arr.ndim == 2:
         if arr.shape[1] != dim:
-            raise ValueError(f"{what} has dimension {arr.shape[1]}, forecast has {dim}")
+            raise ValueError(f"y has dimension {arr.shape[1]}, forecast has {dim}")
         return arr, False
-    raise ValueError(f"{what} must have shape ({dim},) or (n, {dim}), got {arr.shape}")
+    raise ValueError(f"y must have shape ({dim},) or (n, {dim}), got {arr.shape}")
 
 
 def _as_members(points):
@@ -223,10 +221,8 @@ class EnsembleForecast:
         vals = (self.points[None, :, 0] < y_mat[:, 0][:, None]).sum(axis=1) / self.m
         return float(vals[0]) if single else vals
 
-    def sample(self, rng, n=None):
-        rows = rng.integers(0, self.m, size=1 if n is None else int(n))
-        picked = self.points[rows]
-        return picked[0] if n is None else picked
+    def sample(self, rng, n):
+        return self.points[rng.integers(0, self.m, size=int(n))]
 
     def __eq__(self, other):
         return isinstance(other, EnsembleForecast) and np.array_equal(self.points, other.points)
@@ -269,10 +265,8 @@ class GaussianForecast:
         vals = np.atleast_1d(bvn_cdf(h, k, s[0] * s[1] * self._rho))
         return float(vals[0]) if single else vals
 
-    def sample(self, rng, n=None):
-        z = rng.standard_normal((1 if n is None else int(n), 2))
-        draws = self.mean + z @ self._chol.T
-        return draws[0] if n is None else draws
+    def sample(self, rng, n):
+        return self.mean + rng.standard_normal((int(n), 2)) @ self._chol.T
 
     def __eq__(self, other):
         return (isinstance(other, GaussianForecast)
@@ -321,12 +315,12 @@ class CopulaMarginalForecast:
         vals = np.clip(total, 0.0, 1.0)
         return float(vals[0]) if single else vals
 
-    def sample(self, rng, n=None):
-        u = self.copula.sample(rng, 1 if n is None else int(n))
+    def sample(self, rng, n):
+        u = self.copula.sample(rng, n)
         draws = np.empty_like(u)
         for j, mg in enumerate(self.margins):
             draws[:, j] = mg.ppf(u[:, j])
-        return draws[0] if n is None else draws
+        return draws
 
     def __eq__(self, other):
         return (isinstance(other, CopulaMarginalForecast)

@@ -5,8 +5,10 @@ A forecast descriptor is one forecast's JSON object, ``type`` first:
 ``ensemble`` (``points``), ``mvgauss`` (``mean``, ``cov``) or
 ``copula_marginal`` (``copula``: ``family``, ``dim`` and ``theta`` or
 ``tau``; ``margins``: ``dist`` "normal", ``mu``, ``sigma``).
-``forecast_from_dict`` checks every field before it builds the forecast,
-and ``forecast_to_dict`` writes its descriptor.
+``forecast_from_dict`` checks every field before it builds the forecast:
+a malformed one (a non-number, a ragged list, a list where one number
+belongs, ``margins`` that is no list) raises ValueError naming the field.
+``forecast_to_dict`` writes the descriptor.
 
 Archives hold the evaluation sample: one (forecast, observation) pair per
 case.  Two on-disk forms are supported, chosen by file suffix:
@@ -62,10 +64,9 @@ __all__ = [
 
 
 class ArchiveError(ValueError):
-    """Malformed archive or result file; carries the offending line number."""
+    """Malformed archive or result file; its message names the offending line, if any."""
 
     def __init__(self, message, line=None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -109,6 +110,8 @@ def _check_numbers(value, what):
     while level:
         kinds = set(map(type, level))
         if kinds == {list}:
+            if len(set(map(len, level))) > 1:
+                raise ValueError(f"{what} must be evenly nested lists")
             level = list(itertools.chain.from_iterable(level))
             continue
         if kinds != {float}:
@@ -120,13 +123,20 @@ def _check_numbers(value, what):
     return value
 
 
+def _check_number(value, what):
+    """``value`` if it is one number, else ValueError."""
+    if isinstance(value, list):
+        raise ValueError(f"{what} must be one number, got a list")
+    return _check_numbers(value, what)
+
+
 def _copula_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError(f"copula descriptor must be an object, got {type(d).__name__}")
     _check_fields(d, "copula", ("family", "dim"), ("theta", "tau"))
     for key in ("theta", "tau"):
         if key in d:
-            _check_numbers(d[key], f"copula {key!r}")
+            _check_number(d[key], f"copula {key!r}")
     return ArchimedeanCopula(d["family"], theta=d.get("theta"), tau=d.get("tau"), dim=d["dim"])
 
 
@@ -134,8 +144,8 @@ def _margin_from_dict(d):
     if not isinstance(d, dict) or d.get("dist") != "normal":
         raise ValueError(f"unsupported margin descriptor: {d!r} (expected dist 'normal')")
     _check_fields(d, "margin", ("mu", "sigma"), ("dist",))
-    return Normal(_check_numbers(d["mu"], "margin 'mu'"),
-                  _check_numbers(d["sigma"], "margin 'sigma'"))
+    return Normal(_check_number(d["mu"], "margin 'mu'"),
+                  _check_number(d["sigma"], "margin 'sigma'"))
 
 
 def forecast_from_dict(d):
@@ -152,8 +162,11 @@ def forecast_from_dict(d):
                                 _check_numbers(d["cov"], "mvgauss 'cov'"))
     if t == "copula_marginal":
         _check_fields(d, t, ("copula", "margins"), ("type",))
+        margins = d["margins"]
+        if not isinstance(margins, list):
+            raise ValueError(f"copula_marginal 'margins' must be a list, got {type(margins).__name__}")
         return CopulaMarginalForecast(_copula_from_dict(d["copula"]),
-                                      [_margin_from_dict(m) for m in d["margins"]])
+                                      [_margin_from_dict(m) for m in margins])
     raise ValueError(f"unknown forecast type {t!r} (expected ensemble, mvgauss, or copula_marginal)")
 
 

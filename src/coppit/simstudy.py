@@ -15,8 +15,9 @@ latent-parameter truth together with the full set of calibration records:
   zero-correlation variant, and an underdispersed m=8 ensemble.
 
 Each result is a ``Records`` batch (one row per case) extended with the
-scenario's own fields.  All randomness flows through fixed sub-streams of
-the run seed (latent draws, the shared randomization draws v, rank
+values the scenario computed; none echoes its seed, variant or case count
+(``len`` gives the cases).  All randomness flows through fixed sub-streams
+of the run seed (latent draws, the shared randomization draws v, rank
 tie-breaking, per-forecaster Monte Carlo), so any subset of forecasters
 reproduces the full run's values bit for bit and reruns are deterministic.
 """
@@ -82,8 +83,6 @@ class ForecasterBatch(Records):
 
 @dataclass
 class BivariateStudy:
-    j: int
-    seed: int
     b1: np.ndarray
     b2: np.ndarray
     tau: np.ndarray
@@ -159,8 +158,7 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
             h, k, k, v, label=label, mu1=mu1, sd2=sd2, theta=theta_hat,
             pit1=pit1, pit2=pit2, directional=directional))
 
-    return BivariateStudy(j=j, seed=int(seed), b1=b1, b2=b2, tau=tau, y=y,
-                          forecasters=tuple(batches))
+    return BivariateStudy(b1=b1, b2=b2, tau=tau, y=y, forecasters=tuple(batches))
 
 
 def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
@@ -185,27 +183,23 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
     return {q: Records(*cols[q], v) for q in QUADRANTS}
 
 
-def bivariate_clical(study, label, grid=None):
+def bivariate_clical(study, label):
     """Climatological calibration curve of one forecaster in a bivariate run.
 
     lhs is the empirical CDF of the h values; rhs is the case mean of the
-    closed-form Gumbel Kendall functions on ``grid`` (101 points by default).
+    closed-form Gumbel Kendall functions, both on 101 evenly spaced points
+    of [0, 1].
     """
     fb = study.batch(label)
-    grid = np.linspace(0.0, 1.0, 101) if grid is None else np.asarray(grid, dtype=float)
+    grid = np.linspace(0.0, 1.0, 101)
     mean_k = kendall_cdf("gumbel", grid[None, :], fb.theta[:, None]).mean(axis=0)
     return clical_curve(fb.h, mean_k, grid)
 
 
 @dataclass(eq=False, kw_only=True)
 class HighDimBatch(Records):
-    variant: str
     family: str
-    j: int
-    d: int
     m: int
-    seed: int
-    kendall_n: int
     theta_true: np.ndarray
     theta_hat: np.ndarray
 
@@ -266,17 +260,13 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
     counts = ensemble_counts(ens, y)
     ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
-    return HighDimBatch(h, k_left, k_right, v, rank=ranks, variant=variant, family=family,
-                        j=j, d=d, m=m, seed=int(seed), kendall_n=kendall_n,
+    return HighDimBatch(h, k_left, k_right, v, rank=ranks, family=family, m=m,
                         theta_true=theta_true, theta_hat=theta_hat)
 
 
 @dataclass(eq=False, kw_only=True)
 class DemoBatch(Records):
-    variant: str
-    j: int
     m: Optional[int]
-    seed: int
 
 
 def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
@@ -322,8 +312,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
         ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
-    return DemoBatch(h, k_left, k_right, v, rank=ranks, variant=variant, j=j,
-                     m=m if variant == "ensemble" else None, seed=int(seed))
+    return DemoBatch(h, k_left, k_right, v, rank=ranks, m=m if variant == "ensemble" else None)
 
 
 def demo_truth_forecast(mu, rho=_DEMO_RHO):

@@ -322,6 +322,22 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
             assert main([command, "--in", str(huge), "--out", str(tmp_path / "o")]) == 2
             assert "error: line 2: " in capsys.readouterr().err
 
+    # malformed shapes name their field, not a Python or numpy internal
+    for forecast, message in [
+            ('{"type": "mvgauss", "mean": [0, 0], "cov": [[1, 2], [3]]}',
+             "mvgauss 'cov' must be evenly nested lists"),
+            ('{"type": "copula_marginal", "copula": {"family": "clayton", "theta": [2.0, 3.0], '
+             '"dim": 2}, "margins": [%s, %s]}' % (margin, margin),
+             "copula 'theta' must be one number, got a list"),
+            ('{"type": "copula_marginal", "copula": {"family": "clayton", "theta": 2.0, "dim": 2}, '
+             '"margins": 5}', "copula_marginal 'margins' must be a list, got int")]:
+        shaped = tmp_path / "shaped.jsonl"
+        shaped.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                          '{"forecast": %s, "y": [0, 0]}\n' % forecast)
+        for command in ("coppit", "clical"):
+            assert main([command, "--in", str(shaped), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == f"error: line 2: bad forecast descriptor: {message}\n"
+
     capsys.readouterr()
     nonfinite = tmp_path / "nonfinite.csv"
     nonfinite.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,nan,4\n")

@@ -3,8 +3,10 @@ each shared concept has one home.
 
 Scans ``src/coppit`` with ``ast``: each private (single leading underscore)
 module-level function, class or assignment, and each private method, must
-be loaded by name or as an attribute somewhere besides its definition.  A
-name nothing calls should be deleted rather than kept.  ``io`` is the only
+be loaded by name or as an attribute somewhere besides its definition, and
+each attribute stored on ``self`` must be read somewhere in ``src``,
+``tests`` or ``bench``.  A name nothing calls, or a field nothing reads,
+should be deleted rather than kept.  ``io`` is the only
 module that imports ``csv`` or ``json`` and the only one that defines the
 forecast descriptor functions; no class serializes itself, and no function
 body imports a package module.  The cone parser and the quadrant table are
@@ -18,7 +20,8 @@ cost, and only the on-access KS p-value needs it.  No module imports
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "coppit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "coppit"
 
 
 def _private(name):
@@ -59,6 +62,25 @@ def test_no_unreferenced_private_names():
     unused = [f"{module}: {qual}" for module, tree in sorted(trees.items())
               for qual, name in _definitions(tree) if name not in used]
     assert trees and not unused, unused
+
+
+def _self_stores(tree):
+    """(line, name) of each attribute assigned on ``self``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            yield node.lineno, node.attr
+
+
+def test_no_write_only_attributes():
+    readers = [ast.parse(path.read_text(encoding="utf-8"))
+               for folder in (SRC, ROOT / "tests", ROOT / "bench") for path in folder.glob("*.py")]
+    # attribute reads only: a local variable named like a field reads nothing
+    loaded = {node.attr for tree in readers for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}:{line}: self.{name}" for module, tree in sorted(_trees().items())
+              for line, name in _self_stores(tree) if name not in loaded]
+    assert readers and not unread, unread
 
 
 def _imports(tree):

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coppit.calibration import ClicalCurve, HistogramResult, Records, histogram, rank_histogram
 from coppit.forecasts import (
@@ -286,6 +288,29 @@ def test_jsonl_archive_errors(tmp_path):
         with pytest.raises(ArchiveError, match=f"line 2.*{field} must hold numbers only, got an "
                                                "integer past the float range"):
             read_archive(path)
+    # ragged lists, a list in a one-number field, and 'margins' that is no list
+    margins = '{"type": "copula_marginal", "copula": {"family": "gumbel", "theta": 2, "dim": 2}, ' \
+              '"margins": %s}'
+    for message, forecast in [
+            ("ensemble 'points' must be evenly nested lists",
+             '{"type": "ensemble", "points": [[1, 2], [3]]}'),
+            ("mvgauss 'cov' must be evenly nested lists",
+             '{"type": "mvgauss", "mean": [0, 0], "cov": [[1, 0], [0]]}'),
+            ("copula 'theta' must be one number, got a list",
+             copula % ('"theta": [2.0, 3.0]', normal, normal)),
+            ("copula 'tau' must be one number, got a list", copula % ('"tau": [0.5]', normal, normal)),
+            ("margin 'mu' must be one number, got a list",
+             copula % ('"theta": 2', normal.replace('"mu": 0', '"mu": [0]'), normal)),
+            ("margin 'sigma' must be one number, got a list",
+             copula % ('"theta": 2', normal, normal.replace("1}", "[1]}"))),
+            ("copula_marginal 'margins' must be a list, got int", margins % "5"),
+            ("copula_marginal 'margins' must be a list, got dict", margins % normal),
+            ("copula_marginal 'margins' must be a list, got str", margins % '"normal"'),
+    ]:
+        path.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                        '{"forecast": %s, "y": [0, 0]}\n' % forecast)
+        with pytest.raises(ArchiveError, match=f"^line 2: bad forecast descriptor: {message}$"):
+            read_archive(path)
     # ints up to the largest float are numbers, as are their floats
     path.write_text('{"forecast": {"type": "ensemble", "points": [[0, %d]]}, "y": [0, 0]}\n'
                     % int(sys.float_info.max))
@@ -306,6 +331,64 @@ def test_jsonl_archive_errors(tmp_path):
     path.write_text("\n")
     with pytest.raises(ArchiveError, match="no cases"):
         read_archive(path)
+
+
+
+_NUMBERS = st.one_of(st.floats(), st.integers(),
+                     st.sampled_from([int(sys.float_info.max), 2**1024, -10**400, 10**400]))
+_JSON_SCALARS = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3))
+
+
+@st.composite
+def _even_lists(draw):
+    """A number, or evenly nested lists of numbers of a drawn shape."""
+    shape = draw(st.lists(st.integers(0, 3), max_size=3))
+    flat = draw(st.lists(_NUMBERS, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=object).reshape(shape).tolist()
+
+
+_JSON_VALUES = st.one_of(
+    _JSON_SCALARS, _even_lists(),
+    st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+        max_leaves=8))
+
+_NORMAL = {"dist": "normal", "mu": 0.0, "sigma": 1.0}
+_DESCRIPTORS = {
+    "ensemble": {"type": "ensemble", "points": [[0.0, 1.0], [1.0, 0.0]]},
+    "mvgauss": {"type": "mvgauss", "mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.5, 1.0]]},
+    "theta": {"type": "copula_marginal", "copula": {"family": "gumbel", "theta": 2.0, "dim": 2},
+              "margins": [_NORMAL, _NORMAL]},
+    "tau": {"type": "copula_marginal", "copula": {"family": "clayton", "tau": 0.5, "dim": 2},
+            "margins": [_NORMAL, _NORMAL]},
+}
+# (descriptor, path to the field) for every numeric field, and for 'margins'
+_FIELDS = [("ensemble", ("points",)), ("mvgauss", ("mean",)), ("mvgauss", ("cov",)),
+           ("theta", ("copula", "theta")), ("theta", ("copula", "dim")), ("tau", ("copula", "tau")),
+           ("theta", ("margins",)), ("theta", ("margins", 0, "mu")), ("tau", ("margins", 1, "sigma"))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+def test_descriptor_fields_fuzz(tmp_path_factory, field, value):
+    """Whatever JSON value a descriptor field holds, a one-line archive reads
+    or raises an ArchiveError naming line 1, never a Python or numpy internal."""
+    kind, keys = field
+    forecast = json.loads(json.dumps(_DESCRIPTORS[kind]))
+    parent = forecast
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path_factory.getbasetemp() / "fuzz.jsonl"
+    path.write_text(json.dumps({"forecast": forecast, "y": [0.5, 0.5]}) + "\n")
+    try:
+        read_archive(path)
+    except ArchiveError as exc:
+        text = str(exc)
+        assert text.startswith("line 1: "), text
+        for internal in ("inhomogeneous", "setting an array element", "float() argument",
+                         "is not iterable", "has no attribute"):
+            assert internal not in text, text
 
 
 def test_csv_archive_reads_three_cases(tmp_path):
