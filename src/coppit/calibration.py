@@ -199,10 +199,11 @@ class EnsembleCounts(NamedTuple):
     tied: np.ndarray
     members: np.ndarray
 
-    def ranks(self, offsets):
-        """Ranks in 1..m+1, given each case's uniform tie-break offset
-        ``offsets[i]`` in 0..tied[i]."""
-        return 1 + self.below + np.asarray(offsets, dtype=int)
+
+def _tie_ranks(below, offsets):
+    """Ranks in 1..m+1 from ``EnsembleCounts.below``, given each case's
+    uniform tie-break offset ``offsets[i]`` in 0..tied[i]."""
+    return 1 + below + np.asarray(offsets, dtype=int)
 
 
 def ensemble_counts(points, y, signs=None):
@@ -245,7 +246,7 @@ def multivariate_rank(points, y, rng, signs=None):
     among tied pre-ranks, an integer in 1..m+1.
     """
     _, c = _one_case(points, y, signs)
-    return int(c.ranks([rng.integers(0, int(c.tied[0]) + 1)])[0])
+    return int(_tie_ranks(c.below, [rng.integers(0, int(c.tied[0]) + 1)])[0])
 
 
 def coppit_interval(points, y, signs=None):

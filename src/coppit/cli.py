@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, simstudy
 from .calibration import (
     Records,
+    _tie_ranks,
     clical_curve,
     coppit,
     ensemble_counts,
@@ -261,8 +262,9 @@ def _ensemble_groups(cases, indices, signs):
 def _stacked(cases, seed, signs, grid=None, k_grid=None):
     """Columns rank, h, h_left, k_left, k_right of the ensemble cases from one
     stacked pass per member count; case i breaks its pre-rank ties with
-    substream (2, i).  rank is None without ensembles, else 0 on every other
-    case.  h_left is below / m, which is H(y-) of a one-dimensional ensemble.
+    substream (2, i), every case's drawn in one call after the pass.  rank
+    is None without ensembles, else 0 on every other case.  h_left is
+    below / m, which is H(y-) of a one-dimensional ensemble.
 
     Given a ``grid`` and an (n, grid size) array ``k_grid``, it also writes
     each ensemble case's Kendall function K(g) = #{k : w_k <= g} / m into its
@@ -271,15 +273,18 @@ def _stacked(cases, seed, signs, grid=None, k_grid=None):
     n = len(cases)
     ens = [i for i, (fc, _) in enumerate(cases) if isinstance(fc, EnsembleForecast)]
     rank = np.zeros(n, dtype=int) if ens else None
+    below, tied = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     h, h_left, k_left, k_right = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for m, idx, c in _ensemble_groups(cases, ens, signs):
-        rank[idx] = c.ranks(substream_integers(seed, (2,), idx, c.tied + 1))
+        below[idx], tied[idx] = c.below, c.tied
         h[idx], h_left[idx] = c.h / m, c.below / m
         k_left[idx], k_right[idx] = c.k_left / m, c.k_right / m
         if k_grid is not None:
             w = c.members / m  # the pseudo-observations, as pseudo_observations divides them
             for j, g in enumerate(grid.tolist()):
                 k_grid[idx, j] = (w <= g).sum(axis=1) / m
+    if ens:
+        rank[ens] = _tie_ranks(below[ens], substream_integers(seed, (2,), ens, tied[ens] + 1))
     return rank, h, h_left, k_left, k_right
 
 

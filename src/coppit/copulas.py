@@ -179,8 +179,8 @@ class _Independence(_Archimedean):
         return None
 
     @staticmethod
-    def frailty(rng, theta, size):
-        return np.ones(size)
+    def frailty(rng, theta, n):
+        return np.ones(n)
 
 
 class _Gumbel(_Archimedean):
@@ -222,8 +222,8 @@ class _Gumbel(_Archimedean):
         return 1.0 / (1.0 - tau)
 
     @staticmethod
-    def frailty(rng, theta, size):
-        return samplers.positive_stable(rng, 1.0 / np.asarray(theta, dtype=float), size)
+    def frailty(rng, theta, n):
+        return samplers.positive_stable(rng, 1.0 / np.asarray(theta, dtype=float), n)
 
 
 class _Clayton(_Archimedean):
@@ -253,8 +253,8 @@ class _Clayton(_Archimedean):
         return 2.0 * tau / (1.0 - tau)
 
     @staticmethod
-    def frailty(rng, theta, size):
-        return samplers.gamma(rng, 1.0 / np.asarray(theta, dtype=float), size)
+    def frailty(rng, theta, n):
+        return rng.standard_gamma(1.0 / np.asarray(theta, dtype=float), n)
 
     @staticmethod
     def psi_frailty(s, theta):
@@ -316,10 +316,10 @@ class _Frank(_Archimedean):
         return 1e-10, np.maximum(100.0, 8.0 / (1.0 - tau))
 
     @staticmethod
-    def frailty(rng, theta, size):
+    def frailty(rng, theta, n):
         # log-series with p = 1 - e^{-theta}, driven by log(1-p) = -theta
         # directly so large theta stays exact
-        return samplers._log_series_from_log1mp(rng, -np.asarray(theta, dtype=float), size)
+        return samplers._log_series_from_log1mp(rng, -np.asarray(theta, dtype=float), n)
 
 
 class _Joe(_Archimedean):
@@ -376,8 +376,8 @@ class _Joe(_Archimedean):
         return 1.0, np.maximum(10.0, 6.0 / (1.0 - tau))
 
     @staticmethod
-    def frailty(rng, theta, size):
-        return samplers.sibuya(rng, 1.0 / np.asarray(theta, dtype=float), size)
+    def frailty(rng, theta, n):
+        return samplers.sibuya(rng, 1.0 / np.asarray(theta, dtype=float), n)
 
 
 def _brent_solve(g, y, lo, hi):
@@ -557,35 +557,35 @@ def generator_inverse(family, s, theta=None):
 
 
 def _frailties(family, rng, theta, dim, n, min_dim):
-    """Checked (family, theta, rows) and the rows frailties V, drawn first."""
+    """Checked (family, theta, n) and the n frailties V, drawn first."""
     fam, th = _checked(family, theta)
     if not isinstance(dim, (int, np.integer)) or dim < min_dim:
         raise ValueError(f"dim must be an integer >= {min_dim}, got {dim!r}")
-    rows = 1 if n is None else int(n)
-    if rows < 0:
+    n = int(n)
+    if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if th is not None and th.ndim > 0 and th.shape != (rows,):
-        raise ValueError(f"theta array must have shape ({rows},), got {th.shape}")
-    return fam, th, rows, np.asarray(fam.frailty(rng, th, rows), dtype=float)
+    if th is not None and th.ndim > 0 and th.shape != (n,):
+        raise ValueError(f"theta array must have shape ({n},), got {th.shape}")
+    return fam, th, n, np.asarray(fam.frailty(rng, th, n), dtype=float)
 
 
-def sample_copula(family, rng, theta=None, dim=2, n=None):
-    """Draw from the copula: shape (n, dim), or (dim,) when n is None.
+def sample_copula(family, rng, theta, dim, n):
+    """n draws from the copula, shape (n, dim); ``theta`` is None for the
+    independence family.
 
     ``theta`` may be an array of length n (one parameter per row), which
     draws each row from its own copula.  Draw order is fixed: n frailties,
     then the n*dim exponentials, so extending a run never reshuffles
     earlier rows.  Values are clipped into the open unit cube.
     """
-    fam, th, rows, v = _frailties(family, rng, theta, dim, n, 2)
-    e = rng.standard_exponential((rows, dim))
+    fam, th, n, v = _frailties(family, rng, theta, dim, n, 2)
+    e = rng.standard_exponential((n, dim))
     u = fam.psi_frailty(e / v[:, None], th[:, None] if (th is not None and th.ndim > 0) else th)
-    u = np.clip(u, 1e-300, 1.0 - 2.0**-53)
-    return u[0] if n is None else u
+    return np.clip(u, 1e-300, 1.0 - 2.0**-53)
 
 
-def kendall_sample(family, rng, theta=None, dim=2, n=None):
-    """Draw from the Kendall distribution: values C(U) with U ~ C.
+def kendall_sample(family, rng, theta, dim, n):
+    """n draws from the Kendall distribution, shape (n,): values C(U) with U ~ C.
 
     In the frailty representation U_i = psi_LT(E_i / V), the generator
     values phi(U_i) recombine exactly, so C(U) = psi_LT(S / V) with
@@ -593,10 +593,9 @@ def kendall_sample(family, rng, theta=None, dim=2, n=None):
     a full coordinatewise CDF evaluation.  ``theta`` may be an array of
     length n.  Draw order is fixed: n frailties, then n gamma variables.
     """
-    fam, th, rows, v = _frailties(family, rng, theta, dim, n, 1)
-    s = rng.standard_gamma(float(dim), size=rows) / v
-    c = np.clip(fam.psi_frailty(s, th), 0.0, 1.0)
-    return float(c[0]) if n is None else c
+    fam, th, n, v = _frailties(family, rng, theta, dim, n, 1)
+    s = rng.standard_gamma(float(dim), size=n) / v
+    return np.clip(fam.psi_frailty(s, th), 0.0, 1.0)
 
 
 class ArchimedeanCopula:

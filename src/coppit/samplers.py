@@ -11,13 +11,14 @@ many components ``(k, ..., i)`` at once, the one bounded integer that each
 of their streams would draw first, bit for bit, without building the
 generators.
 
-Callers draw uniforms, normals and exponentials from the Generator itself.
-Beyond parameter-checked beta and gamma, the module provides three samplers
-numpy lacks: positive stable variates (Kanter's representation),
-logarithmic-series variates (Kemp's LS scheme, parameterized by log(1-p) so
-p arbitrarily close to 1 stays well-posed), and Sibuya variates (asymptotic
-inversion corrected by the exact survival function).  The latter three are
-the frailty distributions used for Archimedean copula sampling.
+Callers draw uniforms, normals, exponentials, betas and gammas from the
+Generator itself.  The module provides the three frailty samplers numpy
+lacks, used for Archimedean copula sampling: positive stable variates
+(Kanter's representation), logarithmic-series variates (Kemp's LS scheme,
+parameterized by log(1-p) so p arbitrarily close to 1 stays well-posed),
+and Sibuya variates (asymptotic inversion corrected by the exact survival
+function).  Each takes its draw count n and returns an array of n draws;
+its parameter is a scalar or one value per draw.
 """
 
 import math
@@ -32,8 +33,6 @@ __all__ = [
     "make_rng",
     "substream",
     "substream_integers",
-    "beta",
-    "gamma",
     "positive_stable",
     "log_series",
     "sibuya",
@@ -167,34 +166,16 @@ def substream_integers(seed, key, idx, high):
     return out
 
 
-def beta(rng, a, b, size=None):
-    if np.any(np.asarray(a) <= 0) or np.any(np.asarray(b) <= 0):
-        raise ValueError(f"beta requires a > 0 and b > 0, got a={a}, b={b}")
-    return rng.beta(a, b, size)
-
-
-def gamma(rng, shape, size=None):
-    if np.any(np.asarray(shape) <= 0):
-        raise ValueError(f"gamma requires shape > 0, got {shape}")
-    return rng.standard_gamma(shape, size)
-
-
-def _broadcast(arr, size):
-    """``arr`` broadcast to the draw shape, the shape, and whether the output
-    is a scalar: ``size`` draws, or one per element of ``arr`` without it."""
-    shape = arr.shape if size is None else (size if isinstance(size, tuple) else (size,))
-    return np.broadcast_to(arr, shape), shape, size is None and arr.shape == ()
-
-
-def _broadcast_param(alpha, size):
-    arr = np.asarray(alpha, dtype=float)
-    if not np.all((arr > 0.0) & (arr <= 1.0)):
+def _check_alpha(alpha, n):
+    """The index checked in (0, 1]: a 0-d array, or one per draw as shape (n,)."""
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0.0) & (a <= 1.0)):
         raise ValueError(f"alpha must lie in (0.0, 1.0], got {alpha!r}")
-    return _broadcast(arr, size)
+    return a if a.ndim == 0 else np.broadcast_to(a, (n,))
 
 
-def positive_stable(rng, alpha, size=None):
-    """Positive stable variates with index ``alpha`` in (0, 1].
+def positive_stable(rng, alpha, n):
+    """n positive stable variates with index ``alpha`` in (0, 1].
 
     Kanter's representation: with Theta ~ U(0, pi) and W ~ Exp(1),
 
@@ -205,32 +186,28 @@ def positive_stable(rng, alpha, size=None):
     space; alpha = 1 gives the degenerate unit mass.  ``alpha`` may be an
     array (one index per draw).
     """
-    alpha_b, shape, scalar_out = _broadcast_param(alpha, size)
-    theta = rng.random(shape) * np.pi
-    w = rng.standard_exponential(shape)
+    a = _check_alpha(alpha, n)
+    theta = rng.random(n) * np.pi
+    w = rng.standard_exponential(n)
     # guard the open-interval assumptions; p(boundary) = 0 but floats happen
     theta = np.clip(theta, 1e-300, np.pi * (1 - 1e-16))
     w = np.maximum(w, 1e-300)
-    out = np.ones(shape)
-    # alpha keeps its own shape: a scalar index is one active flag and one
-    # pair of exponents for every draw; an array selects its active draws
-    a = np.asarray(alpha, dtype=float)
+    out = np.ones(n)
+    # a scalar index is one active flag and one pair of exponents for every
+    # draw; an array selects its active draws
     act = a < 1.0
     if np.any(act):
         if a.ndim:
-            act = np.broadcast_to(act, shape)
-            a, theta, w = alpha_b[act], theta[act], w[act]
+            a, theta, w = a[act], theta[act], w[act]
         b = 1 - a
         log_a_num = a * np.log(np.sin(a * theta)) + b * np.log(np.sin(b * theta)) - np.log(np.sin(theta))
         # V = (A/W)^((1-a)/a), log A = log_a_num / (1 - a)
         out[act] = np.exp(b / a * (log_a_num / b - np.log(w)))
-    if scalar_out:
-        return float(out[()])
     return out
 
 
-def _log_series_from_log1mp(rng, log1mp, size=None):
-    """Log-series variates given r = log(1 - p) < 0 (may be an array).
+def _log_series_from_log1mp(rng, log1mp, n):
+    """n log-series variates given r = log(1 - p) < 0 (may be an array).
 
     Kemp's LS scheme: draw V ~ U(0,1); if V >= p return 1; else draw
     U ~ U(0,1) and set Q = 1 - exp(U * log(1-p)) = 1 - (1-p)^U; return
@@ -241,10 +218,10 @@ def _log_series_from_log1mp(rng, log1mp, size=None):
     r = np.asarray(log1mp, dtype=float)
     if not np.all(r < 0):
         raise ValueError(f"log(1-p) must be negative, got {log1mp!r}")
-    r, shape, scalar_out = _broadcast(r, size)
-    v = np.maximum(rng.random(shape), 2.0**-53)
-    u = np.maximum(rng.random(shape), 2.0**-53)
-    out = np.ones(shape)
+    r = np.broadcast_to(r, (n,))
+    v = np.maximum(rng.random(n), 2.0**-53)
+    u = np.maximum(rng.random(n), 2.0**-53)
+    out = np.ones(n)
     big = v < -np.expm1(r)  # V >= p is an immediate K = 1
     if np.any(big):
         x = u[big] * r[big]  # log((1-p)^U) < 0
@@ -259,13 +236,11 @@ def _log_series_from_log1mp(rng, log1mp, size=None):
             lr = np.log(-lv[deep]) - x[deep]
             ratio[deep] = np.exp(np.minimum(lr, 690.0))
         out[big] = np.maximum(np.floor(1.0 + ratio), 1.0)
-    if scalar_out:
-        return float(out[()])
     return out
 
 
-def log_series(rng, p, size=None):
-    """Logarithmic-series variates, pmf(k) = -p^k / (k log(1-p)), k >= 1.
+def log_series(rng, p, n):
+    """n logarithmic-series variates, pmf(k) = -p^k / (k log(1-p)), k >= 1.
 
     Returns integer-valued float64 (the tails of companion frailty uses
     exceed int64 for extreme parameters).  ``p`` in (0, 1), array ok.
@@ -273,7 +248,7 @@ def log_series(rng, p, size=None):
     arr = np.asarray(p, dtype=float)
     if not np.all((arr > 0) & (arr < 1)):
         raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    return _log_series_from_log1mp(rng, np.log1p(-arr), size)
+    return _log_series_from_log1mp(rng, np.log1p(-arr), n)
 
 
 def _sibuya_log_sf(k, alpha, lgamma_1ma):
@@ -355,8 +330,8 @@ def _sibuya_invert(u, alpha):
     return out
 
 
-def sibuya(rng, alpha, size=None):
-    """Sibuya(alpha) variates, alpha in (0, 1]: pr(K > k) = 1/(k B(k, 1-alpha)).
+def sibuya(rng, alpha, n):
+    """n Sibuya(alpha) variates, alpha in (0, 1]: pr(K > k) = 1/(k B(k, 1-alpha)).
 
     Inverts one uniform per draw: u <= alpha gives K = 1 (pr(K=1) = alpha);
     otherwise the asymptotic inverse k ~ ((1-u) Gamma(1-alpha))^(-1/alpha)
@@ -365,9 +340,4 @@ def sibuya(rng, alpha, size=None):
     integer-valued float64 (infinite mean for alpha < 1; values can exceed
     int64).  ``alpha`` may be an array (one index per draw).
     """
-    alpha_b, shape, scalar_out = _broadcast_param(alpha, size)
-    u = rng.random(shape)
-    out = _sibuya_invert(u, alpha if np.ndim(alpha) == 0 else alpha_b)
-    if scalar_out:
-        return float(out[()])
-    return out
+    return _sibuya_invert(rng.random(n), _check_alpha(alpha, n))

@@ -29,12 +29,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibration import Records, clical_curve, ensemble_counts
+from .calibration import Records, _tie_ranks, clical_curve, ensemble_counts
 from .copulas import (ArchimedeanCopula, copula_cdf, kendall_cdf, kendall_sample, sample_copula,
                       tau_to_theta)
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import empirical_kendall, monte_carlo_kendall
-from .samplers import DEFAULT_SEED, beta, substream
+from .samplers import DEFAULT_SEED, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
 QUADRANTS = tuple(_QUADRANTS)  # sw, se, ne, nw
@@ -122,8 +122,8 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
         raise ValueError(f"labels must be a non-empty subset of {BIVARIATE_LABELS}, got {labels!r}")
 
     lat = substream(seed, 0)
-    b1 = beta(lat, 2.0, 5.0, j)
-    b2 = beta(lat, 5.0, 2.0, j)
+    b1 = lat.beta(2.0, 5.0, j)
+    b2 = lat.beta(5.0, 2.0, j)
     tau = (b1 + b2) / 2.0
     theta = tau_to_theta("gumbel", tau)
     u_truth = sample_copula("gumbel", lat, theta=theta, dim=2, n=j)
@@ -227,8 +227,8 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         raise ValueError("need d >= 2, m >= 1, kendall_n >= 1")
 
     lat = substream(seed, 0)
-    b1 = beta(lat, 2.0, 5.0, j)
-    b2 = beta(lat, 5.0, 2.0, j)
+    b1 = lat.beta(2.0, 5.0, j)
+    b2 = lat.beta(5.0, 2.0, j)
     tau = (b1 + b2) / 2.0
     if not np.all(tau > 0.0):
         raise ValueError("latent tau must be positive for the Frank truth")
@@ -258,7 +258,7 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         kfn = empirical_kendall(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
         k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
     counts = ensemble_counts(ens, y)
-    ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
+    ranks = _tie_ranks(counts.below, [ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
     return HighDimBatch(h, k_left, k_right, v, rank=ranks, family=family, m=m,
                         theta_true=theta_true, theta_hat=theta_hat)
@@ -310,7 +310,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         pts = mu[:, None, :] + rng_f.normal(size=(j, m, 2)) @ (_DEMO_SHRINK * chol).T
         counts = ensemble_counts(pts, y)
         h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
-        ranks = counts.ranks([ties.integers(0, t + 1) for t in counts.tied.tolist()])
+        ranks = _tie_ranks(counts.below, [ties.integers(0, t + 1) for t in counts.tied.tolist()])
 
     return DemoBatch(h, k_left, k_right, v, rank=ranks, m=m if variant == "ensemble" else None)
 

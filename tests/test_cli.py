@@ -164,11 +164,22 @@ def test_stacked_blocks_do_not_change_output(mixed_archive, ensemble_archive, tm
             ["rank-hist", "--in", str(ensemble_archive)],
             ["clical", "--in", str(mixed_archive), "--kendall-n", "300", "--grid", "21"],
             ["pit", "--in", str(mixed_archive), "--margin", "2"]]
+    # every pass draws all of its tie-breaks in one substream_integers call
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+        return lambda *a, **kw: calls.append(name) or real(*a, **kw)
+
+    for name in ("_stacked", "substream_integers"):
+        monkeypatch.setattr(cli, name, counted(name))
     for budget in (None, 1, 200):  # one block per member count, one case, a few cases
         if budget is not None:
             monkeypatch.setattr(cli, "_STACK_COMPARISONS", budget)
         for k, argv in enumerate(runs):
+            calls.clear()
             assert main(argv + ["--out", str(tmp_path / f"{budget}-{k}"), "--seed", "6"]) == 0
+            assert calls == ["_stacked", "substream_integers"], (budget, argv[0], calls)
     for k, name in enumerate(["records.csv", "ranks.csv", "curve.csv", "records.csv"]):
         want = (tmp_path / f"None-{k}" / name).read_bytes()
         assert (tmp_path / f"1-{k}" / name).read_bytes() == want

@@ -1,5 +1,7 @@
 """Archimedean family tests: exact values, dual-route oracles, sampling GoF."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy import optimize, stats
@@ -415,12 +417,34 @@ def test_kendall_sample_shapes_and_batch_theta():
     rng = sp.substream(74, 0)
     out = cp.kendall_sample("gumbel", rng, theta=2.0, dim=5, n=100)
     assert out.shape == (100,) and np.all((out >= 0) & (out <= 1))
-    scalar = cp.kendall_sample("frank", rng, theta=3.0, dim=2)
-    assert isinstance(scalar, float)
+    one = cp.kendall_sample("frank", rng, theta=3.0, dim=2, n=1)
+    assert one.shape == (1,)
     th = np.linspace(1.5, 8.0, 64)
     batch = cp.kendall_sample("clayton", rng, theta=th, dim=4, n=64)
     assert batch.shape == (64,)
     with pytest.raises(ValueError):
-        cp.kendall_sample("gumbel", rng, theta=2.0, dim=0)
+        cp.kendall_sample("gumbel", rng, theta=2.0, dim=0, n=5)
     with pytest.raises(ValueError):
         cp.kendall_sample("gumbel", rng, theta=np.ones(3), dim=2, n=5)
+
+
+# each sampler with its scalar parameter and the shape of one draw
+_DRAWS = {
+    "positive_stable": (sp.positive_stable, 0.5, ()),
+    "sibuya": (sp.sibuya, 0.5, ()),
+    "log_series": (sp.log_series, 0.5, ()),
+    "sample_copula": (functools.partial(cp.sample_copula, "gumbel", dim=3), 2.0, (3,)),
+    "kendall_sample": (functools.partial(cp.kendall_sample, "gumbel", dim=3), 2.0, ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DRAWS))
+def test_draw_contract(name):
+    # a count n gives n draws as an array, for a scalar parameter and for one
+    # parameter per draw alike; there is no draw without a count
+    draw, param, one = _DRAWS[name]
+    for p in (param, np.full(7, param)):
+        out = draw(sp.make_rng(3), p, n=7)
+        assert isinstance(out, np.ndarray) and out.shape == (7, *one)
+    with pytest.raises(TypeError):
+        draw(sp.make_rng(3), param)

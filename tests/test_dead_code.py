@@ -14,7 +14,9 @@ each defined once.  Kendall functions live in ``kendall``: it alone defines
 a class with an ``eval`` method and calls ``searchsorted``.  No module
 imports ``scipy.stats`` at import time: it is most of the package's import
 cost, and only the on-access KS p-value needs it.  No module imports
-``scipy.optimize`` at all: the tau solve is the package's own.
+``scipy.optimize`` at all: the tau solve is the package's own.  No draw
+count defaults to None: every sampler takes its count and returns that many
+draws, so it has no second, single-draw return type.
 """
 
 import ast
@@ -179,4 +181,23 @@ def test_scipy_optimize_not_imported():
     trees = _trees()
     found = [f"{m}:{node.lineno}" for m, tree in sorted(trees.items())
              for node in ast.walk(tree) if _imports_scipy(node, "optimize")]
+    assert trees and not found, found
+
+
+def _none_counts(tree):
+    """Name of each function with a parameter ``n`` or ``size`` that defaults to None."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                        *zip(args.kwonlyargs, args.kw_defaults)]
+            if any(arg.arg in ("n", "size") and isinstance(d, ast.Constant) and d.value is None
+                   for arg, d in defaults):
+                yield getattr(node, "name", "<lambda>")
+
+
+def test_no_draw_count_defaults_to_none():
+    trees = _trees()
+    found = [f"{m}: {name}" for m, tree in sorted(trees.items()) for name in _none_counts(tree)]
     assert trees and not found, found

@@ -73,29 +73,8 @@ def test_seed_validation():
         sp.substream(42, -3)
 
 
-def test_beta_means_and_ks():
-    # E Beta(2,5) = 2/7, E Beta(5,2) = 5/7
-    b1 = sp.beta(sp.make_rng(303), 2, 5, N)
-    b2 = sp.beta(sp.make_rng(304), 5, 2, N)
-    assert abs(b1.mean() - 2 / 7) <= 0.005
-    assert abs(b2.mean() - 5 / 7) <= 0.005
-    for seed, (a, b) in ((10, (2, 5)), (11, (5, 2)), (12, (1, 1))):
-        x = sp.beta(sp.make_rng(seed), a, b, 20_000)
-        assert stats.kstest(x, "beta", args=(a, b)).pvalue >= 0.01
-
-
-def test_gamma_ks():
-    for seed, shape in ((13, 0.5), (14, 1.0), (15, 4.0)):
-        x = sp.gamma(sp.make_rng(seed), shape, 20_000)
-        assert stats.kstest(x, "gamma", args=(shape,)).pvalue >= 0.01
-
-
 def test_parameter_validation():
     rng = sp.make_rng(0)
-    with pytest.raises(ValueError):
-        sp.beta(rng, 0, 1, 5)
-    with pytest.raises(ValueError):
-        sp.gamma(rng, -1, 5)
     with pytest.raises(ValueError, match=r"^alpha must lie in \(0\.0, 1\.0\], got 0\.0$"):
         sp.positive_stable(rng, 0.0, 5)
     with pytest.raises(ValueError):
@@ -127,9 +106,8 @@ def test_positive_stable_laplace_transform():
 
 def test_positive_stable_degenerate_and_array_alpha():
     assert np.all(sp.positive_stable(sp.make_rng(1), 1.0, 100) == 1.0)
-    assert sp.positive_stable(sp.make_rng(1), 1.0) == 1.0
     alpha = np.array([0.2, 1.0, 0.7])
-    v = sp.positive_stable(sp.make_rng(2), alpha)
+    v = sp.positive_stable(sp.make_rng(2), alpha, 3)
     assert v.shape == (3,) and v[1] == 1.0 and v[0] > 0 and v[2] > 0
 
 
@@ -149,14 +127,13 @@ def test_positive_stable_scalar_alpha_matches_array_alpha():
     # must not change.  alpha = 0.004 overflows some draws to inf, 1.0 gives
     # V = 1 throughout; a 0-d array alpha counts as a scalar
     for i, alpha in enumerate((0.004, 0.05, 0.5, 0.93, 1.0)):
-        for size in (None, 1, 4000):
+        for n in (1, 4000):
             with np.errstate(over="ignore"):
-                array = sp.positive_stable(sp.make_rng(40 + i), np.full(size or 1, alpha))
-                assert array.tobytes() == _kanter(sp.make_rng(40 + i), alpha, size or 1).tobytes()
+                array = sp.positive_stable(sp.make_rng(40 + i), np.full(n, alpha), n)
+                assert array.tobytes() == _kanter(sp.make_rng(40 + i), alpha, n).tobytes()
                 for a in (alpha, np.asarray(alpha)):
-                    scalar = sp.positive_stable(sp.make_rng(40 + i), a, size)
-                    assert isinstance(scalar, float) if size is None else scalar.shape == (size,)
-                    assert np.asarray(scalar).tobytes() == array.tobytes()
+                    scalar = sp.positive_stable(sp.make_rng(40 + i), a, n)
+                    assert scalar.shape == (n,) and scalar.tobytes() == array.tobytes()
 
 
 def _log_series_pmf(k, p):
@@ -186,7 +163,7 @@ def test_log_series_extreme_parameter():
     # parameterized by log(1-p) = -50: p is 1.0 in float64 yet the sampler
     # must stay exact.  pr(K=k) = p^k/(50k) ~ 1/(50k) for k << e^50, so
     # log K is nearly uniform on (0, 50).
-    x = sp._log_series_from_log1mp(sp.make_rng(8), np.full(N, -50.0))
+    x = sp._log_series_from_log1mp(sp.make_rng(8), np.full(N, -50.0), N)
     assert np.all(x >= 1) and np.all(np.isfinite(x))
     assert abs(np.mean(x == 1.0) - 1 / 50) <= 0.005
     d = stats.kstest((np.log(x) + np.euler_gamma) / 50.0, "uniform").statistic
@@ -213,7 +190,7 @@ def test_sibuya_scalar_alpha_matches_array_alpha():
     # almost none, and 1.0 gives K = 1 throughout
     for i, alpha in enumerate((0.005, 0.02, 0.3, 0.75, 0.999, 1.0)):
         scalar = sp.sibuya(sp.make_rng(30 + i), alpha, 5000)
-        array = sp.sibuya(sp.make_rng(30 + i), np.full(5000, alpha))
+        array = sp.sibuya(sp.make_rng(30 + i), np.full(5000, alpha), 5000)
         assert np.array_equal(scalar, array)
         u = np.linspace(0.0, 1 - 2**-53, 3001)
         assert np.array_equal(sp._sibuya_invert(u, alpha),
@@ -254,12 +231,5 @@ def test_sibuya_pmf_chi2():
 def test_sibuya_degenerate_and_array_alpha():
     assert np.all(sp.sibuya(sp.make_rng(19), 1.0, 100) == 1.0)
     alpha = np.array([0.1, 1.0, 0.9])
-    v = sp.sibuya(sp.make_rng(20), alpha)
+    v = sp.sibuya(sp.make_rng(20), alpha, 3)
     assert v.shape == (3,) and v[1] == 1.0
-
-
-def test_scalar_returns():
-    rng = sp.make_rng(21)
-    assert isinstance(sp.positive_stable(rng, 0.5), float)
-    assert isinstance(sp.log_series(rng, 0.5), float)
-    assert isinstance(sp.sibuya(rng, 0.5), float)
