@@ -28,6 +28,7 @@ from scipy.special import chdtrc
 
 from .forecasts import _as_members, cone_signs, dominance_counts
 from .kendall import empirical_kendall
+from .samplers import _check_int
 
 __all__ = [
     "Records",
@@ -203,7 +204,7 @@ class EnsembleCounts(NamedTuple):
 def _tie_ranks(below, offsets):
     """Ranks in 1..m+1 from ``EnsembleCounts.below``, given each case's
     uniform tie-break offset ``offsets[i]`` in 0..tied[i]."""
-    return 1 + below + np.asarray(offsets, dtype=int)
+    return 1 + below + offsets
 
 
 def ensemble_counts(points, y, signs=None):
@@ -246,7 +247,7 @@ def multivariate_rank(points, y, rng, signs=None):
     among tied pre-ranks, an integer in 1..m+1.
     """
     _, c = _one_case(points, y, signs)
-    return int(_tie_ranks(c.below, [rng.integers(0, int(c.tied[0]) + 1)])[0])
+    return int(_tie_ranks(c.below, rng.integers(0, c.tied + 1))[0])
 
 
 def coppit_interval(points, y, signs=None):
@@ -274,9 +275,7 @@ def histogram(values, bins=20):
         raise ValueError("histogram needs a non-empty 1-d sample")
     if not np.all((vals >= 0.0) & (vals <= 1.0)):
         raise ValueError("histogram values must lie in [0, 1]")
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError(f"bin count must be positive, got {bins}")
+    bins = _check_int(bins, "bins", 1)
     n = vals.size
     idx = np.clip(np.ceil(vals * bins).astype(int) - 1, 0, bins - 1)
     srt = np.sort(vals)
@@ -288,6 +287,7 @@ def histogram(values, bins=20):
 
 def rank_histogram(ranks, m):
     """Histogram of integer ranks over the m+1 possible positions."""
+    m = _check_int(m, "m", 1)
     r = np.asarray(ranks)
     if r.ndim != 1 or r.size == 0:
         raise ValueError("rank histogram needs a non-empty 1-d sample")

@@ -559,11 +559,8 @@ def generator_inverse(family, s, theta=None):
 def _frailties(family, rng, theta, dim, n, min_dim):
     """Checked (family, theta, n) and the n frailties V, drawn first."""
     fam, th = _checked(family, theta)
-    if not isinstance(dim, (int, np.integer)) or dim < min_dim:
-        raise ValueError(f"dim must be an integer >= {min_dim}, got {dim!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    samplers._check_int(dim, "dim", min_dim)
+    n = samplers._check_int(n, "n")
     if th is not None and th.ndim > 0 and th.shape != (n,):
         raise ValueError(f"theta array must have shape ({n},), got {th.shape}")
     return fam, th, n, np.asarray(fam.frailty(rng, th, n), dtype=float)
@@ -614,11 +611,9 @@ class ArchimedeanCopula:
         if theta is not None:
             theta = float(theta)
         fam.check_theta(theta)
-        if not isinstance(dim, (int, np.integer)) or dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {dim!r}")
         self.family = fam.name
         self.theta = theta
-        self.dim = int(dim)
+        self.dim = samplers._check_int(dim, "dim", 2)
 
     @property
     def tau(self):

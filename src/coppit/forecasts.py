@@ -36,6 +36,7 @@ from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
 from .copulas import ArchimedeanCopula
+from .samplers import _check_int
 
 __all__ = [
     "Normal",
@@ -82,7 +83,7 @@ class Normal:
         return self.cdf(y)
 
     def sample(self, rng, n):
-        return self.ppf(np.clip(rng.random((int(n), 1)), 2.0**-53, 1.0 - 2.0**-53))
+        return self.ppf(np.clip(rng.random((_check_int(n, "n"), 1)), 2.0**-53, 1.0 - 2.0**-53))
 
     def ppf(self, q):
         q = np.asarray(q, dtype=float)
@@ -222,7 +223,7 @@ class EnsembleForecast:
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n):
-        return self.points[rng.integers(0, self.m, size=int(n))]
+        return self.points[rng.integers(0, self.m, size=_check_int(n, "n"))]
 
     def __eq__(self, other):
         return isinstance(other, EnsembleForecast) and np.array_equal(self.points, other.points)
@@ -266,7 +267,7 @@ class GaussianForecast:
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n):
-        return self.mean + rng.standard_normal((int(n), 2)) @ self._chol.T
+        return self.mean + rng.standard_normal((_check_int(n, "n"), 2)) @ self._chol.T
 
     def __eq__(self, other):
         return (isinstance(other, GaussianForecast)
@@ -360,7 +361,7 @@ def apply_permutation(forecast, perm):
 
 def margin_forecast(forecast, k):
     """The univariate forecast for coordinate k implied by a multivariate one."""
-    if not isinstance(k, (int, np.integer)) or not 0 <= k < forecast.dim:
+    if _check_int(k, "margin index") >= forecast.dim:
         raise ValueError(f"margin index must be in [0, {forecast.dim}), got {k!r}")
     if isinstance(forecast, EnsembleForecast):
         return EnsembleForecast(forecast.points[:, [k]])

@@ -42,6 +42,7 @@ from .forecasts import (
     cone_signs,
     dominance_counts,
 )
+from .samplers import _check_int
 
 DEFAULT_MC_SIZE = 10_000
 
@@ -134,10 +135,7 @@ def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
     With ``signs``, estimates the Kendall function of the orthant CDF
     H^signs(X) instead of the joint CDF.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"Monte Carlo sample size must be positive, got {n}")
-    x = forecast.sample(rng, n)
+    x = forecast.sample(rng, _check_int(n, "n", 1))
     h = forecast.cdf(x, signs)
     return empirical_kendall(h)
 

@@ -19,6 +19,11 @@ parameterized by log(1-p) so p arbitrarily close to 1 stays well-posed),
 and Sibuya variates (asymptotic inversion corrected by the exact survival
 function).  Each takes its draw count n and returns an array of n draws;
 its parameter is a scalar or one value per draw.
+
+``_check_int`` is the package's one check of a count, dimension, index,
+seed or substream key: an int or numpy integer, not a bool, at or above a
+minimum.  A float such as 2.7 or a bool raises ValueError naming the
+argument instead of being truncated.
 """
 
 import math
@@ -39,26 +44,23 @@ __all__ = [
 ]
 
 
-def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return int(seed)
+def _check_int(value, what, minimum=0):
+    """``value`` as an int if it is an int or numpy integer, not a bool, of
+    at least ``minimum``; else a ValueError that names ``what``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def make_rng(seed=DEFAULT_SEED):
     """Master Generator for ``seed`` (Philox; counter-based, jump-free)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_seed(seed))))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_check_int(seed, "seed"))))
 
 
 def _check_key(key):
     if not key:
         raise ValueError("substream requires at least one key component")
-    key = tuple(int(k) for k in key)
-    if any(k < 0 for k in key):
-        raise ValueError(f"substream key components must be non-negative, got {key}")
-    return key
+    return tuple(_check_int(k, "key") for k in key)
 
 
 def substream(seed, *key):
@@ -69,7 +71,7 @@ def substream(seed, *key):
     (seed, key) -> stream is stable: new keys never disturb old ones.
     """
     return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(_check_seed(seed), spawn_key=_check_key(key))))
+        np.random.SeedSequence(_check_int(seed, "seed"), spawn_key=_check_key(key))))
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq_fe) and the
@@ -150,11 +152,15 @@ def substream_integers(seed, key, idx, high):
     2**32 or more and high past 2**32 - 1 are drawn by ``substream``
     itself; high = 1 gives 0, as numpy does without drawing.
     """
-    seed, key = _check_seed(seed), _check_key(key)
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    high = np.asarray(high, dtype=np.int64).reshape(-1)
-    if idx.shape != high.shape or np.any(idx < 0) or np.any(high < 1):
-        raise ValueError("need equal-length idx >= 0 and high >= 1")
+    seed, key = _check_int(seed, "seed"), _check_key(key)
+    idx, high = np.asarray(idx).reshape(-1), np.asarray(high).reshape(-1)
+    if idx.shape != high.shape:
+        raise ValueError(f"idx and high must have equal lengths, got {idx.size} and {high.size}")
+    if idx.size:
+        # the least entry carries the array's dtype and its lower bound; the
+        # arrays keep their dtype, so a uint64 past 2**63 is not wrapped
+        _check_int(idx[idx.argmin()], "idx")
+        _check_int(high[high.argmin()], "high", 1)
     u = _first_words(seed, key, idx)
     with np.errstate(over="ignore"):
         h = high.astype(np.uint64)
@@ -186,6 +192,7 @@ def positive_stable(rng, alpha, n):
     space; alpha = 1 gives the degenerate unit mass.  ``alpha`` may be an
     array (one index per draw).
     """
+    n = _check_int(n, "n")
     a = _check_alpha(alpha, n)
     theta = rng.random(n) * np.pi
     w = rng.standard_exponential(n)
@@ -215,6 +222,7 @@ def _log_series_from_log1mp(rng, log1mp, n):
     Works directly from log(1-p), so p indistinguishable from 1.0 in
     float64 is still exact.
     """
+    n = _check_int(n, "n")
     r = np.asarray(log1mp, dtype=float)
     if not np.all(r < 0):
         raise ValueError(f"log(1-p) must be negative, got {log1mp!r}")
@@ -340,4 +348,5 @@ def sibuya(rng, alpha, n):
     integer-valued float64 (infinite mean for alpha < 1; values can exceed
     int64).  ``alpha`` may be an array (one index per draw).
     """
+    n = _check_int(n, "n")
     return _sibuya_invert(rng.random(n), _check_alpha(alpha, n))

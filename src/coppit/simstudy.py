@@ -20,6 +20,8 @@ values the scenario computed; none echoes its seed, variant or case count
 of the run seed (latent draws, the shared randomization draws v, rank
 tie-breaking, per-forecaster Monte Carlo), so any subset of forecasters
 reproduces the full run's values bit for bit and reruns are deterministic.
+The case count j and the sizes d, m, kendall_n and directional_n must be
+integers: a float or a bool raises ValueError instead of being truncated.
 """
 
 import hashlib
@@ -34,7 +36,7 @@ from .copulas import (ArchimedeanCopula, copula_cdf, kendall_cdf, kendall_sample
                       tau_to_theta)
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
 from .kendall import empirical_kendall, monte_carlo_kendall
-from .samplers import DEFAULT_SEED, substream
+from .samplers import DEFAULT_SEED, _check_int, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
 QUADRANTS = tuple(_QUADRANTS)  # sw, se, ne, nw
@@ -96,11 +98,19 @@ class BivariateStudy:
         raise KeyError(f"no forecaster {label!r} in this run")
 
 
-def _check_j(j):
-    j = int(j)
-    if j < 1:
-        raise ValueError(f"need at least one case, got {j}")
-    return j
+def _latent_truth(seed, family, dim, j):
+    """The studies' shared truth, drawn in this order on substream (seed, 0):
+    B1 ~ Beta(2,5) and B2 ~ Beta(5,2) per case, tau = (B1+B2)/2, theta of
+    the family at tau, and one draw of that copula per case.  Returns
+    (b1, b2, tau, theta, u)."""
+    lat = substream(seed, 0)
+    b1 = lat.beta(2.0, 5.0, j)
+    b2 = lat.beta(5.0, 2.0, j)
+    tau = (b1 + b2) / 2.0
+    if not np.all(tau > 0.0):
+        raise ValueError(f"latent tau must be positive for the {family} truth")
+    theta = tau_to_theta(family, tau)
+    return b1, b2, tau, theta, sample_copula(family, lat, theta=theta, dim=dim, n=j)
 
 
 def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
@@ -115,18 +125,14 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
     ``include_directional``, the four quadrant orthant records are added
     using one shared Monte Carlo sample per case for the four directions.
     """
-    j = _check_j(j)
+    j = _check_int(j, "j", 1)
+    directional_n = _check_int(directional_n, "directional_n", 1)
     labels = tuple(labels)
     unknown = set(labels) - set(BIVARIATE_LABELS)
     if unknown or not labels:
         raise ValueError(f"labels must be a non-empty subset of {BIVARIATE_LABELS}, got {labels!r}")
 
-    lat = substream(seed, 0)
-    b1 = lat.beta(2.0, 5.0, j)
-    b2 = lat.beta(5.0, 2.0, j)
-    tau = (b1 + b2) / 2.0
-    theta = tau_to_theta("gumbel", tau)
-    u_truth = sample_copula("gumbel", lat, theta=theta, dim=2, n=j)
+    b1, b2, tau, _, u_truth = _latent_truth(seed, "gumbel", 2, j)
     y1 = (2.0 - b1) + ndtri(u_truth[:, 0])
     y2 = np.sqrt(1.0 / b2) * ndtri(u_truth[:, 1])
     y = np.column_stack([y1, y2])
@@ -152,7 +158,7 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
         directional = None
         if include_directional:
             directional = _bivariate_directional(
-                substream(seed, 3, f_idx), theta_hat, pit1, pit2, h, v, int(directional_n))
+                substream(seed, 3, f_idx), theta_hat, pit1, pit2, h, v, directional_n)
 
         batches.append(ForecasterBatch(
             h, k, k, v, label=label, mu1=mu1, sd2=sd2, theta=theta_hat,
@@ -163,8 +169,6 @@ def run_bivariate(j=4000, seed=DEFAULT_SEED, labels=BIVARIATE_LABELS,
 
 def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
     """Quadrant orthant records; Kendall functions by per-case Monte Carlo."""
-    if n < 1:
-        raise ValueError(f"directional Monte Carlo size must be positive, got {n}")
     cols = {q: np.empty((3, h.size)) for q in QUADRANTS}  # h, k_left, k_right
     for i in range(h.size):
         draws = sample_copula("gumbel", rng, theta=float(theta_hat[i]), dim=2, n=n)
@@ -219,21 +223,12 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
     """
     if variant not in HIGHDIM_VARIANTS:
         raise ValueError(f"variant must be one of {HIGHDIM_VARIANTS}, got {variant!r}")
-    j = _check_j(j)
-    d = int(d)
-    m = int(m)
-    kendall_n = int(kendall_n)
-    if d < 2 or m < 1 or kendall_n < 1:
-        raise ValueError("need d >= 2, m >= 1, kendall_n >= 1")
+    j = _check_int(j, "j", 1)
+    d = _check_int(d, "d", 2)
+    m = _check_int(m, "m", 1)
+    kendall_n = _check_int(kendall_n, "kendall_n", 1)
 
-    lat = substream(seed, 0)
-    b1 = lat.beta(2.0, 5.0, j)
-    b2 = lat.beta(5.0, 2.0, j)
-    tau = (b1 + b2) / 2.0
-    if not np.all(tau > 0.0):
-        raise ValueError("latent tau must be positive for the Frank truth")
-    theta_true = tau_to_theta("frank", tau)
-    u_truth = sample_copula("frank", lat, theta=theta_true, dim=d, n=j)
+    _, _, tau, theta_true, u_truth = _latent_truth(seed, "frank", d, j)
     y = ndtri(u_truth)
 
     v = substream(seed, 1).random(j)
@@ -258,7 +253,7 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         kfn = empirical_kendall(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
         k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
     counts = ensemble_counts(ens, y)
-    ranks = _tie_ranks(counts.below, [ties.integers(0, t + 1) for t in counts.tied.tolist()])
+    ranks = _tie_ranks(counts.below, ties.integers(0, counts.tied + 1))
 
     return HighDimBatch(h, k_left, k_right, v, rank=ranks, family=family, m=m,
                         theta_true=theta_true, theta_hat=theta_hat)
@@ -281,11 +276,9 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
     """
     if variant not in DEMO_VARIANTS:
         raise ValueError(f"variant must be one of {DEMO_VARIANTS}, got {variant!r}")
-    j = _check_j(j)
-    m = int(m)
-    kendall_n = int(kendall_n)
-    if m < 1 or kendall_n < 1:
-        raise ValueError("need m >= 1, kendall_n >= 1")
+    j = _check_int(j, "j", 1)
+    m = _check_int(m, "m", 1)
+    kendall_n = _check_int(kendall_n, "kendall_n", 1)
 
     rho = _DEMO_RHO
     chol = np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]]))
@@ -310,7 +303,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         pts = mu[:, None, :] + rng_f.normal(size=(j, m, 2)) @ (_DEMO_SHRINK * chol).T
         counts = ensemble_counts(pts, y)
         h, k_left, k_right = counts.h / m, counts.k_left / m, counts.k_right / m
-        ranks = _tie_ranks(counts.below, [ties.integers(0, t + 1) for t in counts.tied.tolist()])
+        ranks = _tie_ranks(counts.below, ties.integers(0, counts.tied + 1))
 
     return DemoBatch(h, k_left, k_right, v, rank=ranks, m=m if variant == "ensemble" else None)
 

@@ -16,7 +16,10 @@ imports ``scipy.stats`` at import time: it is most of the package's import
 cost, and only the on-access KS p-value needs it.  No module imports
 ``scipy.optimize`` at all: the tau solve is the package's own.  No draw
 count defaults to None: every sampler takes its count and returns that many
-draws, so it has no second, single-draw return type.
+draws, so it has no second, single-draw return type.  No library function
+casts its own parameter with ``int()``: a count, dimension, index, seed or
+key goes through ``samplers._check_int``, which rejects a float instead of
+truncating it; ``cli`` is exempt, as its argparse converters parse text.
 """
 
 import ast
@@ -200,4 +203,24 @@ def _none_counts(tree):
 def test_no_draw_count_defaults_to_none():
     trees = _trees()
     found = [f"{m}: {name}" for m, tree in sorted(trees.items()) for name in _none_counts(tree)]
+    assert trees and not found, found
+
+
+def _own_int_casts(tree):
+    """``function: int(p)`` for each ``int`` call on a parameter p of the
+    function it sits in, outside the one integer check."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "_check_int":
+            args = node.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "int"
+                        and len(call.args) == 1 and getattr(call.args[0], "id", None) in params):
+                    yield f"{node.name}: int({call.args[0].id})"
+
+
+def test_no_int_cast_of_own_parameter():
+    trees = _trees()
+    found = [f"{m}: {cast}" for m, tree in sorted(trees.items()) if m != "cli.py"
+             for cast in _own_int_casts(tree)]
     assert trees and not found, found

@@ -63,6 +63,24 @@ def test_substream_integers_match_substreams(monkeypatch):
         sp.substream_integers(5, (), [0], [3])
 
 
+def test_substream_integers_keep_unsigned_idx_past_int64():
+    idx = np.array([2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    want = [sp.substream(1, 2, i).integers(0, 1000) for i in idx.tolist()]
+    assert sp.substream_integers(1, (2,), idx, [1000, 1000]).tolist() == want
+
+
+def test_one_call_tie_draws_match_per_element_draws():
+    # the studies and multivariate_rank draw every case's tie-break in one
+    # broadcast integers call; it must take the scalar calls' draws, high = 1
+    # drawing nothing, and leave the stream where they leave it
+    high = np.r_[1, 1, np.arange(1, 2001), 2**31 + 6, 1]
+    for seed in range(10):
+        one, each = sp.substream(seed, 2), sp.substream(seed, 2)
+        got = one.integers(0, high)
+        assert got.tolist() == [each.integers(0, h) for h in high.tolist()], seed
+        assert np.array_equal(one.random(4), each.random(4)), seed
+
+
 def test_seed_validation():
     for bad in (-1, 1.5, "7", None, True):
         with pytest.raises(ValueError):
