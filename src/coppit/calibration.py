@@ -175,7 +175,8 @@ def coppit(forecast, kendall_fn, y, v, signs=None):
     """
     v = _check_v(v)
     h = float(forecast.cdf(y, signs))
-    return Records(h, float(kendall_fn.eval_left(h)), float(kendall_fn.eval(h)), v)
+    k_left, k_right = kendall_fn.interval(h)
+    return Records(h, float(k_left), float(k_right), v)
 
 
 class EnsembleCounts(NamedTuple):

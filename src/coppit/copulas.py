@@ -62,28 +62,35 @@ def _log1mexp(s):
 def _logsumexp(a):
     """log(sum(exp(a))) over the last axis, with the bits of scipy 1.17's
     ``logsumexp(a, axis=-1)`` on real input but without its array-API
-    overhead.  The row max and its tie count m are exact in any order, so
-    they are taken column by column; the other terms are summed shifted by
-    the max, in numpy's own row-sum order: in sequence below 8 columns,
-    pairwise (``np.sum``) from 8.  Rows that come out non-finite (an
-    infinite or nan max) fall back to the direct log(sum(exp(a))).
+    overhead.  The row max is exact in any order, so it is taken column by
+    column.  The max entries are zeroed by multiplying by the ``!= max``
+    mask, whose count also gives the max's tie count m (``==`` and ``!=``
+    are complements, also for nan).  The other terms are summed shifted by
+    the max, in numpy's own row-sum order: below 8 columns in sequence, on
+    a column-major copy in which each column is a contiguous 1-d array;
+    from 8 pairwise, with ``np.sum`` over the rows of the input's layout.
+    Rows that come out non-finite (an infinite or nan max) fall back to the
+    direct log(sum(exp(a))).
     """
     a = np.asarray(a, dtype=float)
     d = a.shape[-1]
-    a_max = a[..., 0]
-    for j in range(1, d):
-        a_max = np.maximum(a_max, a[..., j])
-    top = a == a_max[..., None]
-    m = top[..., 0].astype(float)
-    for j in range(1, d):
-        m += top[..., j]
-    e = np.exp(np.where(top, -np.inf, a) - a_max[..., None])
+    cols = np.moveaxis(a, -1, 0)
     if d < 8:
-        s = e[..., 0]
+        cols = cols.copy()
+    a_max = cols[0]
+    for c in cols[1:]:
+        a_max = np.maximum(a_max, c)
+    if d < 8:
+        off = cols != a_max
+        e = np.exp(cols - a_max) * off
+        s = e[0]
         for j in range(1, d):
-            s = s + e[..., j]
+            s = s + e[j]
+        m = d - np.count_nonzero(off, axis=0)
     else:
-        s = np.sum(e, axis=-1)
+        off = a != a_max[..., None]
+        s = np.sum(np.exp(a - a_max[..., None]) * off, axis=-1)
+        m = d - np.count_nonzero(off, axis=-1)
     s = np.where(s == 0, s, s / m)
     out = np.log1p(s) + np.log(m) + a_max
     bad = ~np.isfinite(out)

@@ -12,7 +12,8 @@ K comes in two shapes (Genest & Rivest 1993), and each has one type:
   - analytic_kendall: the bivariate Archimedean closed form
     w - phi(w)/phi'(w).
 - ``_Empirical``, the step function of a sample of H values, which it
-  takes and sorts at the first evaluation, once:
+  takes at the first evaluation; it counts for one point, and sorts once
+  for many:
   - empirical_kendall: the step function of a given sample in [0, 1],
     such as the frailty draws of ``copulas.kendall_sample``;
   - monte_carlo_kendall: the sample H(X_1..n) for X_i drawn from the
@@ -22,6 +23,9 @@ K comes in two shapes (Genest & Rivest 1993), and each has one type:
     runs at the first evaluation, so a caller that never evaluates it (the
     cli on stacked ensembles, which takes K from the counts) pays nothing
     for it.
+
+Both types answer ``interval(w)``, the jump interval (K(w-), K(w)) that the
+copula PIT needs, in one call; ``eval`` and ``eval_left`` give either end.
 
 ``select_kendall`` takes the route the forecast fixes: uniform for a
 ``Normal``, pseudo-observations for ensembles, the closed form for
@@ -78,12 +82,19 @@ class KendallFn:
 
     eval_left = eval
 
+    def interval(self, w):
+        """(K(w-), K(w)), one CDF evaluation for both ends."""
+        k = self.eval(w)
+        return k, k
+
 
 class _Empirical:
     """The step Kendall function of n values in [0, 1]: K(w) counts the values
     <= w and K(w-) those < w, over n.  ``sample()`` gives the values at first
-    use; they are sorted once, and the sampler is dropped then, so a kept
-    Kendall function holds only its sorted values."""
+    use, and the sampler is dropped then.  It counts for one point, on the
+    unsorted values, and sorts once for many: the first evaluation on an
+    array of points (or a read of ``values``) sorts the values, and from then
+    on the Kendall function holds only its sorted values."""
 
     def __init__(self, source, n, sample):
         self.source = source
@@ -91,20 +102,36 @@ class _Empirical:
         self._sample = sample
 
     @cached_property
-    def values(self):
-        values = np.sort(self._sample())
+    def _unsorted(self):
+        sample = self._sample()
         del self._sample
+        return sample
+
+    @cached_property
+    def values(self):
+        values = np.sort(self._unsorted)
+        del self._unsorted
         return values
 
-    def eval(self, w):
-        arr = _check_w(w)
-        out = np.searchsorted(self.values, arr, side="right") / self.n
+    def _at(self, arr, side):
+        """K(w) ('right') or K(w-) ('left') at each checked w of ``arr``."""
+        if arr.ndim == 0 and "values" not in self.__dict__:
+            sample = self._unsorted
+            out = np.count_nonzero(sample <= arr if side == "right" else sample < arr) / self.n
+        else:
+            out = np.searchsorted(self.values, arr, side=side) / self.n
         return float(out) if arr.ndim == 0 else out
 
+    def eval(self, w):
+        return self._at(_check_w(w), "right")
+
     def eval_left(self, w):
+        return self._at(_check_w(w), "left")
+
+    def interval(self, w):
+        """(K(w-), K(w)) from one check of w."""
         arr = _check_w(w)
-        out = np.searchsorted(self.values, arr, side="left") / self.n
-        return float(out) if arr.ndim == 0 else out
+        return self._at(arr, "left"), self._at(arr, "right")
 
 
 def uniform_kendall():
@@ -149,8 +176,8 @@ def pseudo_observations(points):
 def pseudo_kendall(points):
     """Empirical Kendall function of an ensemble from its own pseudo-observations.
 
-    The points are validated now; the pseudo-observations are counted and
-    sorted at the first ``eval``, ``eval_left`` or ``values``, once.
+    The points are validated now; the pseudo-observations are counted at
+    the first evaluation or read of ``values``, once.
     """
     pts = _as_members(points)
     return _Empirical("pseudo", pts.shape[0], lambda: pseudo_observations(pts))
@@ -164,9 +191,11 @@ def select_kendall(forecast, strategy="auto", rng=None, n=DEFAULT_MC_SIZE, signs
     cone), the closed form for bivariate copula-marginal forecasts evaluated
     on the plain CDF, and Monte Carlo otherwise.  'mc'
     estimates every forecast's Kendall function by Monte Carlo instead.
+    The Monte Carlo size n is checked on every route.
     """
     if strategy not in ("auto", "mc"):
         raise ValueError(f"unknown Kendall strategy {strategy!r} (use auto or mc)")
+    n = _check_int(n, "n", 1)
     if signs is not None:
         signs = cone_signs(signs, forecast.dim)
     plain = signs is None or bool(np.all(signs < 0))

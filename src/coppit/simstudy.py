@@ -183,7 +183,7 @@ def _bivariate_directional(rng, theta_hat, pit1, pit2, h, v, n):
         for q, (hq, g) in pairs.items():
             kfn = empirical_kendall(np.clip(g, 0.0, 1.0))
             hq = min(max(hq, 0.0), 1.0)
-            cols[q][:, i] = hq, kfn.eval_left(hq), kfn.eval(hq)
+            cols[q][:, i] = hq, *kfn.interval(hq)
     return {q: Records(*cols[q], v) for q in QUADRANTS}
 
 
@@ -251,7 +251,7 @@ def run_highdim(variant, j=4000, seed=DEFAULT_SEED, d=50, m=8, kendall_n=10_000)
         th = float(theta_hat[i])
         ens[i] = ndtri(sample_copula(family, rng_f, theta=th, dim=d, n=m))
         kfn = empirical_kendall(kendall_sample(family, rng_f, theta=th, dim=d, n=kendall_n))
-        k_left[i], k_right[i] = kfn.eval_left(h[i]), kfn.eval(h[i])
+        k_left[i], k_right[i] = kfn.interval(h[i])
     counts = ensemble_counts(ens, y)
     ranks = _tie_ranks(counts.below, ties.integers(0, counts.tied + 1))
 
@@ -294,7 +294,7 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
         truth = demo_truth_forecast(np.zeros(2), rho)
         h = truth.cdf(resid)
         kfn = monte_carlo_kendall(truth, substream(seed, 3, 0), kendall_n)
-        k_left, k_right = kfn.eval_left(h), kfn.eval(h)
+        k_left, k_right = kfn.interval(h)
     elif variant == "independent":
         h = copula_cdf("independence", ndtr(resid))
         k_left = k_right = kendall_cdf("independence", h)

@@ -143,10 +143,11 @@ def _lse_rows(rng, n, d):
     return a
 
 
-@pytest.mark.parametrize("d", [2, 3, 7, 8, 9, 50])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 16, 50, 128, 129])
 def test_logsumexp_matches_scipy_bits(d):
-    # numpy adds a row of fewer than 8 terms in sequence and pairwise from 8;
-    # np.logaddexp, or summing the columns in another order, changes bits
+    # numpy adds a row of fewer than 8 terms in sequence and pairwise from 8,
+    # in blocks of 128 terms (129 splits the row); np.logaddexp, or summing
+    # the columns in another order, changes bits
     a = _lse_rows(np.random.default_rng(300 + d), 4000, d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         assert cp._logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()

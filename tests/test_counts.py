@@ -15,6 +15,8 @@ from coppit import calibration, copulas, forecasts, kendall, samplers, simstudy
 
 _GAUSS = forecasts.GaussianForecast([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
 _ENS = forecasts.EnsembleForecast([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+_CM = forecasts.CopulaMarginalForecast(copulas.ArchimedeanCopula("gumbel", tau=0.5),
+                                       [forecasts.Normal(0.0, 1.0), forecasts.Normal(1.0, 2.0)])
 
 
 def _rng():
@@ -43,6 +45,11 @@ CASES = {
     "EnsembleForecast.sample": ("n", 0, lambda v: _ENS.sample(_rng(), v)),
     "GaussianForecast.sample": ("n", 0, lambda v: _GAUSS.sample(_rng(), v)),
     "monte_carlo_kendall": ("n", 1, lambda v: kendall.monte_carlo_kendall(_GAUSS, _rng(), v)),
+    # select_kendall checks n also on the routes that draw nothing
+    "select_kendall.uniform": ("n", 1, lambda v: kendall.select_kendall(forecasts.Normal(0.0, 1.0), n=v)),
+    "select_kendall.pseudo": ("n", 1, lambda v: kendall.select_kendall(_ENS, n=v)),
+    "select_kendall.analytic": ("n", 1, lambda v: kendall.select_kendall(_CM, n=v)),
+    "select_kendall.mc": ("n", 1, lambda v: kendall.select_kendall(_GAUSS, rng=_rng(), n=v)),
     "histogram": ("bins", 1, lambda v: calibration.histogram(np.linspace(0.05, 0.95, 10), bins=v)),
     "rank_histogram": ("m", 1, lambda v: calibration.rank_histogram(np.array([1, 2]), v)),
     "margin_forecast.mvgauss": ("margin index", 0, lambda v: forecasts.margin_forecast(_GAUSS, v)),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coppit import kendall
 from coppit.copulas import ArchimedeanCopula
@@ -11,6 +13,7 @@ from coppit.forecasts import (
 )
 from coppit.kendall import (
     analytic_kendall,
+    empirical_kendall,
     monte_carlo_kendall,
     pseudo_kendall,
     pseudo_observations,
@@ -32,6 +35,7 @@ def test_uniform_identity():
     assert np.array_equal(kf.eval_left(w), w)
     assert kf.eval(0.3) == 0.3
     assert isinstance(kf.eval(0.3), float)
+    assert kf.interval(0.3) == (0.3, 0.3)
     assert kf.source == "uniform"
 
 
@@ -41,6 +45,8 @@ def test_analytic_matches_copula():
     w = np.linspace(0.0, 1.0, 21)
     assert np.array_equal(kf.eval(w), cop.kendall_cdf(w))
     assert np.array_equal(kf.eval_left(w), kf.eval(w))
+    lo, hi = kf.interval(w)
+    assert lo.tobytes() == hi.tobytes() == kf.eval(w).tobytes()
     assert kf.source == "analytic"
     with pytest.raises(ValueError):
         analytic_kendall(ArchimedeanCopula("clayton", theta=2.0, dim=3))
@@ -217,6 +223,11 @@ def test_pseudo_kendall_counts_on_first_use(monkeypatch):
     monkeypatch.setattr(kendall, "pseudo_observations", lambda p: calls.append(1) or eager)
     kf = pseudo_kendall(pts)
     assert calls == [] and kf.n == 40 and kf.source == "pseudo"
+    # one point first (counted on the unsorted values), then a grid (sorted)
+    lo, hi = kf.interval(0.5)
+    assert (lo, hi) == (np.searchsorted(eager, 0.5, side="left") / 40,
+                        np.searchsorted(eager, 0.5, side="right") / 40)
+    assert len(calls) == 1
     w = np.linspace(0.0, 1.0, 81)
     assert kf.eval(w).tobytes() == (np.searchsorted(eager, w, side="right") / 40).tobytes()
     assert kf.eval_left(w).tobytes() == (np.searchsorted(eager, w, side="left") / 40).tobytes()
@@ -235,3 +246,39 @@ def test_pseudo_chunking_consistent():
     brute = np.all(pts[None, :, :] <= pts[:, None, :], axis=2).mean(axis=1)
     assert np.array_equal(w, brute)
     assert np.all(w >= 1 / 250)
+
+
+# sample values from a small pool (ties, the ends 0 and 1) or anywhere in [0, 1]
+_K_VALUES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      st.floats(0.0, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample=st.lists(_K_VALUES, min_size=1, max_size=40), data=st.data())
+@example(sample=[0.5], data=None)  # n = 1, h at the value
+@example(sample=[0.0, 0.0, 1.0, 1.0, 0.25], data=None)  # ties at both ends
+def test_one_point_interval_counts_like_a_sorted_search(sample, data):
+    sample = np.array(sample)
+    n = sample.size
+    points = (sample[0], 0.0, 1.0) if data is None else (data.draw(st.one_of(
+        st.sampled_from(list(sample)), _K_VALUES), label="h"),)
+    grid = np.linspace(0.0, 1.0, 41)
+
+    def want(h, side):
+        return np.searchsorted(np.sort(sample), h, side=side) / n
+
+    def bits(lo_hi):
+        return tuple(np.float64(k).tobytes() for k in lo_hi)
+
+    for h in points:
+        expect = bits((want(h, "left"), want(h, "right")))
+        kf = empirical_kendall(sample)
+        first = kf.interval(h)  # counted on the unsorted sample
+        assert all(type(k) is float for k in first) and bits(first) == expect
+        assert kf.eval(grid).tobytes() == empirical_kendall(sample).eval(grid).tobytes()
+        assert bits(kf.interval(h)) == expect  # searched in the sorted values
+        assert bits((kf.eval_left(h), kf.eval(h))) == expect
+        fresh = empirical_kendall(sample)
+        assert bits((fresh.eval_left(h), fresh.eval(h))) == expect
+        lo, hi = empirical_kendall(sample).interval(np.array([h]))
+        assert bits((lo[0], hi[0])) == expect
