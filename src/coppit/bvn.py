@@ -21,6 +21,8 @@ order changes last bits, and the golden digests record those bits.
 import numpy as np
 from scipy.special import ndtr
 
+from .samplers import _check_finite
+
 __all__ = ["bvn_cdf", "bvn_upper"]
 
 # Gauss-Legendre nodes (positive half, [-1, 1]) and weights
@@ -153,9 +155,9 @@ def bvn_upper(h, k, rho):
         np.asarray(h, dtype=float), np.asarray(k, dtype=float), r_arr)[:2]
     scalar = h_arr.ndim == 0
     h_arr, k_arr = np.atleast_1d(h_arr, k_arr)
-    if not (np.all(np.isfinite(h_arr)) and np.all(np.isfinite(k_arr))):
-        raise ValueError("bvn bounds must be finite")
-    if np.any(np.abs(r_arr) > 1.0) or not np.all(np.isfinite(r_arr)):
+    _check_finite(h_arr, "bvn bounds")
+    _check_finite(k_arr, "bvn bounds")
+    if not (np.abs(r_arr) <= 1.0).all():  # nan fails too
         raise ValueError("correlation must lie in [-1, 1]")
     if r_arr.ndim:
         r_arr = np.broadcast_to(r_arr, h_arr.shape)

@@ -28,7 +28,7 @@ from scipy.special import chdtrc
 
 from .forecasts import _as_members, cone_signs, dominance_counts
 from .kendall import empirical_kendall
-from .samplers import _check_int
+from .samplers import _check_finite, _check_int, _check_sample, _check_unit
 
 __all__ = [
     "Records",
@@ -151,18 +151,9 @@ class ClicalCurve:
         return float(np.max(np.abs(self.lhs - self.rhs)))
 
 
-def _check_v(v):
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"randomization draw v must lie in [0, 1], got {v}")
-    return v
-
-
 def pit(forecast, y, v):
     """Randomized univariate PIT, F(y-) + v * (F(y) - F(y-))."""
-    v = np.asarray(v, dtype=float)
-    if not np.all((v >= 0.0) & (v <= 1.0)):
-        raise ValueError("randomization draws v must lie in [0, 1]")
+    v = _check_unit(v, "randomization draws v")
     out = randomize(forecast.cdf_left(y), forecast.cdf(y), v)
     return float(out) if np.ndim(out) == 0 else out
 
@@ -173,7 +164,7 @@ def coppit(forecast, kendall_fn, y, v, signs=None):
     ``kendall_fn`` must describe the same direction as ``signs``; use
     ``select_kendall`` with matching arguments to build it.
     """
-    v = _check_v(v)
+    v = float(_check_unit(v, "randomization draw v"))
     h = float(forecast.cdf(y, signs))
     k_left, k_right = kendall_fn.interval(h)
     return Records(h, float(k_left), float(k_right), v)
@@ -217,7 +208,7 @@ def ensemble_counts(points, y, signs=None):
     cone, which turns the cone CDF into the plain one.
     """
     pts = np.asarray(points, dtype=float)
-    yv = np.asarray(y, dtype=float)
+    yv = _check_finite(y, "outcome coordinates")
     if pts.ndim != 3 or min(pts.shape[1:]) < 1 or yv.shape != (pts.shape[0], pts.shape[2]):
         raise ValueError(f"need points (n, m, d) and y (n, d) with m, d >= 1, got {pts.shape} "
                          f"and {yv.shape}")
@@ -271,11 +262,7 @@ def histogram(values, bins=20):
     Kolmogorov-Smirnov statistic compares the sample against the uniform
     distribution.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("histogram needs a non-empty 1-d sample")
-    if not np.all((vals >= 0.0) & (vals <= 1.0)):
-        raise ValueError("histogram values must lie in [0, 1]")
+    vals = _check_sample(values, "histogram values")
     bins = _check_int(bins, "bins", 1)
     n = vals.size
     idx = np.clip(np.ceil(vals * bins).astype(int) - 1, 0, bins - 1)
@@ -306,10 +293,8 @@ def clical_curve(h_obs, mean_k, grid):
     calibrated system the two coincide.
     """
     pooled = empirical_kendall(h_obs)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all((grid >= 0) & (grid <= 1)):
-        raise ValueError("grid must be a 1-d array of values in [0, 1]")
-    rhs = np.asarray(mean_k, dtype=float)
+    grid = _check_sample(grid, "grid")
+    rhs = _check_unit(mean_k, "mean Kendall function")
     if rhs.shape != grid.shape:
         raise ValueError(f"mean Kendall function has shape {rhs.shape}, grid has {grid.shape}")
     return ClicalCurve(grid=grid, lhs=pooled.eval(grid), rhs=rhs)

@@ -119,9 +119,7 @@ class _Archimedean:
     def check_theta(cls, theta):
         if theta is None:
             raise ValueError(f"{cls.name} requires theta or tau")
-        arr = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{cls.name} copula parameter must be finite, got {theta!r}")
+        arr = samplers._check_finite(theta, f"{cls.name} copula parameter")
         if np.any(arr < cls.theta_min if cls.theta_closed else arr <= cls.theta_min):
             op = ">=" if cls.theta_closed else ">"
             raise ValueError(f"{cls.name} requires theta {op} {cls.theta_min:g}, got {theta!r}")
@@ -516,9 +514,7 @@ def kendall_cdf(family, w, theta=None):
     against w).  Returns exact 0 and 1 at the endpoints.
     """
     fam, th = _checked(family, theta)
-    w_arr = np.asarray(w, dtype=float)
-    if not np.all((w_arr >= 0.0) & (w_arr <= 1.0)):
-        raise ValueError("kendall_cdf argument must lie in [0, 1]")
+    w_arr = samplers._check_unit(w, "kendall_cdf argument")
     out = np.clip(fam.kendall(w_arr, th), 0.0, 1.0)
     return float(out) if w_arr.ndim == 0 and np.ndim(out) == 0 else out
 
@@ -535,8 +531,7 @@ def copula_cdf(family, u, theta=None):
         raise ValueError(f"u must have shape (d,) or (n, d), got {u_arr.shape}")
     if u_mat.shape[-1] < 2:
         raise ValueError("copula dimension must be at least 2")
-    if not np.all((u_mat >= 0.0) & (u_mat <= 1.0)):
-        raise ValueError("copula arguments must lie in [0, 1]")
+    samplers._check_unit(u_mat, "copula arguments")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c = fam.cdf(u_mat, th)
     c = np.clip(c, 0.0, 1.0)

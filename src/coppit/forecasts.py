@@ -26,7 +26,9 @@ it, so each accepts the same specs:
 
 ``Normal`` is both the margin of a copula-marginal forecast and the one
 univariate forecast: it has the same interface with ``dim = 1``, plus the
-left-limit CDF that randomized PITs take.
+left-limit CDF that randomized PITs take.  Every CDF takes only finite
+outcomes: y passes ``samplers._check_finite`` in ``Normal.cdf`` and in
+``_as_points``, behind every other ``cdf`` and ``cdf_left``.
 """
 
 import itertools
@@ -36,7 +38,7 @@ from scipy.special import ndtr, ndtri
 
 from .bvn import bvn_cdf
 from .copulas import ArchimedeanCopula
-from .samplers import _check_int
+from .samplers import _check_finite, _check_int
 
 __all__ = [
     "Normal",
@@ -69,7 +71,7 @@ class Normal:
         self.sigma = sigma
 
     def cdf(self, y, signs=None):
-        x = np.asarray(y, dtype=float)
+        x = _check_finite(y, "outcome coordinates")
         if x.ndim == 2 and x.shape[1] == 1:
             x = x[:, 0]
         elif x.ndim > 1:
@@ -102,8 +104,9 @@ class Normal:
 
 
 def _as_points(y, dim):
-    """Coerce y to (n, dim); report whether the input was a single point."""
-    arr = np.asarray(y, dtype=float)
+    """Coerce the finite outcomes y to (n, dim); report whether the input was
+    a single point."""
+    arr = _check_finite(y, "outcome coordinates")
     if arr.ndim == 0 and dim == 1:
         return arr[None, None], True
     if arr.ndim == 1:
@@ -199,9 +202,7 @@ class EnsembleForecast:
 
     def __init__(self, points):
         pts = _as_members(np.array(points, dtype=float))  # the one copy: never the caller's array
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("ensemble points must be finite")
-        self.points = pts
+        self.points = _check_finite(pts, "ensemble points")
         self.m = pts.shape[0]
         self.dim = pts.shape[1]
 
@@ -240,8 +241,8 @@ class GaussianForecast:
         cov = np.asarray(cov, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError("mvgauss forecast is bivariate: mean (2,), cov (2, 2)")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mvgauss parameters must be finite")
+        _check_finite(mean, "mvgauss mean")
+        _check_finite(cov, "mvgauss cov")
         if abs(cov[0, 1] - cov[1, 0]) > 1e-12 * max(1.0, abs(cov[0, 1])):
             raise ValueError("covariance must be symmetric")
         if cov[0, 0] <= 0.0 or cov[1, 1] <= 0.0:

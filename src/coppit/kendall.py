@@ -24,8 +24,9 @@ K comes in two shapes (Genest & Rivest 1993), and each has one type:
     cli on stacked ensembles, which takes K from the counts) pays nothing
     for it.
 
-Both types answer ``interval(w)``, the jump interval (K(w-), K(w)) that the
-copula PIT needs, in one call; ``eval`` and ``eval_left`` give either end.
+Both types answer ``eval(w)``, K(w), and ``interval(w)``, the jump interval
+(K(w-), K(w)) that the copula PIT needs, in one call.  Every argument w and
+every given sample passes ``samplers._check_unit`` or ``_check_sample``.
 
 ``select_kendall`` takes the route the forecast fixes: uniform for a
 ``Normal``, pseudo-observations for ensembles, the closed form for
@@ -46,7 +47,7 @@ from .forecasts import (
     cone_signs,
     dominance_counts,
 )
-from .samplers import _check_int
+from .samplers import _check_int, _check_sample, _check_unit
 
 DEFAULT_MC_SIZE = 10_000
 
@@ -63,13 +64,6 @@ __all__ = [
 ]
 
 
-def _check_w(w):
-    arr = np.asarray(w, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("Kendall function arguments must lie in [0, 1]")
-    return arr
-
-
 class KendallFn:
     """A continuous Kendall function K(w) = cdf(w); without jumps K(w-) = K(w)."""
 
@@ -78,9 +72,7 @@ class KendallFn:
         self.cdf = cdf
 
     def eval(self, w):
-        return self.cdf(_check_w(w))
-
-    eval_left = eval
+        return self.cdf(_check_unit(w, "Kendall function arguments"))
 
     def interval(self, w):
         """(K(w-), K(w)), one CDF evaluation for both ends."""
@@ -123,14 +115,11 @@ class _Empirical:
         return float(out) if arr.ndim == 0 else out
 
     def eval(self, w):
-        return self._at(_check_w(w), "right")
-
-    def eval_left(self, w):
-        return self._at(_check_w(w), "left")
+        return self._at(_check_unit(w, "Kendall function arguments"), "right")
 
     def interval(self, w):
         """(K(w-), K(w)) from one check of w."""
-        arr = _check_w(w)
+        arr = _check_unit(w, "Kendall function arguments")
         return self._at(arr, "left"), self._at(arr, "right")
 
 
@@ -148,11 +137,7 @@ def analytic_kendall(copula):
 
 def empirical_kendall(values):
     """Empirical Kendall function of a Monte Carlo sample of H values in [0, 1]."""
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size == 0:
-        raise ValueError("empirical Kendall function needs a non-empty 1-d sample")
-    if not np.all((vals >= 0.0) & (vals <= 1.0)):
-        raise ValueError("empirical Kendall sample must lie in [0, 1]")
+    vals = _check_sample(values, "empirical Kendall sample")
     return _Empirical("mc", vals.size, lambda: vals)
 
 

@@ -20,10 +20,14 @@ and Sibuya variates (asymptotic inversion corrected by the exact survival
 function).  Each takes its draw count n and returns an array of n draws;
 its parameter is a scalar or one value per draw.
 
-``_check_int`` is the package's one check of a count, dimension, index,
-seed or substream key: an int or numpy integer, not a bool, at or above a
-minimum.  A float such as 2.7 or a bool raises ValueError naming the
-argument instead of being truncated.
+The package's one check of each kind of value lives here too, and each
+raises a ValueError that names the argument: ``_check_int`` of a count,
+dimension, index, seed or substream key (an int or numpy integer, not a
+bool, at or above a minimum: a float such as 2.7 is rejected, not
+truncated); ``_check_unit`` of probabilities (every entry in [0, 1], nan
+rejected); ``_check_sample`` of a non-empty 1-d sample of them; and
+``_check_finite`` of parameters and outcomes.  The last three return the
+values as a float array.
 """
 
 import math
@@ -50,6 +54,32 @@ def _check_int(value, what, minimum=0):
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_unit(values, what):
+    """``values`` as a float array if every entry lies in [0, 1]; else a
+    ValueError that names ``what`` (nan fails)."""
+    a = np.asarray(values, dtype=float)
+    if not ((a >= 0.0) & (a <= 1.0)).all():
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return a
+
+
+def _check_sample(values, what):
+    """``values`` as a float array if they form a non-empty 1-d sample in [0, 1]."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{what} must be a non-empty 1-d sample")
+    return _check_unit(a, what)
+
+
+def _check_finite(values, what):
+    """``values`` as a float array if every entry is finite; else a ValueError
+    that names ``what``."""
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
 
 
 def make_rng(seed=DEFAULT_SEED):

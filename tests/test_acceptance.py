@@ -134,7 +134,7 @@ def test_05_interval_equals_pseudo_kendall_bit_exact():
         kf = pseudo_kendall(pts)
         h = fc.cdf(y)
         lo, hi = coppit_interval(pts, y)
-        if lo != kf.eval_left(h) or hi != kf.eval(h):
+        if lo != kf.interval(h)[0] or hi != kf.eval(h):
             bad += 1
     _report("criterion 5 (rank identity, bit-exact)", bad == 0,
             f"{1000 - bad}/1000 randomized ensembles match (m in [1,20], d in 1..3)")

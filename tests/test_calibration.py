@@ -103,7 +103,7 @@ def test_coppit_interval_matches_kendall_evaluations():
         fc = EnsembleForecast(pts)
         kf = pseudo_kendall(pts)
         h = float(fc.cdf(y))
-        assert coppit_interval(pts, y) == (kf.eval_left(h), kf.eval(h))
+        assert coppit_interval(pts, y) == (kf.interval(h)[0], kf.eval(h))
 
 
 def test_coppit_interval_small_cases():

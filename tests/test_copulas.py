@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -284,6 +286,77 @@ def test_frank_tau_small_theta():
     # tau = theta/9 - theta^3/900 + ... (mpmath: tau(1e-6) = 1.11e-7)
     assert cp.theta_to_tau("frank", 1e-6) > 0
     assert cp.tau_to_theta("frank", 1e-9) == pytest.approx(9e-9, rel=1e-6)
+
+
+# --- properties of every family ---------------------------------------------
+
+# coordinates: the ends 0 and 1, values rounded to 3 places (ties), and any
+# value from 1e-3; smaller coordinates and tau are the extremes below
+_COORD = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0).map(lambda x: round(x, 3)),
+                   st.floats(1e-3, 1.0))
+
+
+@st.composite
+def _copulas(draw):
+    """(family, theta) at a tau in [1e-3, 0.95]; independence has no theta."""
+    family = draw(st.sampled_from(cp.FAMILY_NAMES))
+    if family == "independence":
+        return family, None
+    return family, cp.tau_to_theta(family, draw(st.floats(1e-3, 0.95)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(copula=_copulas(), d=st.sampled_from([2, 3, 5]), data=st.data())
+def test_copula_cdf_properties(copula, d, data):
+    """C is finite, inside the Frechet bounds, has uniform margins
+    C(v, 1, ..., 1) = v and is non-decreasing in each coordinate."""
+    family, theta = copula
+    u = np.array(data.draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=8),
+                           label="u"))
+    c = cp.copula_cdf(family, u, theta)
+    assert np.isfinite(c).all()
+    assert (c <= u.min(axis=1) * (1.0 + 1e-14)).all()
+    assert (c >= np.maximum(0.0, u.sum(axis=1) - d + 1.0) - 1e-15).all()
+    j = data.draw(st.integers(0, d - 1), label="margin")
+    margin = np.ones_like(u)
+    margin[:, j] = u[:, j]
+    assert np.allclose(cp.copula_cdf(family, margin, theta), u[:, j], rtol=1e-14, atol=0.0)
+    above = np.array(data.draw(st.lists(_COORD, min_size=len(u), max_size=len(u)), label="above"))
+    for k in range(d):
+        raised = u.copy()
+        raised[:, k] = np.maximum(u[:, k], above)
+        assert (cp.copula_cdf(family, raised, theta) >= c).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(copula=_copulas(), w=st.lists(_COORD, max_size=20))
+def test_kendall_cdf_properties(copula, w):
+    """K(0) = 0, K(1) = 1, K(w) >= w, and K is non-decreasing."""
+    family, theta = copula
+    w = np.sort(np.concatenate([[0.0, 1.0], w]))
+    k = cp.kendall_cdf(family, w, theta)
+    assert k[0] == 0.0 and k[-1] == 1.0
+    assert (k >= w).all() and (np.diff(k) >= 0.0).all()
+
+
+# each names a point where a kernel leaves the bounds the properties above check
+_EXTREMES = {
+    "clayton-large-theta": lambda: cp.copula_cdf("clayton", [1.0, 0.02], 198.0) == pytest.approx(0.02),
+    "joe-large-theta": lambda: cp.copula_cdf("joe", [1.0, 0.98], 200.0) == pytest.approx(0.98),
+    "frank-large-theta": lambda: cp.copula_cdf("frank", [0.19, 0.8], 4000.0) <= 0.19,
+    # tau = 0.95 is theta = 38: phi(1e-10) = (1e380 - 1) / 38 overflows
+    "clayton-small-u": lambda: cp.copula_cdf("clayton", [1e-10, 1.0], 38.0) == pytest.approx(1e-10),
+    "frank-small-theta": lambda: cp.copula_cdf("frank", [0.97, 1.0], 1e-8) >= 0.97 - 1e-15,
+    "positive_stable-small-alpha": lambda: np.isfinite(sp.positive_stable(sp.make_rng(1), 1 / 400, 1000)).all(),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: generators under- or overflow at large "
+                                       "theta and small u, Frank loses digits at small theta, "
+                                       "and positive_stable fails for small alpha")
+@pytest.mark.parametrize("case", sorted(_EXTREMES))
+def test_kernels_at_extreme_parameters(case):
+    assert _EXTREMES[case]()
 
 
 def test_tau_sampling_concordance():

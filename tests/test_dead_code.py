@@ -20,6 +20,10 @@ draws, so it has no second, single-draw return type.  No library function
 casts its own parameter with ``int()``: a count, dimension, index, seed or
 key goes through ``samplers._check_int``, which rejects a float instead of
 truncating it; ``cli`` is exempt, as its argparse converters parse text.
+Likewise no ``raise`` outside ``samplers`` says a value "must lie in [0, 1]"
+or "must be finite": probabilities, samples, parameters and outcomes go
+through ``_check_unit``, ``_check_sample`` and ``_check_finite``; ``io``
+is exempt, as its readers report line numbers.
 """
 
 import ast
@@ -223,4 +227,22 @@ def test_no_int_cast_of_own_parameter():
     trees = _trees()
     found = [f"{m}: {cast}" for m, tree in sorted(trees.items()) if m != "cli.py"
              for cast in _own_int_casts(tree)]
+    assert trees and not found, found
+
+
+def _value_check_raises(tree):
+    """Line of each ``raise`` whose message says a value must lie in [0, 1]
+    or be finite."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            text = "".join(c.value for c in ast.walk(node)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if "must lie in [0, 1]" in text or "must be finite" in text:
+                yield node.lineno
+
+
+def test_one_check_per_value_kind():
+    trees = _trees()
+    found = [f"{m}:{line}" for m, tree in sorted(trees.items()) if m not in ("samplers.py", "io.py")
+             for line in _value_check_raises(tree)]
     assert trees and not found, found

@@ -32,7 +32,7 @@ def test_uniform_identity():
     kf = uniform_kendall()
     w = np.linspace(0.0, 1.0, 11)
     assert np.array_equal(kf.eval(w), w)
-    assert np.array_equal(kf.eval_left(w), w)
+    assert np.array_equal(kf.interval(w)[0], w)
     assert kf.eval(0.3) == 0.3
     assert isinstance(kf.eval(0.3), float)
     assert kf.interval(0.3) == (0.3, 0.3)
@@ -44,7 +44,7 @@ def test_analytic_matches_copula():
     kf = analytic_kendall(cop)
     w = np.linspace(0.0, 1.0, 21)
     assert np.array_equal(kf.eval(w), cop.kendall_cdf(w))
-    assert np.array_equal(kf.eval_left(w), kf.eval(w))
+    assert np.array_equal(kf.interval(w)[0], kf.eval(w))
     lo, hi = kf.interval(w)
     assert lo.tobytes() == hi.tobytes() == kf.eval(w).tobytes()
     assert kf.source == "analytic"
@@ -75,12 +75,12 @@ def test_empirical_step_semantics():
     # univariate pseudo-obs of distinct-ish values are ranks/m: (1, 3, 3, 4)/4
     assert np.array_equal(kf.values, [0.25, 0.75, 0.75, 1.0])
     assert kf.eval(0.75) == 0.75
-    assert kf.eval_left(0.75) == 0.25
-    assert kf.eval(0.75) - kf.eval_left(0.75) == 0.5
+    assert kf.interval(0.75)[0] == 0.25
+    assert kf.eval(0.75) - kf.interval(0.75)[0] == 0.5
     assert kf.eval(0.1) == 0.0
-    assert kf.eval_left(0.25) == 0.0
+    assert kf.interval(0.25)[0] == 0.0
     assert kf.eval(1.0) == 1.0
-    assert kf.eval_left(1.0) == 0.75
+    assert kf.interval(1.0)[0] == 0.75
     out = kf.eval(np.array([0.0, 0.5, 1.0]))
     assert np.array_equal(out, [0.0, 0.25, 1.0])
 
@@ -230,7 +230,7 @@ def test_pseudo_kendall_counts_on_first_use(monkeypatch):
     assert len(calls) == 1
     w = np.linspace(0.0, 1.0, 81)
     assert kf.eval(w).tobytes() == (np.searchsorted(eager, w, side="right") / 40).tobytes()
-    assert kf.eval_left(w).tobytes() == (np.searchsorted(eager, w, side="left") / 40).tobytes()
+    assert kf.interval(w)[0].tobytes() == (np.searchsorted(eager, w, side="left") / 40).tobytes()
     assert kf.eval(0.5) == np.searchsorted(eager, 0.5, side="right") / 40
     assert kf.values.tobytes() == eager.tobytes()
     assert len(calls) == 1
@@ -277,8 +277,8 @@ def test_one_point_interval_counts_like_a_sorted_search(sample, data):
         assert all(type(k) is float for k in first) and bits(first) == expect
         assert kf.eval(grid).tobytes() == empirical_kendall(sample).eval(grid).tobytes()
         assert bits(kf.interval(h)) == expect  # searched in the sorted values
-        assert bits((kf.eval_left(h), kf.eval(h))) == expect
+        assert bits((kf.interval(h)[0], kf.eval(h))) == expect
         fresh = empirical_kendall(sample)
-        assert bits((fresh.eval_left(h), fresh.eval(h))) == expect
+        assert bits((fresh.interval(h)[0], fresh.eval(h))) == expect
         lo, hi = empirical_kendall(sample).interval(np.array([h]))
         assert bits((lo[0], hi[0])) == expect
