@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, simstudy
 from .calibration import (
+    ClicalCurve,
     Records,
     _tie_ranks,
     clical_curve,
@@ -44,7 +45,7 @@ from .io import (
     write_records,
 )
 from .kendall import DEFAULT_MC_SIZE, select_kendall
-from .samplers import DEFAULT_SEED, substream, substream_integers
+from .samplers import DEFAULT_SEED, _check_int, substream, substream_integers
 
 __all__ = ["main", "build_parser"]
 
@@ -58,26 +59,38 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _positive(kind):
+def _checked(check):
+    """An argparse type that keeps what ``check`` makes of the flag's text;
+    the library check's ValueError becomes a usage error with its message."""
     def convert(text):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"expected a positive {kind}, got {value}")
-        return value
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
     return convert
 
 
-def _seed_value(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
-    return value
+def _integer(what, minimum):
+    """argparse type: ``_check_int`` at the library's ``minimum`` decides the
+    text's int, or the text itself when it is not one."""
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = text
+        return _check_int(value, what, minimum)
+    return _checked(check)
+
+
+_SEED = _integer("seed", 0)
+
+
+@_checked
+def _cone(text):
+    """argparse type: a direction ``cone_signs`` parses, kept as the text the
+    manifest records; its dimension is checked against the archive's."""
+    cone_signs(text)
+    return text
 
 
 def build_parser():
@@ -86,93 +99,77 @@ def build_parser():
     p.add_argument("--version", action="version", version=f"coppit {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add_io(sp):
-        sp.add_argument("--in", dest="inp", required=True, metavar="FILE",
-                        help="case archive (JSON lines, or CSV ensemble shorthand)")
+    def command(parent, name, func, summary, archive=True):
+        """A subcommand with the flags every analysis and study shares."""
+        sp = parent.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if archive:
+            sp.add_argument("--in", dest="inp", required=True, metavar="FILE",
+                            help="case archive (JSON lines, or CSV ensemble shorthand)")
         sp.add_argument("--out", required=True, metavar="DIR", help="output directory")
-
-    def add_common(sp):
-        sp.add_argument("--seed", type=_seed_value, default=None,
+        sp.add_argument("--seed", type=_SEED, default=None,
                         help="master seed (default: COPPIT_SEED or the package constant)")
-        sp.add_argument("--threads", type=_positive("thread count"), default=1,
-                        help="worker threads for per-case computation")
+        sp.add_argument("--threads", type=_integer("threads", 1), default=1,
+                        help="worker threads for the per-case Kendall functions of coppit "
+                             "and clical; other commands record it in the manifest only")
+        return sp
 
-    sp = sub.add_parser("coppit", help="copula PIT records and histogram for an archive")
-    sp.set_defaults(func=_cmd_coppit)
-    add_io(sp)
-    add_common(sp)
-    sp.add_argument("--bins", type=_positive("bin count"), default=20)
-    sp.add_argument("--kendall", choices=("auto", "mc"), default="auto",
-                    help="Kendall function: auto takes the route the forecast fixes, "
-                         "mc estimates every case by Monte Carlo")
-    sp.add_argument("--kendall-n", type=_positive("sample size"), default=DEFAULT_MC_SIZE,
-                    help="Monte Carlo sample size for the mc strategy")
-    sp.add_argument("--cone", default=None, metavar="SPEC",
-                    help="orthant direction: sw/se/ne/nw or a +- string, one sign per coordinate")
+    def add(flag, parsers, **spec):
+        """Add ``flag`` to each parser; a dict maps a parser to the keywords
+        that differ there."""
+        for sp in parsers:
+            sp.add_argument(flag, **spec | (parsers[sp] if isinstance(parsers, dict) else {}))
 
-    sp = sub.add_parser("pit", help="randomized PIT of one margin for an archive")
-    sp.set_defaults(func=_cmd_pit)
-    add_io(sp)
-    add_common(sp)
-    sp.add_argument("--bins", type=_positive("bin count"), default=20)
-    sp.add_argument("--margin", type=_positive("margin index"), default=1,
-                    help="1-based coordinate whose margin is checked")
+    cop = command(sub, "coppit", _cmd_coppit, "copula PIT records and histogram for an archive")
+    pit = command(sub, "pit", _cmd_pit, "randomized PIT of one margin for an archive")
+    ranks = command(sub, "rank-hist", _cmd_rank_hist,
+                    "multivariate rank histogram for an ensemble archive")
+    clical = command(sub, "clical", _cmd_clical,
+                     "climatological copula-calibration curve for an archive")
+    study = sub.add_parser("simulate", help="run a packaged simulation study").add_subparsers(
+        dest="study", required=True, metavar="STUDY")
+    biv = command(study, "bivariate", _cmd_simulate_bivariate,
+                  "eight-forecaster bivariate study", archive=False)
+    high = command(study, "highdim", functools.partial(_cmd_simulate_batch, simstudy.run_highdim),
+                   "high-dimensional rank vs copula PIT contrast", archive=False)
+    demo = command(study, "demo-emos",
+                   functools.partial(_cmd_simulate_batch, simstudy.run_demo_emos),
+                   "bivariate Gaussian forecasting demo", archive=False)
 
-    sp = sub.add_parser("rank-hist", help="multivariate rank histogram for an ensemble archive")
-    sp.set_defaults(func=_cmd_rank_hist)
-    add_io(sp)
-    add_common(sp)
-    sp.add_argument("--cone", default=None, metavar="SPEC")
-
-    sp = sub.add_parser("clical", help="climatological copula-calibration curve for an archive")
-    sp.set_defaults(func=_cmd_clical)
-    add_io(sp)
-    add_common(sp)
-    sp.add_argument("--grid", type=_positive("grid size"), default=101,
-                    help="number of evaluation points on [0, 1]")
-    sp.add_argument("--kendall", choices=("auto", "mc"), default="auto")
-    sp.add_argument("--kendall-n", type=_positive("sample size"), default=DEFAULT_MC_SIZE)
-    sp.add_argument("--cone", default=None, metavar="SPEC")
-
-    sim = sub.add_parser("simulate", help="run a packaged simulation study")
-    study = sim.add_subparsers(dest="study", required=True, metavar="STUDY")
-
-    sp = study.add_parser("bivariate", help="eight-forecaster bivariate study")
-    sp.set_defaults(func=_cmd_simulate_bivariate)
-    sp.add_argument("--out", required=True, metavar="DIR")
-    add_common(sp)
-    sp.add_argument("--j", type=_positive("case count"), default=4000)
-    sp.add_argument("--bins", type=_positive("bin count"), default=20)
-    sp.add_argument("--directional", action="store_true",
-                    help="also write per-quadrant orthant records")
-    sp.add_argument("--directional-n", type=_positive("sample size"), default=DEFAULT_MC_SIZE,
-                    help="Monte Carlo size per case for directional Kendall functions")
-
-    sp = study.add_parser("highdim", help="high-dimensional rank vs copula PIT contrast")
-    sp.set_defaults(func=functools.partial(_cmd_simulate_batch, simstudy.run_highdim))
-    sp.add_argument("--out", required=True, metavar="DIR")
-    add_common(sp)
-    sp.add_argument("--variant", required=True, choices=simstudy.HIGHDIM_VARIANTS)
-    sp.add_argument("--j", type=_positive("case count"), default=4000)
-    sp.add_argument("--d", type=_positive("dimension"), default=50)
-    sp.add_argument("--m", type=_positive("ensemble size"), default=8)
-    sp.add_argument("--kendall-n", type=_positive("sample size"), default=10_000)
-    sp.add_argument("--bins", type=_positive("bin count"), default=20)
-
-    sp = study.add_parser("demo-emos", help="bivariate Gaussian forecasting demo")
-    sp.set_defaults(func=functools.partial(_cmd_simulate_batch, simstudy.run_demo_emos))
-    sp.add_argument("--out", required=True, metavar="DIR")
-    add_common(sp)
-    sp.add_argument("--variant", required=True, choices=simstudy.DEMO_VARIANTS)
-    sp.add_argument("--j", type=_positive("case count"), default=4000)
-    sp.add_argument("--m", type=_positive("ensemble size"), default=8)
-    sp.add_argument("--kendall-n", type=_positive("sample size"), default=100_000)
-    sp.add_argument("--bins", type=_positive("bin count"), default=20)
+    add("--bins", (cop, pit, biv, high, demo), type=_integer("bins", 1), default=20,
+        help="histogram bin count (default: %(default)s)")
+    add("--kendall", (cop, clical), choices=("auto", "mc"), default="auto",
+        help="Kendall function: auto takes the route the forecast fixes, "
+             "mc estimates every case by Monte Carlo")
+    add("--kendall-n", {cop: {}, clical: {}, high: {"default": 10_000}, demo: {"default": 100_000}},
+        type=_integer("kendall_n", 1), default=DEFAULT_MC_SIZE,
+        help="Monte Carlo sample size of each estimated Kendall function (default: %(default)s)")
+    add("--cone", (cop, ranks, clical), type=_cone, default=None, metavar="SPEC",
+        help="orthant direction: sw/se/ne/nw or a +- string, one sign per coordinate")
+    add("--variant", {high: {"choices": simstudy.HIGHDIM_VARIANTS},
+                      demo: {"choices": simstudy.DEMO_VARIANTS}},
+        required=True, help="study variant")
+    add("--j", (biv, high, demo), type=_integer("j", 1), default=4000,
+        help="number of cases (default: %(default)s)")
+    add("--m", (high, demo), type=_integer("m", 1), default=8,
+        help="ensemble size (default: %(default)s)")
+    pit.add_argument("--margin", type=_integer("margin", 1), default=1,
+                     help="1-based coordinate whose margin is checked (default: %(default)s)")
+    clical.add_argument("--grid", type=_integer("grid", 1), default=101,
+                        help="number of evaluation points on [0, 1] (default: %(default)s)")
+    biv.add_argument("--directional", action="store_true",
+                     help="also write per-quadrant orthant records")
+    biv.add_argument("--directional-n", type=_integer("directional_n", 1), default=DEFAULT_MC_SIZE,
+                     help="Monte Carlo size per case for directional Kendall functions "
+                          "(default: %(default)s)")
+    high.add_argument("--d", type=_integer("d", 2), default=50,
+                      help="dimension (default: %(default)s)")
 
     sp = sub.add_parser("render", help="render a result file (histogram or curve CSV) to SVG")
     sp.set_defaults(func=_cmd_render)
-    sp.add_argument("--in", dest="inp", required=True, metavar="FILE")
-    sp.add_argument("--out", required=True, metavar="FILE.svg")
+    sp.add_argument("--in", dest="inp", required=True, metavar="FILE",
+                    help="result file: a histogram or curve CSV")
+    sp.add_argument("--out", required=True, metavar="FILE.svg", help="SVG file to write")
 
     return p
 
@@ -181,21 +178,14 @@ def _resolve_seed(args):
     if not hasattr(args, "seed"):  # render draws nothing
         return None
     if args.seed is not None:
-        return int(args.seed)
+        return args.seed
     env = os.environ.get("COPPIT_SEED")
-    if env is not None:
-        try:
-            return _seed_value(env)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(f"COPPIT_SEED: {exc}")
-    return DEFAULT_SEED
-
-
-def _check_cone_syntax(spec):
+    if env is None:
+        return DEFAULT_SEED
     try:
-        cone_signs(spec)
-    except ValueError as exc:
-        raise UsageError(f"--cone: {exc}")
+        return _SEED(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"COPPIT_SEED: {exc}") from None
 
 
 def _flags(args, seed):
@@ -289,8 +279,9 @@ def _stacked(cases, seed, signs, grid=None, k_grid=None):
 
 
 def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
-    """Copula PIT records per case (substreams: 1=v, 2=ties, 3=Monte Carlo);
-    given a ``grid``, also the case mean of the Kendall functions on it.
+    """Copula PIT records per case (substreams: 1=v, 2=ties, 3=Monte Carlo)
+    and, given a ``grid``, the case mean of the Kendall functions on it
+    (else None).
 
     Under the auto strategy the stacked pass finishes the ensemble cases:
     their records and Kendall rows come from its counts.  Every other case
@@ -321,41 +312,41 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     _map_cases(work, np.flatnonzero(~done).tolist(), threads)
     recs = Records(h, k_left, k_right, v, rank=rank)
     if grid is None:
-        return recs
+        return recs, None
     mean_k = np.zeros_like(grid)
     for row in k_grid:  # one at a time in case order; .mean sums a one-point grid pairwise
         mean_k += row
     return recs, mean_k / n
 
 
-def _write_hist(values, bins, out, stem, outputs, ranks_m=None):
-    if ranks_m is None:
-        hist = histogram(values, bins=bins)
-    else:
-        hist = rank_histogram(values, ranks_m)
-    write_histogram(hist, out / f"{stem}.csv")
-    render_svg(hist, out / f"{stem}.svg")
+def _read(args):
+    """The archive at --in and the signs of --cone (None without it) at its dimension."""
+    archive = read_archive(args.inp)
+    return archive, None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
+
+
+def _write_plot(result, out, stem, outputs):
+    """{stem}.csv and {stem}.svg of a histogram or a curve."""
+    write = write_curve if isinstance(result, ClicalCurve) else write_histogram
+    write(result, out / f"{stem}.csv")
+    render_svg(result, out / f"{stem}.svg")
     outputs += [f"{stem}.csv", f"{stem}.svg"]
 
 
-def _write_pit(recs, bins, out, outputs, suffix="", ranks_m=None):
-    """records{suffix}.csv, the u histogram hist{suffix}, and with ranks_m the rank histogram."""
+def _write_pit(recs, bins, out, outputs, suffix=""):
+    """records{suffix}.csv and the u histogram hist{suffix}."""
     write_records(recs, out / f"records{suffix}.csv")
     outputs.append(f"records{suffix}.csv")
-    _write_hist(recs.u, bins, out, f"hist{suffix}", outputs)
-    if ranks_m is not None:
-        _write_hist(recs.rank, None, out, "rank_hist", outputs, ranks_m=ranks_m)
+    _write_plot(histogram(recs.u, bins=bins), out, f"hist{suffix}", outputs)
 
 
 def _cmd_coppit(args, seed, argv):
-    archive = read_archive(args.inp)
-    signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
-    recs = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
+    archive, signs = _read(args)
+    recs, _ = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
     out = _out_dir(args)
     outputs = []
     _write_pit(recs, args.bins, out, outputs)
     _finish(args, seed, out, outputs, argv, len(recs))
-    return 0
 
 
 def _cmd_pit(args, seed, argv):
@@ -374,12 +365,10 @@ def _cmd_pit(args, seed, argv):
     outputs = []
     _write_pit(recs, args.bins, out, outputs)
     _finish(args, seed, out, outputs, argv, len(recs))
-    return 0
 
 
 def _cmd_rank_hist(args, seed, argv):
-    archive = read_archive(args.inp)
-    signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
+    archive, signs = _read(args)
     sizes = set()
     for i, (fc, _) in enumerate(archive.cases):
         if not isinstance(fc, EnsembleForecast):
@@ -391,22 +380,19 @@ def _cmd_rank_hist(args, seed, argv):
     out = _out_dir(args)
     write_ranks(ranks, out / "ranks.csv")
     outputs = ["ranks.csv"]
-    _write_hist(ranks, None, out, "hist", outputs, ranks_m=sizes.pop())
+    _write_plot(rank_histogram(ranks, sizes.pop()), out, "hist", outputs)
     _finish(args, seed, out, outputs, argv, len(ranks))
-    return 0
 
 
 def _cmd_clical(args, seed, argv):
-    archive = read_archive(args.inp)
-    signs = None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
+    archive, signs = _read(args)
     grid = np.linspace(0.0, 1.0, args.grid)
     recs, mean_k = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads, grid)
     curve = clical_curve(recs.h, mean_k, grid)
     out = _out_dir(args)
-    write_curve(curve, out / "curve.csv")
-    render_svg(curve, out / "curve.svg")
-    _finish(args, seed, out, ["curve.csv", "curve.svg"], argv, len(recs))
-    return 0
+    outputs = []
+    _write_plot(curve, out, "curve", outputs)
+    _finish(args, seed, out, outputs, argv, len(recs))
 
 
 def _cmd_simulate_bivariate(args, seed, argv):
@@ -420,32 +406,28 @@ def _cmd_simulate_bivariate(args, seed, argv):
         sub.mkdir(exist_ok=True)
         sub_outputs = []
         _write_pit(fb, args.bins, sub, sub_outputs)
-        curve = simstudy.bivariate_clical(study, fb.label)
-        write_curve(curve, sub / "curve.csv")
-        render_svg(curve, sub / "curve.svg")
-        sub_outputs += ["curve.csv", "curve.svg"]
+        _write_plot(simstudy.bivariate_clical(study, fb.label), sub, "curve", sub_outputs)
         for quadrant, rec in (fb.directional or {}).items():
             _write_pit(rec, args.bins, sub, sub_outputs, f"_{quadrant}")
         outputs += [f"{fb.label}/{name}" for name in sub_outputs]
     _finish(args, seed, out, outputs, argv, len(study.y) * len(study.forecasters))
-    return 0
 
 
 def _cmd_simulate_batch(run, args, seed, argv):
-    """simulate highdim and demo-emos: one batch of records with ranks."""
+    """simulate highdim and demo-emos: one batch of records, and its ranks' histogram."""
     sizes = {k: v for k, v in vars(args).items() if k in ("j", "d", "m", "kendall_n")}
     batch = run(args.variant, seed=seed, **sizes)
     out = _out_dir(args)
     outputs = []
-    _write_pit(batch, args.bins, out, outputs, ranks_m=batch.m)
+    _write_pit(batch, args.bins, out, outputs)
+    if batch.m is not None:  # the demo's Gaussian variants issue no ensemble
+        _write_plot(rank_histogram(batch.rank, batch.m), out, "rank_hist", outputs)
     _finish(args, seed, out, outputs, argv, len(batch))
-    return 0
 
 
 def _cmd_render(args, seed, argv):
     render_svg(read_result(args.inp), args.out)
     print(f"coppit render: {args.inp} -> {args.out}", file=sys.stderr)
-    return 0
 
 
 def main(argv=None):
@@ -453,8 +435,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "cone", None) is not None:
-            _check_cone_syntax(args.cone)
         seed = _resolve_seed(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -463,7 +443,8 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
 
     try:
-        return args.func(args, seed, argv)
+        args.func(args, seed, argv)
     except (ArchiveError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0

@@ -493,9 +493,9 @@ def tau_to_theta(family, tau):
     """Parameter theta giving population Kendall's tau ``tau`` (scalar or array)."""
     fam = _family(family)
     arr = np.asarray(tau, dtype=float)
-    lo = -1e-9 if fam.theta_closed else 0.0  # tau = 0 sits at a closed theta bound
-    if not np.all((arr > lo) & (arr < 1.0)):
-        raise ValueError(f"{fam.name} supports tau in ({max(lo, 0.0)}, 1), got {tau!r}")
+    closed = fam.theta_closed  # tau = 0 sits at a closed theta bound
+    if not (((arr >= 0.0) if closed else (arr > 0.0)) & (arr < 1.0)).all():  # nan fails both
+        raise ValueError(f"{fam.name} supports tau in {'[' if closed else '('}0, 1), got {tau!r}")
     theta = fam.theta_from_tau(arr)
     return float(theta) if theta is not None and np.ndim(theta) == 0 else theta
 

@@ -58,8 +58,9 @@ __all__ = [
 
 class Normal:
     """Normal law with mean mu and standard deviation sigma > 0: a margin, and
-    the univariate forecast.  A scalar y gives a float, an (n,) or (n, 1)
-    one gives n values; the '+' cone's CDF is 1 - F(y-)."""
+    the univariate forecast.  Its outcomes pass ``_as_points``: a scalar or
+    one-entry y gives a float, an (n,) or (n, 1) one gives n values; the
+    '+' cone's CDF is 1 - F(y-)."""
 
     dim = 1
 
@@ -71,15 +72,11 @@ class Normal:
         self.sigma = sigma
 
     def cdf(self, y, signs=None):
-        x = _check_finite(y, "outcome coordinates")
-        if x.ndim == 2 and x.shape[1] == 1:
-            x = x[:, 0]
-        elif x.ndim > 1:
-            raise ValueError(f"univariate outcome must be scalar, (n,), or (n, 1); got {x.shape}")
-        vals = ndtr((x - self.mu) / self.sigma)
+        x, single = _as_points(y, 1)
+        vals = ndtr((x[:, 0] - self.mu) / self.sigma)
         if signs is not None and cone_signs(signs, 1)[0] > 0:
             vals = 1.0 - vals
-        return float(vals) if x.ndim == 0 else vals
+        return float(vals[0]) if single else vals
 
     def cdf_left(self, y):
         return self.cdf(y)

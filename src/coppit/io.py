@@ -42,6 +42,7 @@ import numpy as np
 from .calibration import ClicalCurve, HistogramResult, Records
 from .copulas import ArchimedeanCopula
 from .forecasts import CopulaMarginalForecast, EnsembleForecast, GaussianForecast, Normal
+from .samplers import _check_finite
 
 __all__ = [
     "ArchiveError",
@@ -196,8 +197,10 @@ def _check_case(forecast, y, dim, lineno):
         raise ArchiveError(
             f"outcome has {y.size} coordinates but the forecast has dimension {forecast.dim}",
             lineno)
-    if not np.all(np.isfinite(y)):
-        raise ArchiveError("outcome coordinates must be finite", lineno)
+    try:
+        _check_finite(y, "outcome coordinates")
+    except ValueError as exc:
+        raise ArchiveError(str(exc), lineno) from None
     if dim is not None and forecast.dim != dim:
         raise ArchiveError(f"dimension {forecast.dim} differs from earlier cases ({dim})", lineno)
     return forecast.dim, y

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import collections
 import gc
 import json
 import os
@@ -268,6 +271,106 @@ def test_usage_errors(ensemble_archive, tmp_path):
                  "--variant", "wrong"]) == 1
     assert main(["--version"]) == 0
     assert main(["--help"]) == 0
+
+
+def _subcommands():
+    """(argv words, parser) of each runnable subcommand."""
+    def walk(parser, words):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield words, parser
+        for action in subs:
+            for name, sp in action.choices.items():
+                yield from walk(sp, [*words, name])
+    return list(walk(cli.build_parser(), []))
+
+
+def _required(parser, path):
+    """The required flags of ``parser``, each with ``path`` or its first choice."""
+    argv = []
+    for a in parser._actions:
+        if a.required and a.option_strings:
+            argv += [a.option_strings[0], a.choices[0] if a.choices else str(path)]
+    return argv
+
+
+def test_every_option_has_help(capsys):
+    commands = _subcommands()
+    assert sorted(" ".join(w) for w, _ in commands) == [
+        "clical", "coppit", "pit", "rank-hist", "render",
+        "simulate bivariate", "simulate demo-emos", "simulate highdim"]
+    for words, parser in commands:
+        bare = [a.option_strings for a in parser._actions if a.option_strings and not a.help]
+        assert not bare, (words, bare)
+        assert main([*words, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: coppit {' '.join(words)} ")
+
+
+def test_each_flag_is_defined_once():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    flags = collections.Counter(
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("add_argument", "add")
+        and str(node.args[0].value).startswith("--"))
+    # render's --in and --out name a result file and an SVG, not an archive and a directory
+    assert flags.pop("--in") == 2 and flags.pop("--out") == 2
+    assert flags and set(flags.values()) == {1}, flags
+
+
+# every integer flag: the library name and minimum _check_int applies to it
+INTEGER_FLAGS = {"--bins": ("bins", 1), "--margin": ("margin", 1), "--grid": ("grid", 1),
+                 "--j": ("j", 1), "--d": ("d", 2), "--m": ("m", 1),
+                 "--kendall-n": ("kendall_n", 1), "--directional-n": ("directional_n", 1),
+                 "--threads": ("threads", 1), "--seed": ("seed", 0)}
+
+
+@pytest.mark.parametrize("flag", sorted(INTEGER_FLAGS))
+def test_integer_flags_are_usage_errors(flag, tmp_path, capsys):
+    what, minimum = INTEGER_FLAGS[flag]
+    commands = [(w, p) for w, p in _subcommands() if flag in p._option_string_actions]
+    assert commands
+    for words, parser in commands:
+        for text, shown in ((str(minimum - 1), minimum - 1), ("2.5", "'2.5'"), ("x", "'x'")):
+            argv = [*words, *_required(parser, tmp_path / "missing"), flag, text]
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (f"error: coppit {' '.join(words)}: argument {flag}: "
+                                               f"{what} must be an integer >= {minimum}, got {shown}\n")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_integer_flag_table_is_complete():
+    ints = {flag for _, parser in _subcommands() for flag, action in
+            parser._option_string_actions.items()
+            if type(action.default) is int or action.dest == "seed"}
+    assert ints == set(INTEGER_FLAGS)
+
+
+def test_highdim_dimension_one_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "hd"
+    assert main(["simulate", "highdim", "--variant", "true-frank", "--d", "1",
+                 "--out", str(out)]) == 1
+    assert "argument --d: d must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, shown", [("-1", -1), ("2.5", "'2.5'"), ("x", "'x'")])
+def test_seed_environment_is_checked_like_the_flag(text, shown, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COPPIT_SEED", text)
+    out = tmp_path / "o"
+    assert main(["coppit", "--in", str(tmp_path / "missing.jsonl"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: COPPIT_SEED: seed must be an integer >= 0, got {shown}\n"
+    assert not out.exists()
+
+
+def test_cone_is_parsed_before_any_file_is_read(tmp_path, capsys):
+    for command in ("coppit", "rank-hist", "clical"):
+        assert main([command, "--in", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o"),
+                     "--cone", "upward"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: coppit {command}: argument --cone: cannot parse cone direction 'upward'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_errors(tmp_path, gaussian_archive, capsys):

@@ -271,8 +271,6 @@ def test_tau_solve_errors():
     one = np.array([0.5])
     with pytest.raises(ValueError, match="same sign"):
         cp._brent_solve(cp._Frank.tau, one, 2.0, np.array([3.0]))
-    with pytest.raises(ValueError, match="same sign"):
-        cp.tau_to_theta("joe", -5e-10)
     with pytest.raises(ValueError, match="nan"):
         cp._brent_solve(lambda th: np.where(th > 0.6, np.nan, th), one, 0.0, np.array([1.0]))
     # a step across 1e300 needs ~1000 bisections to close to xtol
@@ -367,6 +365,24 @@ def test_tau_sampling_concordance():
             u = cp.sample_copula(fam, sp.make_rng(5), th, 2, 20_000)
             t_hat = stats.kendalltau(u[:, 0], u[:, 1]).statistic
             assert abs(t_hat - tau) <= 0.02, (fam, tau, t_hat)
+
+
+@pytest.mark.parametrize("family", ("independence", *PARAM_FAMILIES))
+def test_tau_boundary(family):
+    """A closed family takes tau in [0, 1), its theta bound at tau = 0; an
+    open one takes (0, 1).  A tau just below 0, or nan, is rejected by name."""
+    closed = cp._family(family).theta_closed
+    span = "[0, 1)" if closed else "(0, 1)"
+    for tau in (-5e-10, np.nan, np.array([0.5, -5e-10])):
+        with pytest.raises(ValueError, match=rf"^{family} supports tau in \{span[0]}0, 1\)"):
+            cp.tau_to_theta(family, tau)
+    for zero in (0.0, -0.0):
+        if closed:
+            expected = None if family == "independence" else cp._family(family).theta_min
+            assert cp.tau_to_theta(family, zero) == expected
+        else:
+            with pytest.raises(ValueError, match=r"supports tau in \(0, 1\)"):
+                cp.tau_to_theta(family, zero)
 
 
 def test_tau_domain_errors():

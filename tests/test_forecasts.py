@@ -39,6 +39,19 @@ def test_normal_margin():
         m.ppf(0.0)
 
 
+def test_normal_cdf_takes_outcomes_like_every_forecast():
+    """Normal.cdf reads y through the shared outcome coercion, as the
+    ensemble CDF does: a one-entry y is one point, and a second coordinate
+    is a dimension error."""
+    m, e = Normal(0.0, 1.0), EnsembleForecast([[-1.0], [0.5], [2.0]])
+    for y in (0.25, [0.25], np.array([0.25])):
+        assert type(m.cdf(y)) is float and m.cdf(y) == m.cdf(0.25)
+        assert type(e.cdf(y)) is float
+    assert m.cdf([0.1, 0.2]).shape == m.cdf([[0.1], [0.2]]).shape == (2,)
+    with pytest.raises(ValueError, match="^y has dimension 2, forecast has 1$"):
+        m.cdf(np.zeros((3, 2)))
+
+
 # --- ensemble -----------------------------------------------------------------
 
 
