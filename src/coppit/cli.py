@@ -1,10 +1,11 @@
 """Command-line frontend: analyze case archives, run packaged simulation
 studies, and render result files to SVG.
 
-Every run writes its outputs plus a ``manifest.json`` (seed, resolved flags,
-tool version) into the output directory, so a run can be reproduced from the
-manifest alone.  With a fixed seed all outputs are byte-identical across
-runs; the manifest's ``created`` timestamp is the single exception.
+Each command returns its results; ``main`` writes them (``_write``), then a
+``manifest.json`` (seed, resolved flags, tool version, the files written)
+into the output directory, so a run can be reproduced from the manifest
+alone.  With a fixed seed all outputs are byte-identical across runs; the
+manifest's ``created`` timestamp is the single exception.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input or validation error.
 The seed defaults to the documented package constant, can be set with
@@ -86,6 +87,14 @@ _SEED = _integer("seed", 0)
 
 
 @_checked
+def _path(text):
+    """argparse type: a path, kept as its text; an empty one would name the cwd."""
+    if not text:
+        raise ValueError("path must not be empty")
+    return text
+
+
+@_checked
 def _cone(text):
     """argparse type: a direction ``cone_signs`` parses, kept as the text the
     manifest records; its dimension is checked against the archive's."""
@@ -104,9 +113,9 @@ def build_parser():
         sp = parent.add_parser(name, help=summary)
         sp.set_defaults(func=func)
         if archive:
-            sp.add_argument("--in", dest="inp", required=True, metavar="FILE",
+            sp.add_argument("--in", dest="inp", required=True, type=_path, metavar="FILE",
                             help="case archive (JSON lines, or CSV ensemble shorthand)")
-        sp.add_argument("--out", required=True, metavar="DIR", help="output directory")
+        sp.add_argument("--out", required=True, type=_path, metavar="DIR", help="output directory")
         sp.add_argument("--seed", type=_SEED, default=None,
                         help="master seed (default: COPPIT_SEED or the package constant)")
         sp.add_argument("--threads", type=_integer("threads", 1), default=1,
@@ -167,9 +176,10 @@ def build_parser():
 
     sp = sub.add_parser("render", help="render a result file (histogram or curve CSV) to SVG")
     sp.set_defaults(func=_cmd_render)
-    sp.add_argument("--in", dest="inp", required=True, metavar="FILE",
+    sp.add_argument("--in", dest="inp", required=True, type=_path, metavar="FILE",
                     help="result file: a histogram or curve CSV")
-    sp.add_argument("--out", required=True, metavar="FILE.svg", help="SVG file to write")
+    sp.add_argument("--out", required=True, type=_path, metavar="FILE.svg",
+                    help="SVG file to write")
 
     return p
 
@@ -186,34 +196,6 @@ def _resolve_seed(args):
         return _SEED(env)
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"COPPIT_SEED: {exc}") from None
-
-
-def _flags(args, seed):
-    skip = {"command", "study", "inp", "out", "seed", "func"}
-    out = {"seed": seed, "in": getattr(args, "inp", None), "out": args.out}
-    for key, value in sorted(vars(args).items()):
-        if key not in skip:
-            out[key.replace("_", "-")] = value
-    return out
-
-
-def _finish(args, seed, out_dir, outputs, argv, n_cases):
-    command = args.command if args.command != "simulate" else f"simulate {args.study}"
-    write_manifest(out_dir, {
-        "tool": "coppit",
-        "version": __version__,
-        "command": command,
-        "argv": list(argv),
-        "flags": _flags(args, seed),
-        "outputs": sorted(outputs),
-    })
-    print(f"coppit {command}: {n_cases} cases -> {out_dir}", file=sys.stderr)
-
-
-def _out_dir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _map_cases(work, indices, threads):
@@ -325,31 +307,18 @@ def _read(args):
     return archive, None if args.cone is None else cone_signs(args.cone, dim=archive.dim)
 
 
-def _write_plot(result, out, stem, outputs):
-    """{stem}.csv and {stem}.svg of a histogram or a curve."""
-    write = write_curve if isinstance(result, ClicalCurve) else write_histogram
-    write(result, out / f"{stem}.csv")
-    render_svg(result, out / f"{stem}.svg")
-    outputs += [f"{stem}.csv", f"{stem}.svg"]
+def _pit(recs, bins, prefix="", suffix=""):
+    """The records as {prefix}records{suffix} and their u's histogram as {prefix}hist{suffix}."""
+    return {f"{prefix}records{suffix}": recs, f"{prefix}hist{suffix}": histogram(recs.u, bins=bins)}
 
 
-def _write_pit(recs, bins, out, outputs, suffix=""):
-    """records{suffix}.csv and the u histogram hist{suffix}."""
-    write_records(recs, out / f"records{suffix}.csv")
-    outputs.append(f"records{suffix}.csv")
-    _write_plot(histogram(recs.u, bins=bins), out, f"hist{suffix}", outputs)
-
-
-def _cmd_coppit(args, seed, argv):
+def _cmd_coppit(args, seed):
     archive, signs = _read(args)
     recs, _ = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads)
-    out = _out_dir(args)
-    outputs = []
-    _write_pit(recs, args.bins, out, outputs)
-    _finish(args, seed, out, outputs, argv, len(recs))
+    return _pit(recs, args.bins), len(recs)
 
 
-def _cmd_pit(args, seed, argv):
+def _cmd_pit(args, seed):
     archive = read_archive(args.inp)
     if args.margin > archive.dim:
         raise ValueError(f"--margin {args.margin} exceeds archive dimension {archive.dim}")
@@ -360,14 +329,10 @@ def _cmd_pit(args, seed, argv):
     for i, (mfc, yk) in enumerate(cases):
         if isinstance(mfc, Normal):
             lo[i], hi[i] = mfc.cdf_left(yk[0]), mfc.cdf(yk[0])
-    recs = Records(hi, lo, hi, v, rank=rank)
-    out = _out_dir(args)
-    outputs = []
-    _write_pit(recs, args.bins, out, outputs)
-    _finish(args, seed, out, outputs, argv, len(recs))
+    return _pit(Records(hi, lo, hi, v, rank=rank), args.bins), len(cases)
 
 
-def _cmd_rank_hist(args, seed, argv):
+def _cmd_rank_hist(args, seed):
     archive, signs = _read(args)
     sizes = set()
     for i, (fc, _) in enumerate(archive.cases):
@@ -377,64 +342,67 @@ def _cmd_rank_hist(args, seed, argv):
     if len(sizes) != 1:
         raise ValueError(f"rank histograms need one common ensemble size, found {sorted(sizes)}")
     ranks = _stacked(archive.cases, seed, signs)[0]
-    out = _out_dir(args)
-    write_ranks(ranks, out / "ranks.csv")
-    outputs = ["ranks.csv"]
-    _write_plot(rank_histogram(ranks, sizes.pop()), out, "hist", outputs)
-    _finish(args, seed, out, outputs, argv, len(ranks))
+    return {"ranks": ranks, "hist": rank_histogram(ranks, sizes.pop())}, len(ranks)
 
 
-def _cmd_clical(args, seed, argv):
+def _cmd_clical(args, seed):
     archive, signs = _read(args)
     grid = np.linspace(0.0, 1.0, args.grid)
     recs, mean_k = _analyze(archive, seed, args.kendall, args.kendall_n, signs, args.threads, grid)
-    curve = clical_curve(recs.h, mean_k, grid)
-    out = _out_dir(args)
-    outputs = []
-    _write_plot(curve, out, "curve", outputs)
-    _finish(args, seed, out, outputs, argv, len(recs))
+    return {"curve": clical_curve(recs.h, mean_k, grid)}, len(recs)
 
 
-def _cmd_simulate_bivariate(args, seed, argv):
-    study = simstudy.run_bivariate(j=args.j, seed=seed,
-                                   include_directional=args.directional,
+def _cmd_simulate_bivariate(args, seed):
+    study = simstudy.run_bivariate(j=args.j, seed=seed, include_directional=args.directional,
                                    directional_n=args.directional_n)
-    out = _out_dir(args)
-    outputs = []
+    results = {}
     for fb in study.forecasters:
-        sub = out / fb.label
-        sub.mkdir(exist_ok=True)
-        sub_outputs = []
-        _write_pit(fb, args.bins, sub, sub_outputs)
-        _write_plot(simstudy.bivariate_clical(study, fb.label), sub, "curve", sub_outputs)
+        results |= _pit(fb, args.bins, f"{fb.label}/")
+        results[f"{fb.label}/curve"] = simstudy.bivariate_clical(study, fb.label)
         for quadrant, rec in (fb.directional or {}).items():
-            _write_pit(rec, args.bins, sub, sub_outputs, f"_{quadrant}")
-        outputs += [f"{fb.label}/{name}" for name in sub_outputs]
-    _finish(args, seed, out, outputs, argv, len(study.y) * len(study.forecasters))
+            results |= _pit(rec, args.bins, f"{fb.label}/", f"_{quadrant}")
+    return results, len(study.y) * len(study.forecasters)
 
 
-def _cmd_simulate_batch(run, args, seed, argv):
+def _cmd_simulate_batch(run, args, seed):
     """simulate highdim and demo-emos: one batch of records, and its ranks' histogram."""
     sizes = {k: v for k, v in vars(args).items() if k in ("j", "d", "m", "kendall_n")}
     batch = run(args.variant, seed=seed, **sizes)
-    out = _out_dir(args)
-    outputs = []
-    _write_pit(batch, args.bins, out, outputs)
+    results = _pit(batch, args.bins)
     if batch.m is not None:  # the demo's Gaussian variants issue no ensemble
-        _write_plot(rank_histogram(batch.rank, batch.m), out, "rank_hist", outputs)
-    _finish(args, seed, out, outputs, argv, len(batch))
+        results["rank_hist"] = rank_histogram(batch.rank, batch.m)
+    return results, len(batch)
 
 
-def _cmd_render(args, seed, argv):
+def _cmd_render(args, seed):
     render_svg(read_result(args.inp), args.out)
     print(f"coppit render: {args.inp} -> {args.out}", file=sys.stderr)
 
 
+def _write(out, results):
+    """Write each result under ``out`` by its '/'-separated stem, making subdirectories as
+    needed: records or ranks as {stem}.csv, a histogram or curve as {stem}.csv and {stem}.svg.
+    Returns the names written."""
+    names = []
+    for stem, result in results.items():
+        csv = out / f"{stem}.csv"
+        csv.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(result, Records):
+            write_records(result, csv)
+        elif isinstance(result, np.ndarray):
+            write_ranks(result, csv)
+        else:
+            (write_curve if isinstance(result, ClicalCurve) else write_histogram)(result, csv)
+            render_svg(result, csv.with_suffix(".svg"))
+            names.append(f"{stem}.svg")
+        names.append(f"{stem}.csv")
+    return names
+
+
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         seed = _resolve_seed(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -443,7 +411,18 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
 
     try:
-        args.func(args, seed, argv)
+        done = args.func(args, seed)
+        if done is not None:  # render writes its one SVG itself
+            results, n_cases = done
+            command = args.command if args.command != "simulate" else f"simulate {args.study}"
+            skip = {"command", "study", "inp", "out", "seed", "func"}
+            flags = {k.replace("_", "-"): v for k, v in vars(args).items() if k not in skip}
+            flags |= {"seed": seed, "in": getattr(args, "inp", None), "out": args.out}
+            out = Path(args.out)
+            write_manifest(out, {"tool": "coppit", "version": __version__, "command": command,
+                                 "argv": argv, "flags": flags,
+                                 "outputs": sorted(_write(out, results))})
+            print(f"coppit {command}: {n_cases} cases -> {out}", file=sys.stderr)
     except (ArchiveError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

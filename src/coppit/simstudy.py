@@ -35,7 +35,7 @@ from .calibration import Records, _tie_ranks, clical_curve, ensemble_counts
 from .copulas import (ArchimedeanCopula, copula_cdf, kendall_cdf, kendall_sample, sample_copula,
                       tau_to_theta)
 from .forecasts import _QUADRANTS, CopulaMarginalForecast, GaussianForecast, Normal
-from .kendall import empirical_kendall, monte_carlo_kendall
+from .kendall import empirical_kendall, select_kendall
 from .samplers import DEFAULT_SEED, _check_int, substream
 
 BIVARIATE_LABELS = ("TTT", "TTF", "TFT", "TFF", "FTT", "FTF", "FFT", "FFF")
@@ -268,11 +268,12 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
     """Bivariate Gaussian demo: correct, zero-correlation, ensemble variants.
 
     Truth per case: mean drawn N(0, I), covariance fixed with unit variances
-    and correlation 0.6.  'correct' announces the truth (its Kendall
-    function depends only on the correlation, so one shared Monte Carlo
-    estimate serves every case); 'independent' keeps the margins but forces
-    correlation zero (independence copula, closed-form Kendall function);
-    'ensemble' issues m draws with standard deviations shrunk to 0.7.
+    and correlation 0.6.  'correct' announces the truth; 'independent' keeps
+    the margins but forces correlation zero (independence copula).  Both
+    score every case's standardized residual against one forecast, whose
+    Kendall function ``select_kendall`` builds once: a shared Monte Carlo
+    estimate for 'correct', the closed form for 'independent'.  'ensemble'
+    issues m draws with standard deviations shrunk to 0.7.
     """
     if variant not in DEMO_VARIANTS:
         raise ValueError(f"variant must be one of {DEMO_VARIANTS}, got {variant!r}")
@@ -290,14 +291,11 @@ def run_demo_emos(variant, j=4000, seed=DEFAULT_SEED, m=8, kendall_n=100_000):
     resid = y - mu
 
     ranks = None
-    if variant == "correct":
-        truth = demo_truth_forecast(np.zeros(2), rho)
-        h = truth.cdf(resid)
-        kfn = monte_carlo_kendall(truth, substream(seed, 3, 0), kendall_n)
-        k_left, k_right = kfn.interval(h)
-    elif variant == "independent":
-        h = copula_cdf("independence", ndtr(resid))
-        k_left = k_right = kendall_cdf("independence", h)
+    if variant != "ensemble":
+        fc = (demo_truth_forecast(np.zeros(2), rho) if variant == "correct" else
+              CopulaMarginalForecast(ArchimedeanCopula("independence"), [Normal(0.0, 1.0)] * 2))
+        h = fc.cdf(resid)
+        k_left, k_right = select_kendall(fc, rng=substream(seed, 3, 0), n=kendall_n).interval(h)
     else:
         rng_f = substream(seed, 3, 2)
         pts = mu[:, None, :] + rng_f.normal(size=(j, m, 2)) @ (_DEMO_SHRINK * chol).T

@@ -373,6 +373,50 @@ def test_cone_is_parsed_before_any_file_is_read(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_path_is_a_usage_error(ensemble_archive, tmp_path, capsys, monkeypatch):
+    """An empty --in or --out would name the current directory; every
+    subcommand refuses it before any file is read or written."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    checked = []
+    for words, parser in _subcommands():
+        for flag in ("--in", "--out"):
+            if flag not in parser._option_string_actions:  # the studies read no archive
+                continue
+            for given in (tmp_path / "missing", ensemble_archive):
+                argv = [*words, *_required(parser, given), flag, ""]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr().err == \
+                    f"error: coppit {' '.join(words)}: argument {flag}: path must not be empty\n"
+            checked.append(f"{' '.join(words)} {flag}")
+    assert len(checked) == 13
+    assert not list(cwd.iterdir()) and not (tmp_path / "missing").exists()
+
+
+def test_each_manifest_lists_exactly_its_files(ensemble_archive, mixed_archive, tmp_path):
+    study = ["--kendall-n", "100", "--j", "20"]
+    runs = {
+        "coppit": ["coppit", "--in", str(mixed_archive), "--kendall-n", "100"],
+        "pit": ["pit", "--in", str(mixed_archive), "--margin", "2"],
+        "rank-hist": ["rank-hist", "--in", str(ensemble_archive)],
+        "clical": ["clical", "--in", str(mixed_archive), "--kendall-n", "100", "--grid", "11"],
+        "bivariate": ["simulate", "bivariate", "--j", "20", "--directional",
+                      "--directional-n", "50"],
+        "highdim": ["simulate", "highdim", "--variant", "joe-swap", "--d", "3", *study],
+        "demo-correct": ["simulate", "demo-emos", "--variant", "correct", *study],
+        "demo-ensemble": ["simulate", "demo-emos", "--variant", "ensemble", *study],
+    }
+    listed = {}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--seed", "2", "--out", str(out)]) == 0, name
+        files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        listed[name] = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert listed[name] == [f for f in files if f != "manifest.json"], name
+    assert "TTT/records_sw.csv" in listed["bivariate"] and "rank_hist.svg" in listed["demo-ensemble"]
+
+
 def test_data_errors(tmp_path, gaussian_archive, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'

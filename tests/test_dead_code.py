@@ -23,7 +23,8 @@ truncating it; ``cli`` is exempt, as its argparse converters parse text.
 Likewise no ``raise`` outside ``samplers`` says a value "must lie in [0, 1]"
 or "must be finite": probabilities, samples, parameters and outcomes go
 through ``_check_unit``, ``_check_sample`` and ``_check_finite``; ``io``
-is exempt, as its readers report line numbers.
+is exempt, as its readers report line numbers.  The cli's commands return
+their results: only ``cli._write`` and ``cli.main`` name an io writer.
 """
 
 import ast
@@ -246,3 +247,23 @@ def test_one_check_per_value_kind():
     found = [f"{m}:{line}" for m, tree in sorted(trees.items()) if m not in ("samplers.py", "io.py")
              for line in _value_check_raises(tree)]
     assert trees and not found, found
+
+
+def test_one_writer():
+    """Commands return their results and write nothing: ``_write`` writes
+    them and ``main`` the manifest, and only render writes its own SVG."""
+    tree = _trees()["cli.py"]
+    writers = {"write_records", "write_ranks", "write_histogram", "write_curve",
+               "write_manifest", "render_svg"}
+    found = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & writers
+            if names:
+                found[fn.name] = names
+    assert found == {"_write": writers - {"write_manifest"}, "main": {"write_manifest"},
+                     "_cmd_render": {"render_svg"}}
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert len(commands) == 7
+    assert not [fn.name for fn in commands if "argv" in {a.arg for a in fn.args.args}]
