@@ -203,6 +203,15 @@ class EnsembleForecast:
         self.m = pts.shape[0]
         self.dim = pts.shape[1]
 
+    @classmethod
+    def _checked(cls, points):
+        """The ensemble of ``points``, an (m, d) float array whose values the
+        caller has already checked finite; it is taken as is, without a copy."""
+        self = cls.__new__(cls)
+        self.points = points
+        self.m, self.dim = points.shape
+        return self
+
     def cdf(self, y, signs=None):
         y_mat, single = _as_points(y, self.dim)
         pts = self.points

@@ -15,10 +15,17 @@ case.  Two on-disk forms are supported, chosen by file suffix:
 
 - JSON lines (any suffix but ``.csv``): one object per line,
   ``{"forecast": {...}, "y": [...]}``, with an optional leading
-  ``{"metadata": {...}}`` line.
+  ``{"metadata": {...}}`` line.  Canonical ensemble lines, laid out as
+  ``write_archive`` writes them, are read in blocks of a few hundred: one
+  regex per line checks the layout and one m and d for the file, and one
+  ``json.loads`` reads every number of the block.  Every other line, and
+  every line from the first one the block path is unsure of, goes through
+  the per-line validator, the one source of archive errors and their line
+  numbers, so both paths give the same archive and the same errors.
 - CSV ensemble shorthand (suffix ``.csv``): header
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
-  every case is an m-member ensemble.
+  every case is an m-member ensemble.  ``float()`` reads each field, but a
+  field with an underscore, such as ``1_0``, is non-numeric, not 10.
 
 Result writers serialize copula PIT ``Records``, multivariate ranks,
 histograms, and calibration curves to CSV with 17-significant-digit floats,
@@ -32,6 +39,7 @@ timestamp lives in ``manifest.json``.
 import csv
 import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -214,41 +222,126 @@ def read_archive(path):
     return _read_archive_jsonl(path)
 
 
+def _numbered(fh):
+    """(line number, stripped text) of each non-blank line of an open file."""
+    return ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
+
+
 def _read_archive_jsonl(path):
     cases = []
-    metadata = {}
-    dim = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
-                raise ArchiveError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from None
-            if not isinstance(obj, dict):
-                raise ArchiveError("expected a JSON object", lineno)
-            if not cases and set(obj) == {"metadata"}:
-                if not isinstance(obj["metadata"], dict):
-                    raise ArchiveError("metadata must be an object", lineno)
-                metadata = obj["metadata"]
-                continue
-            if set(obj) != {"forecast", "y"}:
-                raise ArchiveError("expected exactly the keys 'forecast' and 'y'", lineno)
-            y = obj["y"]
-            if not (_is_number(y) or isinstance(y, list) and all(map(_is_number, y))):
-                raise ArchiveError(
-                    "'y' must be a number or a flat list of numbers in the float range", lineno)
-            try:
-                fc = forecast_from_dict(obj["forecast"])
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ArchiveError(f"bad forecast descriptor: {exc}", lineno) from None
-            dim, y = _check_case(fc, y, dim, lineno)
-            cases.append((fc, y))
+        metadata, rest = _read_blocks(_numbered(fh), cases)
+        metadata = _validate_lines(rest, cases, metadata)
     if not cases:
         raise ArchiveError("archive contains no cases")
-    return CaseArchive(dim=dim, cases=tuple(cases), metadata=metadata)
+    return CaseArchive(dim=cases[0][0].dim, cases=tuple(cases), metadata=metadata)
+
+
+def _validate_lines(lines, cases, metadata):
+    """The per-line archive validator, the one source of errors about a line.
+
+    Parses and checks each (line number, text) of ``lines``, appends its case
+    to ``cases`` and returns the metadata: ``metadata``, unless a metadata
+    line before the first case replaces it.
+    """
+    dim = cases[0][0].dim if cases else None
+    for lineno, text in lines:
+        try:
+            obj = json.loads(text)
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
+            raise ArchiveError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from None
+        if not isinstance(obj, dict):
+            raise ArchiveError("expected a JSON object", lineno)
+        if not cases and set(obj) == {"metadata"}:
+            if not isinstance(obj["metadata"], dict):
+                raise ArchiveError("metadata must be an object", lineno)
+            metadata = obj["metadata"]
+            continue
+        if set(obj) != {"forecast", "y"}:
+            raise ArchiveError("expected exactly the keys 'forecast' and 'y'", lineno)
+        y = obj["y"]
+        if not (_is_number(y) or isinstance(y, list) and all(map(_is_number, y))):
+            raise ArchiveError(
+                "'y' must be a number or a flat list of numbers in the float range", lineno)
+        try:
+            fc = forecast_from_dict(obj["forecast"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ArchiveError(f"bad forecast descriptor: {exc}", lineno) from None
+        dim, y = _check_case(fc, y, dim, lineno)
+        cases.append((fc, y))
+    return metadata
+
+
+# The canonical ensemble line, as write_archive writes it:
+# {"forecast": {"type": "ensemble", "points": [[x, ...], ...]}, "y": [y, ...]}
+_ENSEMBLE_HEAD = '{"forecast": {"type": "ensemble", "points": [['
+# what a JSON number is made of; json.loads decides whether it is one
+_NUMBER = r"[-+.0-9eE]+"
+_BLOCK_LINES = 256
+
+
+def _canonical_pattern(text):
+    """(regex, m, d): the regex matches the layout of the canonical ensemble
+    line with the member count m and dimension d that ``text`` seems to have;
+    json.loads decides later whether each of its tokens is a JSON number."""
+    d = text[len(_ENSEMBLE_HEAD):].partition("]")[0].count(", ") + 1
+    m = text.count("], [") + 1
+    member = r"\[%s(?:, %s){%d}\]" % (_NUMBER, _NUMBER, d - 1)
+    pattern = r'\{"forecast": \{"type": "ensemble", "points": \[%s(?:, %s){%d}\]\}, "y": %s\}'
+    return re.compile(pattern % (member, member, m - 1, member)), m, d
+
+
+def _take_block(block, m, d, cases):
+    """Append the cases of ``block``, (line number, text) pairs of canonical
+    lines with m members of dimension d, and return ``[]``; or, unless every
+    token is a JSON number of magnitude below the largest float, append
+    nothing and return ``block``.
+
+    Every token of the block goes through one ``json.loads``, so each is
+    read by JSON's own number grammar, and one check covers them all: the
+    cases are rows of the block's array, taken without a copy.
+    """
+    if not block:
+        return block
+    numbers = ", ".join(text[len(_ENSEMBLE_HEAD):-2] for _, text in block)
+    numbers = numbers.replace("], [", ", ").replace(']]}, "y": [', ", ")
+    try:  # "01", "1." or "+1"; an int past Python's digit limit or the float range
+        values = np.array(json.loads(f"[{numbers}]"), dtype=float)
+    except (ValueError, OverflowError):
+        return block
+    if not (np.abs(values) < sys.float_info.max).all():  # also an int rounded to the largest float
+        return block
+    cases.extend((EnsembleForecast._checked(row[:m]), row[m])
+                 for row in values.reshape(len(block), m + 1, d))
+    return []
+
+
+def _read_blocks(lines, cases):
+    """The block path: read the canonical ensemble lines at the head of
+    ``lines``, after an optional metadata line, ``_BLOCK_LINES`` at a time.
+
+    Appends their cases to ``cases`` and returns the metadata and the lines
+    left to ``_validate_lines``: from the first line that is not canonical
+    or whose m or d differ from the first case's, or from the start of a
+    block that ``_take_block`` leaves.  It raises nothing of its own, so
+    the validator alone words every error.
+    """
+    metadata, block, pattern, m, d = {}, [], None, None, None
+    for lineno, text in lines:
+        if not cases and not block and text.startswith('{"metadata": '):
+            metadata = _validate_lines([(lineno, text)], cases, metadata)
+            continue
+        if pattern is None and text.startswith(_ENSEMBLE_HEAD):
+            pattern, m, d = _canonical_pattern(text)
+        if pattern is None or not pattern.fullmatch(text):
+            return metadata, itertools.chain(_take_block(block, m, d, cases), [(lineno, text)], lines)
+        block.append((lineno, text))
+        if len(block) == _BLOCK_LINES:
+            left = _take_block(block, m, d, cases)
+            if left:
+                return metadata, itertools.chain(left, lines)
+            block = []
+    return metadata, _take_block(block, m, d, cases)
 
 
 def _csv_header(d, m):
@@ -283,6 +376,8 @@ def _read_archive_csv(path):
             if len(row) != len(header):
                 raise ArchiveError(f"expected {len(header)} fields, got {len(row)}", lineno)
             try:
+                if any("_" in c for c in row):  # float() reads "1_0" as 10.0
+                    raise ValueError
                 vals = np.array([float(c) for c in row])
             except ValueError:
                 raise ArchiveError("non-numeric field", lineno) from None

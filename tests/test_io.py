@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coppit.forecasts import (
     Normal,
 )
 from coppit.copulas import ArchimedeanCopula
+import coppit.io as coppit_io
 from coppit.io import (
     ArchiveError,
     CaseArchive,
@@ -442,11 +444,208 @@ def test_csv_archive_errors(tmp_path):
         with pytest.raises(ArchiveError, match="line 3.*finite"):
             read_archive(path)
 
+    # float() reads digit-group underscores: "1_0" would be 10.0
+    for row in ("1_0,0.5,3,4", "1,2,3,4_5", "1,2,_3,4", "1,2,3.5_0,4", "1,2,1e1_0,4"):
+        path.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n%s\n" % row)
+        with pytest.raises(ArchiveError, match="^line 3: non-numeric field$"):
+            read_archive(path)
+
     mixed = CaseArchive(dim=2, cases=(
         (EnsembleForecast([[0.0, 0.0]]), np.zeros(2)),
         (GaussianForecast([0.0, 0.0], np.eye(2)), np.zeros(2))), metadata={})
     with pytest.raises(ValueError, match="ensemble"):
         write_archive(mixed, tmp_path / "mixed.csv")
+
+
+def _validated(path):
+    """The archive as the per-line validator alone reads it."""
+    cases = []
+    with open(path, encoding="utf-8") as fh:
+        metadata = coppit_io._validate_lines(coppit_io._numbered(fh), cases, {})
+    if not cases:
+        raise ArchiveError("archive contains no cases")
+    return CaseArchive(dim=cases[0][0].dim, cases=tuple(cases), metadata=metadata)
+
+
+def _read_both(path, block_lines):
+    """(read_archive's result, the validator's) for ``path``: an archive, or
+    the text of the ArchiveError raised."""
+    out = []
+    for read in (read_archive, _validated):
+        try:
+            with mock.patch.object(coppit_io, "_BLOCK_LINES", block_lines):
+                out.append(read(path))
+        except ArchiveError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_same_archive(a, b):
+    assert a.dim == b.dim and a.metadata == b.metadata and len(a.cases) == len(b.cases)
+    for (fc, y), (fc2, y2) in zip(a.cases, b.cases):
+        assert type(fc) is type(fc2) and fc.dim == fc2.dim
+        if isinstance(fc, EnsembleForecast):
+            assert fc.m == fc2.m
+            assert (fc.points.dtype, fc.points.shape) == (fc2.points.dtype, fc2.points.shape)
+            assert fc.points.tobytes() == fc2.points.tobytes()
+        else:
+            assert fc == fc2
+        assert (y.dtype, y.shape, y.tobytes()) == (y2.dtype, y2.shape, y2.tobytes())
+
+
+# number texts as JSON writes them, and the ones it reads but never writes
+_NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+              min_value=-1e-300, max_value=1e-300).map(json.dumps),
+    st.integers().map(str),
+    st.integers(-2**1023, 2**1023).map(str),
+    st.sampled_from(["-0", "0", "-0.0", "5e-324", "-2.225073858507201e-308", "1E5", "1e+5",
+                     "0.30000000000000004", "1.7976931348623157e308", "-1.7976931348623157e+308",
+                     str(2**53 + 1), str(-2**64 - 3), str(int(sys.float_info.max))]),
+)
+
+
+@st.composite
+def _canonical_archives(draw):
+    """(metadata line or None, per case the token texts of its m members and
+    of y, d): a canonical ensemble archive before it is written out."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 7))
+    cases = [([draw(st.lists(_NUMBER_TEXTS, min_size=d, max_size=d)) for _ in range(m)],
+              draw(st.lists(_NUMBER_TEXTS, min_size=d, max_size=d))) for _ in range(n)]
+    metadata = draw(st.one_of(st.none(), st.just('{"metadata": {"seed": 7}}')))
+    return metadata, cases
+
+
+def _canonical_line(points, y):
+    pts = ", ".join("[%s]" % ", ".join(member) for member in points)
+    return '{"forecast": {"type": "ensemble", "points": [%s]}, "y": [%s]}' % (pts, ", ".join(y))
+
+
+def _write_lines(path, metadata, lines, newline="\n"):
+    path.write_text("".join(line + newline for line in ([metadata] if metadata else []) + lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(archive=_canonical_archives(), block_lines=st.integers(1, 4), crlf=st.booleans())
+def test_block_path_matches_validator(tmp_path_factory, archive, block_lines, crlf):
+    """On canonical archives the block path gives, bit for bit, the
+    validator's archive: subnormals, -0.0 and -0, 17-digit reprs, ints past
+    2**53, d = 1 and d > 1, any m, any block boundary."""
+    metadata, cases = archive
+    path = tmp_path_factory.getbasetemp() / "canonical.jsonl"
+    _write_lines(path, metadata, [_canonical_line(p, y) for p, y in cases], "\r\n" if crlf else "\n")
+    _assert_same_archive(*_read_both(path, block_lines))
+
+
+_BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "01", "-01", "1.", "+1", ".5",
+                "1e", "-", "true", "null", '"1"', str(10**400), str(-10**400),
+                str(int(sys.float_info.max) + 1), str(int(sys.float_info.max)), "1" + "0" * 5000]
+_MVGAUSS = '{"forecast": {"type": "mvgauss", "mean": [0, 0], "cov": [[1, 0], [0, 1]]}, "y": [0, 0]}'
+
+
+def _changed_line(kind, points, y, token):
+    """A canonical line changed as ``kind`` says, or, for a kind from
+    ``_BAD_NUMBERS``, with that text in place of its ``token``-th number."""
+    if kind in _BAD_NUMBERS:
+        numbers = [t for member in points for t in member] + y
+        numbers[token % len(numbers)] = kind
+        d = len(y)
+        return _canonical_line([numbers[i:i + d] for i in range(0, len(numbers) - d, d)],
+                               numbers[-d:])
+    obj = {"forecast": {"type": "ensemble", "points": [[json.loads(t) for t in member]
+                                                        for member in points]},
+           "y": [json.loads(t) for t in y]}
+    return {
+        "key order": lambda: json.dumps({"y": obj["y"], "forecast": obj["forecast"]}),
+        "compact": lambda: json.dumps(obj, separators=(",", ":")),
+        "mvgauss": lambda: _MVGAUSS,
+        "ragged": lambda: _canonical_line([points[0][:-1] or ["0", "0"]] + points[1:], y),
+        "more members": lambda: _canonical_line(points + points[:1], y),
+        "another d": lambda: _canonical_line([member + ["0"] for member in points], y + ["0"]),
+        "metadata": lambda: '{"metadata": {}}',
+        "y number": lambda: _canonical_line(points, y)[:-len(", ".join(y)) - 3] + y[0] + "}",
+    }[kind]()
+
+
+@pytest.mark.parametrize("kind", _BAD_NUMBERS + [
+    "key order", "compact", "mvgauss", "ragged", "more members", "another d", "metadata",
+    "y number"], ids=lambda kind: kind if len(kind) < 20 else f"{kind[:2]}..{kind[-2:]}({len(kind)})")
+@settings(max_examples=25, deadline=None)
+@given(archive=_canonical_archives(), token=st.integers(0, 50), at=st.integers(0, 6),
+       block_lines=st.integers(1, 4))
+def test_block_path_changed_line(tmp_path_factory, kind, archive, token, at, block_lines):
+    """One line of a canonical archive changed: another key order or
+    spacing, another kind, a ragged member, another m or d, NaN, 1e400, 01,
+    1., +1, an int past the float range or Python's digit limit.  The
+    block path reads it as the validator does, with the same ArchiveError
+    text and line."""
+    metadata, cases = archive
+    lines = [_canonical_line(p, y) for p, y in cases]
+    at %= len(lines)
+    lines[at] = _changed_line(kind, *cases[at], token)
+    path = tmp_path_factory.getbasetemp() / "changed.jsonl"
+    _write_lines(path, metadata, lines)
+    block, validated = _read_both(path, block_lines)
+    if isinstance(validated, str):
+        assert block == validated
+        if kind in _BAD_NUMBERS:
+            assert validated.startswith(f"line {at + 1 + bool(metadata)}: "), validated
+    else:
+        _assert_same_archive(block, validated)
+
+
+def test_block_path_reads_written_archives(tmp_path, monkeypatch):
+    """An archive that ``write_archive`` writes never reaches the per-case
+    descriptor check, with a leading metadata line, blank lines and CRLF
+    endings; an archive of other kinds leaves the block path at its first
+    case line and reads the file once."""
+    rng = np.random.default_rng(29)
+    cases = tuple((EnsembleForecast(rng.standard_normal((5, 3))), rng.standard_normal(3))
+                  for _ in range(700))  # three blocks
+    path = tmp_path / "ensemble.jsonl"
+    write_archive(CaseArchive(dim=3, cases=cases, metadata={"seed": 29}), path)
+    lines = path.read_text().splitlines()
+    path.write_bytes("\r\n".join(lines[:300] + [""] + lines[300:] + ["", ""]).encode())
+
+    def refuse(d):
+        raise AssertionError("forecast_from_dict called")
+
+    calls = []
+    validate = coppit_io._validate_lines
+
+    def spy(lines, cases, metadata):
+        lines = list(lines)
+        calls.append([n for n, _ in lines])
+        return validate(lines, cases, metadata)
+
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(coppit_io, "_validate_lines", spy)
+    monkeypatch.setattr(coppit_io, "open", counting_open, raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(coppit_io, "forecast_from_dict", refuse)
+        back = read_archive(path)
+    assert back.metadata == {"seed": 29} and len(back.cases) == len(cases)
+    for (fc, y), (fc2, y2) in zip(cases, back.cases):
+        assert fc2 == fc and np.array_equal(y2, y)
+    assert calls == [[1], []] and opened == [path]  # the validator reads the metadata line only
+
+    cop = ArchimedeanCopula("gumbel", theta=2.0)
+    mixed = tuple((GaussianForecast([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]), np.array([0.5, -1.0]))
+                  if i % 2 else (CopulaMarginalForecast(cop, [Normal(0.0, 1.0)] * 2), np.zeros(2))
+                  for i in range(6))
+    write_archive(CaseArchive(dim=2, cases=mixed, metadata={"seed": 29}), path)
+    calls.clear()
+    opened.clear()
+    assert len(read_archive(path).cases) == 6
+    assert calls == [[1], [2, 3, 4, 5, 6, 7]] and opened == [path]
 
 
 def test_result_file_row_errors(tmp_path):
