@@ -35,7 +35,6 @@ from .calibration import (
 )
 from .forecasts import EnsembleForecast, Normal, cone_signs, margin_forecast
 from .io import (
-    ArchiveError,
     read_archive,
     read_result,
     render_svg,
@@ -423,7 +422,7 @@ def main(argv=None):
                                  "argv": argv, "flags": flags,
                                  "outputs": sorted(_write(out, results))})
             print(f"coppit {command}: {n_cases} cases -> {out}", file=sys.stderr)
-    except (ArchiveError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # an ArchiveError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,7 +25,10 @@ case.  Two on-disk forms are supported, chosen by file suffix:
 - CSV ensemble shorthand (suffix ``.csv``): header
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
   every case is an m-member ensemble.  ``float()`` reads each field, but a
-  field with an underscore, such as ``1_0``, is non-numeric, not 10.
+  field with an underscore, such as ``1_0``, is non-numeric, not 10.  Each
+  row is checked in turn, so the first bad line is the one reported; the
+  rows then become one array, and each case a row of it, as in the block
+  path.
 
 Result writers serialize copula PIT ``Records``, multivariate ranks,
 histograms, and calibration curves to CSV with 17-significant-digit floats,
@@ -36,9 +39,11 @@ diagonal.  All outputs are byte-deterministic given their inputs; the only
 timestamp lives in ``manifest.json``.
 """
 
+import array
 import csv
 import itertools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -50,7 +55,6 @@ import numpy as np
 from .calibration import ClicalCurve, HistogramResult, Records
 from .copulas import ArchimedeanCopula
 from .forecasts import CopulaMarginalForecast, EnsembleForecast, GaussianForecast, Normal
-from .samplers import _check_finite
 
 __all__ = [
     "ArchiveError",
@@ -199,21 +203,6 @@ def forecast_to_dict(forecast):
 # --- case archives ----------------------------------------------------------
 
 
-def _check_case(forecast, y, dim, lineno):
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.size != forecast.dim:
-        raise ArchiveError(
-            f"outcome has {y.size} coordinates but the forecast has dimension {forecast.dim}",
-            lineno)
-    try:
-        _check_finite(y, "outcome coordinates")
-    except ValueError as exc:
-        raise ArchiveError(str(exc), lineno) from None
-    if dim is not None and forecast.dim != dim:
-        raise ArchiveError(f"dimension {forecast.dim} differs from earlier cases ({dim})", lineno)
-    return forecast.dim, y
-
-
 def read_archive(path):
     """Load a case archive; suffix '.csv' selects the ensemble shorthand."""
     path = Path(path)
@@ -222,9 +211,9 @@ def read_archive(path):
     return _read_archive_jsonl(path)
 
 
-def _numbered(fh):
-    """(line number, stripped text) of each non-blank line of an open file."""
-    return ((n, text) for n, text in enumerate(map(str.strip, fh), start=1) if text)
+def _numbered(lines):
+    """(line number, stripped text) of each non-blank line of an open file or a list."""
+    return ((n, text) for n, text in enumerate(map(str.strip, lines), start=1) if text)
 
 
 def _read_archive_jsonl(path):
@@ -267,7 +256,15 @@ def _validate_lines(lines, cases, metadata):
             fc = forecast_from_dict(obj["forecast"])
         except (ValueError, TypeError, KeyError) as exc:
             raise ArchiveError(f"bad forecast descriptor: {exc}", lineno) from None
-        dim, y = _check_case(fc, y, dim, lineno)
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.size != fc.dim:
+            raise ArchiveError(
+                f"outcome has {y.size} coordinates but the forecast has dimension {fc.dim}", lineno)
+        if not np.isfinite(y).all():
+            raise ArchiveError("outcome coordinates must be finite", lineno)
+        if dim is not None and fc.dim != dim:
+            raise ArchiveError(f"dimension {fc.dim} differs from earlier cases ({dim})", lineno)
+        dim = fc.dim
         cases.append((fc, y))
     return metadata
 
@@ -369,27 +366,27 @@ def _read_archive_csv(path):
         if header != _csv_header(d, m):
             raise ArchiveError(
                 f"header does not match the y1..y{d}, x1_1..x{m}_{d} layout", 1)
-        cases = []
+        values = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ArchiveError(f"expected {len(header)} fields, got {len(row)}", lineno)
             try:
-                if any("_" in c for c in row):  # float() reads "1_0" as 10.0
+                if "_" in "".join(row):  # float() reads "1_0" as 10.0
                     raise ValueError
-                vals = np.array([float(c) for c in row])
+                vals = list(map(float, row))
             except ValueError:
                 raise ArchiveError("non-numeric field", lineno) from None
-            try:
-                fc = EnsembleForecast(vals[d:].reshape(m, d))
-            except ValueError as exc:
-                raise ArchiveError(str(exc), lineno) from None
-            _, y = _check_case(fc, vals[:d], d, lineno)
-            cases.append((fc, y))
-    if not cases:
+            for what, part in (("ensemble points", vals[d:]), ("outcome coordinates", vals[:d])):
+                if not all(map(math.isfinite, part)):
+                    raise ArchiveError(f"{what} must be finite", lineno)
+            values.extend(vals)
+    if not values:
         raise ArchiveError("archive contains no cases")
-    return CaseArchive(dim=d, cases=tuple(cases), metadata={})
+    rows = np.frombuffer(values).reshape(-1, len(header))
+    cases = tuple((EnsembleForecast._checked(row[d:].reshape(m, d)), row[:d]) for row in rows)
+    return CaseArchive(dim=d, cases=cases, metadata={})
 
 
 def write_archive(archive, path):
@@ -435,9 +432,9 @@ def _write_rows(path, header, row_format, rows, trailer=""):
         fh.write(trailer)
 
 
-def _lines(text):
-    """(line number, text) of each non-blank line."""
-    return [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln]
+def _lines(path):
+    """(line number, stripped text) of each non-blank line of a result file."""
+    return list(_numbered(Path(path).read_text(encoding="utf-8").splitlines()))
 
 
 def _parse_rows(lines, header, what, convert):
@@ -473,8 +470,8 @@ def write_ranks(ranks, path):
 
 def read_records(path):
     """Load ``Records`` written by ``write_records``."""
-    rows = _parse_rows(_lines(Path(path).read_text(encoding="utf-8")), ",".join(Records.COLUMNS),
-                       "record", lambda f: [float(c) for c in f[:5]] + [int(f[5]) if f[5] else 0])
+    rows = _parse_rows(_lines(path), ",".join(Records.COLUMNS), "record",
+                       lambda f: [float(c) for c in f[:5]] + [int(f[5]) if f[5] else 0])
     h, k_left, k_right, v, u, rank = np.array(rows, dtype=float).reshape(-1, 6).T.copy()
     rank = rank.astype(int)
     return Records(h, k_left, k_right, v, u, rank if rank.any() else None)
@@ -493,7 +490,7 @@ def read_histogram(path):
     """Load a histogram written by ``write_histogram``; the bins must be
     finite, contiguous and increasing, the counts non-negative, and the
     trailer's chi2 and df those of the counts."""
-    lines = _lines(Path(path).read_text(encoding="utf-8"))
+    lines = _lines(path)
     if not lines or not lines[-1][1].startswith("# "):
         raise ArchiveError("unexpected histogram layout", 1)
     rows = _parse_rows(lines[:-1], "bin_lo,bin_hi,count", "histogram",
@@ -529,7 +526,7 @@ def write_curve(curve, path):
 
 def read_curve(path):
     """Load a curve written by ``write_curve``; every value must lie in [0, 1]."""
-    lines = _lines(Path(path).read_text(encoding="utf-8"))
+    lines = _lines(path)
     rows = _parse_rows(lines, "w,lhs,rhs", "curve", lambda f: [float(c) for c in f])
     if not rows:
         raise ArchiveError("curve has no rows", 1)

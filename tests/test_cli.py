@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coppit import cli, kendall
+from coppit import cli, kendall, simstudy
 from coppit.calibration import coppit, multivariate_rank
 from coppit.cli import main
 from coppit.forecasts import EnsembleForecast
-from coppit.io import read_records
+from coppit.io import CaseArchive, read_records, write_archive
 from coppit.kendall import select_kendall
 from coppit.samplers import substream
 
@@ -643,6 +643,28 @@ def test_simulate_bivariate_layout(tmp_path):
         files = sorted(p.name for p in (out / label).iterdir())
         assert files == ["curve.csv", "curve.svg", "hist.csv", "hist.svg", "records.csv"]
         assert len(read_records(out / label / "records.csv")) == 40
+
+
+def test_simulate_bivariate_matches_archive(tmp_path):
+    """The study's closed-form outputs are those of its cases read from an
+    archive: coppit gives each forecaster's records and histogram, clical its
+    curve, byte for byte under the same seed."""
+    j, seed = 200, "7"
+    study = tmp_path / "study"
+    assert main(["simulate", "bivariate", "--j", str(j), "--seed", seed, "--out", str(study)]) == 0
+    run = simstudy.run_bivariate(j=j, seed=int(seed))
+    assert len(run.forecasters) == 8
+    for fb in run.forecasters:
+        path = tmp_path / f"{fb.label}.jsonl"
+        cases = tuple((fb.forecast(i), run.y[i]) for i in range(j))
+        write_archive(CaseArchive(dim=2, cases=cases, metadata={}), path)
+        out = tmp_path / fb.label
+        for command, files in (("coppit", ("records.csv", "hist.csv", "hist.svg")),
+                               ("clical", ("curve.csv", "curve.svg"))):
+            assert main([command, "--in", str(path), "--out", str(out), "--seed", seed]) == 0
+            for name in files:
+                assert (out / name).read_bytes() == (study / fb.label / name).read_bytes(), \
+                    (fb.label, name)
 
 
 def test_simulate_highdim_and_demo(tmp_path):

@@ -439,10 +439,22 @@ def test_csv_archive_errors(tmp_path):
     with pytest.raises(ArchiveError, match="line 1"):
         read_archive(path)
 
-    for bad in ("nan", "inf"):
-        path.write_text("y1,y2,x1_1,x1_2\n1,2,3,4\n1,2,%s,4\n" % bad)
-        with pytest.raises(ArchiveError, match="line 3.*finite"):
+    # each row is checked in full before the next: a non-finite row is
+    # reported at its own line, not at a later short or non-numeric row
+    for rows, message in [("1,2,3,4\n1,2,nan,4", "line 3: ensemble points must be finite"),
+                          ("1,2,3,4\n1,2,inf,4", "line 3: ensemble points must be finite"),
+                          ("1,2,nan,4\n1,2,3", "line 2: ensemble points must be finite"),
+                          ("nan,2,-inf,4", "line 2: ensemble points must be finite"),
+                          ("1,2,3,4\n1,inf,3,4\n1,2,x,4",
+                           "line 3: outcome coordinates must be finite")]:
+        path.write_text("y1,y2,x1_1,x1_2\n%s\n" % rows)
+        with pytest.raises(ArchiveError, match=f"^{message}$"):
             read_archive(path)
+
+    # every value is finite, only their sum overflows
+    path.write_text("y1,y2,x1_1,x1_2\n" + ",".join(["1e308"] * 4) + "\n")
+    (fc, y), = read_archive(path).cases
+    assert np.array_equal(fc.points, [[1e308, 1e308]]) and np.array_equal(y, [1e308, 1e308])
 
     # float() reads digit-group underscores: "1_0" would be 10.0
     for row in ("1_0,0.5,3,4", "1,2,3,4_5", "1,2,_3,4", "1,2,3.5_0,4", "1,2,1e1_0,4"):
@@ -455,6 +467,16 @@ def test_csv_archive_errors(tmp_path):
         (GaussianForecast([0.0, 0.0], np.eye(2)), np.zeros(2))), metadata={})
     with pytest.raises(ValueError, match="ensemble"):
         write_archive(mixed, tmp_path / "mixed.csv")
+
+
+def test_result_files_skip_whitespace_lines(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text(" w,lhs,rhs\n0,0,0 \n   \n\t\n1,1,1\n")
+    back = read_curve(path)
+    assert back.grid.tolist() == [0.0, 1.0] and back.lhs.tolist() == [0.0, 1.0]
+    path.write_text("w,lhs,rhs\n0,0,0\n  \n0.5,0.5\n")
+    with pytest.raises(ArchiveError, match="^line 4: malformed curve row$"):
+        read_curve(path)
 
 
 def _validated(path):
