@@ -11,6 +11,12 @@ has its rule chosen and its node terms (arcsin, the node sines) computed once
 per call, so only the terms in h and k are evaluated per point.  An array rho
 takes the points' shape and runs through the same lines, one rule per point.
 
+``bvn_cdf`` clips Phi(h) + Phi(k) - 1 + P(X > h, Y > k) into the Frechet
+bounds built from the same ``ndtr`` values.  ``bvn_cdf_counts`` counts the
+points whose value lies below a threshold w with the same expression, and
+runs the quadrature only for the points whose bounds hold w: the others lie
+below or above w whatever the quadrature gives.
+
 The quadrature terms are laid out node-major, (nodes, points), so every
 elementwise step runs along the points rather than over a 6-20 long inner
 axis.  The nodes are then summed row by row by ``_node_sum`` in numpy's own
@@ -21,9 +27,9 @@ order changes last bits, and the golden digests record those bits.
 import numpy as np
 from scipy.special import ndtr
 
-from .samplers import _check_finite
+from .samplers import _check_finite, _check_unit
 
-__all__ = ["bvn_cdf", "bvn_upper"]
+__all__ = ["bvn_cdf", "bvn_cdf_counts", "bvn_upper"]
 
 # Gauss-Legendre nodes (positive half, [-1, 1]) and weights
 _GL_RULES = (
@@ -184,6 +190,21 @@ def bvn_upper(h, k, rho):
     return float(out[0]) if scalar else out
 
 
+def _bounds(h, k):
+    """Phi(h) + Phi(k) - 1 and the Frechet bounds max(that, 0) and
+    min(Phi(h), Phi(k)) that ``bvn_cdf`` clips into, from one ``ndtr`` of
+    each bound."""
+    ph, pk = ndtr(h), ndtr(k)
+    s = ph + pk - 1.0
+    return s, np.maximum(s, 0.0), np.minimum(ph, pk)
+
+
+def _joint(h, k, rho, s, lo, hi):
+    """P(X <= h, Y <= k) as s + P(X > h, Y > k), clipped into [lo, hi]:
+    ``bvn_cdf``'s one expression, given ``_bounds(h, k)``."""
+    return np.clip(s + bvn_upper(h, k, rho), lo, hi)
+
+
 def bvn_cdf(h, k, rho):
     """P(X <= h, Y <= k) for standard bivariate normal with correlation rho.
 
@@ -193,7 +214,25 @@ def bvn_cdf(h, k, rho):
     """
     h_arr = np.asarray(h, dtype=float)
     k_arr = np.asarray(k, dtype=float)
-    upper = bvn_upper(h_arr, k_arr, rho)
-    ph, pk = ndtr(h_arr), ndtr(k_arr)
-    p = ph + pk - 1.0 + upper
-    return np.clip(p, np.maximum(ph + pk - 1.0, 0.0), np.minimum(ph, pk))
+    return _joint(h_arr, k_arr, rho, *_bounds(h_arr, k_arr))
+
+
+def bvn_cdf_counts(h, k, rho, w):
+    """(#{p < w}, #{p <= w}) over the ``bvn_cdf`` values p of the points
+    (h, k), with rho one correlation or one per point.
+
+    ``bvn_cdf`` clips p into [min(lo, hi), hi] (np.clip takes hi when the
+    bounds cross), so a point with hi < w counts below w, and one with
+    min(lo, hi) > w above it, without the quadrature.  Only the points whose
+    bounds hold w get the expression of ``bvn_cdf``, and their p carry its
+    bits, so the counts equal those of the whole sample of p.
+    """
+    h_arr, k_arr = np.atleast_1d(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    w = _check_unit(w, "count threshold w")
+    s, lo, hi = _bounds(h_arr, k_arr)
+    below = hi < w
+    near = np.flatnonzero(~below & (np.minimum(lo, hi) <= w))  # indices: cheaper than 5 masks
+    r = np.asarray(rho, dtype=float)
+    p = _joint(h_arr[near], k_arr[near], r[near] if r.ndim else r, s[near], lo[near], hi[near])
+    n_below = np.count_nonzero(below)
+    return n_below + np.count_nonzero(p < w), n_below + np.count_nonzero(p <= w)

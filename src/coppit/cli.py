@@ -7,6 +7,12 @@ into the output directory, so a run can be reproduced from the manifest
 alone.  With a fixed seed all outputs are byte-identical across runs; the
 manifest's ``created`` timestamp is the single exception.
 
+``coppit`` and ``clical`` score an archive in blocks by kind: one stacked
+pass for the ensembles, one H(y) call for the mvgauss and copula-marginal
+cases, one closed-form Kendall call per copula family, and a Kendall
+function of its own only for each Monte Carlo case.  Every value has the
+bits the library's one-case functions give.
+
 Exit codes: 0 success, 1 usage error, 2 malformed input or validation error.
 The seed defaults to the documented package constant, can be set with
 ``--seed``, or with the ``COPPIT_SEED`` environment variable when the flag
@@ -28,12 +34,11 @@ from .calibration import (
     Records,
     _tie_ranks,
     clical_curve,
-    coppit,
     ensemble_counts,
     histogram,
     rank_histogram,
 )
-from .forecasts import EnsembleForecast, Normal, cone_signs, margin_forecast
+from .forecasts import EnsembleForecast, Normal, _groups, cdf_rows, cone_signs, margin_forecast
 from .io import (
     read_archive,
     read_result,
@@ -44,7 +49,7 @@ from .io import (
     write_ranks,
     write_records,
 )
-from .kendall import DEFAULT_MC_SIZE, select_kendall
+from .kendall import DEFAULT_MC_SIZE, analytic_kendall_rows, kendall_route, select_kendall
 from .samplers import DEFAULT_SEED, _check_int, substream, substream_integers
 
 __all__ = ["main", "build_parser"]
@@ -218,10 +223,8 @@ def _ensemble_groups(cases, indices, signs):
     """(m, case indices, ``EnsembleCounts``) for the given ensemble cases,
     stacked per member count m in blocks of ~_STACK_COMPARISONS coordinate
     comparisons, which keeps memory near that of one case at a time."""
-    groups = {}
-    for i in indices:
-        groups.setdefault(cases[i][0].m, []).append(i)
-    for m, idx in groups.items():
+    for m, pos in _groups([cases[i][0].m for i in indices]).items():
+        idx = [indices[p] for p in pos]
         size = max(1, _STACK_COMPARISONS // ((m + 1) * m * cases[idx[0]][0].dim))
         for lo in range(0, len(idx), size):
             block = idx[lo:lo + size]
@@ -264,10 +267,14 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     and, given a ``grid``, the case mean of the Kendall functions on it
     (else None).
 
-    Under the auto strategy the stacked pass finishes the ensemble cases:
-    their records and Kendall rows come from its counts.  Every other case
-    (mvgauss and copula cases, and all cases under mc) builds its Kendall
-    function, uses it and drops it, on ``threads`` workers.
+    The cases are scored in blocks by kind.  The stacked pass gives every
+    ensemble case's H(y), and under the auto strategy also its records and
+    Kendall rows.  One ``cdf_rows`` call gives H(y) of every mvgauss and
+    copula-marginal case.  The analytic cases take K from one
+    ``analytic_kendall_rows`` call, at h and on the grid.  Only the Monte
+    Carlo cases (every case under mc, mvgauss and the remaining copula cases
+    under auto) build their Kendall function one at a time, use it and drop
+    it, on ``threads`` workers.
     """
     cases = archive.cases
     n = len(cases)
@@ -275,20 +282,35 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     k_grid = None if grid is None else np.empty((n, grid.size))
     auto = strategy == "auto"
     rank, h, _, k_left, k_right = _stacked(cases, seed, signs, grid, k_grid if auto else None)
-    done = rank > 0 if rank is not None and auto else np.zeros(n, dtype=bool)
-    # the finished cases' Kendall functions are never used; this call per case
+    ens = rank > 0 if rank is not None else np.zeros(n, dtype=bool)
+    other = np.flatnonzero(~ens).tolist()
+    if other:
+        try:
+            h[other] = cdf_rows([cases[i][0] for i in other], np.array([cases[i][1] for i in other]),
+                                signs)
+        except ValueError:  # name the first case that fails on its own
+            _map_cases(lambda i: cases[i][0].cdf(cases[i][1], signs), other, 1)
+            raise
+    analytic = [i for i in other if kendall_route(cases[i][0], strategy, signs) == "analytic"]
+    done = ens & auto  # under mc every case builds its own Kendall function
+    done[analytic] = True
+    # the cases finished in blocks use no Kendall function; this call per case
     # only records its route, which traced runs count against the case mix
     for i in np.flatnonzero(done).tolist():
         select_kendall(cases[i][0], strategy=strategy, signs=signs)
+    if analytic:
+        copulas = [cases[i][0].copula for i in analytic]
+        k_left[analytic] = k_right[analytic] = analytic_kendall_rows(copulas, h[analytic])
+        if grid is not None:
+            k_grid[analytic] = analytic_kendall_rows(
+                copulas, np.broadcast_to(grid, (len(analytic), grid.size)))
 
     def work(i):
-        fc, y = cases[i]
-        kfn = select_kendall(fc, strategy=strategy, rng=substream(seed, 3, i), n=kendall_n,
-                             signs=signs)
-        rec = coppit(fc, kfn, y, float(v[i]), signs=signs)
-        h[i], k_left[i], k_right[i] = rec.h, rec.k_left, rec.k_right
-        if grid is not None:
+        kfn = select_kendall(cases[i][0], strategy=strategy, rng=substream(seed, 3, i),
+                             n=kendall_n, signs=signs)
+        if grid is not None:  # sorts the sample once; the interval then searches it
             k_grid[i] = kfn.eval(grid)
+        k_left[i], k_right[i] = kfn.interval(h[i])
 
     _map_cases(work, np.flatnonzero(~done).tolist(), threads)
     recs = Records(h, k_left, k_right, v, rank=rank)

@@ -36,8 +36,8 @@ import itertools
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .bvn import bvn_cdf
-from .copulas import ArchimedeanCopula
+from .bvn import bvn_cdf, bvn_cdf_counts
+from .copulas import ArchimedeanCopula, copula_cdf
 from .samplers import _check_finite, _check_int
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "apply_monotone",
     "apply_permutation",
     "margin_forecast",
+    "cdf_rows",
     "dominance_counts",
     "cone_signs",
 ]
@@ -127,6 +128,14 @@ def _as_members(points):
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
         raise ValueError(f"ensemble points must have shape (m, d) with m, d >= 1, got {np.shape(points)}")
     return pts
+
+
+def _groups(keys):
+    """{key: the indices i with keys[i] == key}, keys in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
 
 
 _CHUNK_ELEMENTS = 4_000_000
@@ -265,13 +274,17 @@ class GaussianForecast:
         self.dim = 2
 
     def cdf(self, y, signs=None):
-        s = cone_signs(signs, 2)
         y_mat, single = _as_points(y, 2)
-        # each coordinate as its own contiguous array: bvn_cdf then reads no
-        # strided column of the (n, 2) points
-        h, k = (-s[j] * (y_mat[:, j] - self.mean[j]) / self._sds[j] for j in (0, 1))
-        vals = np.atleast_1d(bvn_cdf(h, k, s[0] * s[1] * self._rho))
+        vals = np.atleast_1d(bvn_cdf(*_gauss_args(y_mat, self.mean, self._sds, self._rho,
+                                                  cone_signs(signs, 2))))
         return float(vals[0]) if single else vals
+
+    def _cdf_counts(self, x, w, signs=None):
+        """(#{i : H(x_i) < w}, #{i : H(x_i) <= w}) for the cone CDF H over the
+        rows of x, counted by ``bvn_cdf_counts`` through bvn_cdf's bounds."""
+        x_mat, _ = _as_points(x, 2)
+        return bvn_cdf_counts(*_gauss_args(x_mat, self.mean, self._sds, self._rho,
+                                           cone_signs(signs, 2)), w)
 
     def sample(self, rng, n):
         return self.mean + rng.standard_normal((_check_int(n, "n"), 2)) @ self._chol.T
@@ -299,28 +312,10 @@ class CopulaMarginalForecast:
         self.margins = margins
         self.dim = copula.dim
 
-    def _margin_cdfs(self, y_mat):
-        u = np.empty_like(y_mat)
-        for j, mg in enumerate(self.margins):
-            u[:, j] = mg.cdf(y_mat[:, j])
-        return u
-
     def cdf(self, y, signs=None):
-        s = cone_signs(signs, self.dim)
         y_mat, single = _as_points(y, self.dim)
-        u = self._margin_cdfs(y_mat)
-        plus = np.flatnonzero(s > 0)
-        if plus.size > 20:
-            raise ValueError("inclusion-exclusion over more than 20 '+' coordinates is intractable")
-        total = np.zeros(y_mat.shape[0])
-        for r in range(plus.size + 1):
-            for subset in itertools.combinations(plus.tolist(), r):
-                arg = u.copy()
-                arg[:, plus] = 1.0
-                if subset:
-                    arg[:, list(subset)] = u[:, list(subset)]
-                total += (-1.0) ** r * np.atleast_1d(self.copula.cdf(arg))
-        vals = np.clip(total, 0.0, 1.0)
+        vals = _copula_marginal_cdf(self.copula.family, self.copula.theta,
+                                    *_margin_params([self]), y_mat, cone_signs(signs, self.dim))
         return float(vals[0]) if single else vals
 
     def sample(self, rng, n):
@@ -336,6 +331,83 @@ class CopulaMarginalForecast:
 
     def __repr__(self):
         return f"CopulaMarginalForecast({self.copula!r}, margins={self.margins!r})"
+
+
+# --- H formulas, for one law or one per row ----------------------------------
+
+
+def _gauss_args(y, mean, sds, rho, signs):
+    """The ``bvn_cdf`` arguments (h, k, rho) of the cone CDF at the rows of y
+    for bivariate normals with means ``mean``, standard deviations ``sds``
+    and correlation ``rho``: (2,), (2,) and a scalar for one law, or (n, 2),
+    (n, 2) and (n,) for one law per row.  Each coordinate becomes its own
+    contiguous array, so bvn_cdf reads no strided column."""
+    h, k = (-signs[j] * (y[:, j] - mean[..., j]) / sds[..., j] for j in (0, 1))
+    return h, k, signs[0] * signs[1] * rho
+
+
+def _margin_params(forecasts):
+    """The normal margins' mu and sigma of copula-marginal forecasts, (n, d) each."""
+    return (np.array([[mg.mu for mg in fc.margins] for fc in forecasts]),
+            np.array([[mg.sigma for mg in fc.margins] for fc in forecasts]))
+
+
+def _copula_marginal_cdf(family, theta, mu, sigma, y, signs):
+    """The cone CDF at the rows of y for a ``family`` copula with normal
+    margins: theta (or None) and mu, sigma (1, d) for one law, or (n,) and
+    (n, d) for one law per row.  The '+' coordinates enter by
+    inclusion-exclusion over copula CDFs."""
+    u = ndtr((y - mu) / sigma)
+    plus = np.flatnonzero(signs > 0)
+    if plus.size > 20:
+        raise ValueError("inclusion-exclusion over more than 20 '+' coordinates is intractable")
+    total = np.zeros(y.shape[0])
+    for r in range(plus.size + 1):
+        for subset in itertools.combinations(plus.tolist(), r):
+            arg = u.copy()
+            arg[:, plus] = 1.0
+            if subset:
+                arg[:, list(subset)] = u[:, list(subset)]
+            total += (-1.0) ** r * np.atleast_1d(copula_cdf(family, arg, theta))
+    return np.clip(total, 0.0, 1.0)
+
+
+def cdf_rows(forecasts, y, signs=None):
+    """H^signs(y_i) under forecast i, for the rows of y, (n, d), and n
+    Gaussian and copula-marginal forecasts of dimension d.
+
+    One ``bvn_cdf`` call takes every Gaussian row and one margin and
+    ``copula_cdf`` pass every copula family, each law's parameters in its
+    rows.  The one-case ``cdf`` runs the same formula with its parameters as
+    scalars, and the values carry its bits.
+    """
+    forecasts = list(forecasts)
+    if not forecasts:
+        return np.empty(0)
+    dim = forecasts[0].dim
+    y_mat, _ = _as_points(y, dim)
+    if y_mat.shape[0] != len(forecasts):
+        raise ValueError(f"y has {y_mat.shape[0]} rows for {len(forecasts)} forecasts")
+    s = cone_signs(signs, dim)
+    out = np.empty(len(forecasts))
+    kinds = [fc.copula.family if isinstance(fc, CopulaMarginalForecast) else type(fc)
+             for fc in forecasts]
+    for kind, idx in _groups(kinds).items():
+        fcs = [forecasts[i] for i in idx]
+        if any(fc.dim != dim for fc in fcs):
+            raise ValueError("cdf_rows needs forecasts of one dimension")
+        if kind is GaussianForecast:
+            out[idx] = bvn_cdf(*_gauss_args(y_mat[idx], np.array([fc.mean for fc in fcs]),
+                                            np.array([fc._sds for fc in fcs]),
+                                            np.array([fc._rho for fc in fcs]), s))
+        elif isinstance(fcs[0], CopulaMarginalForecast):
+            thetas = [fc.copula.theta for fc in fcs]  # None for the independence family
+            out[idx] = _copula_marginal_cdf(kind, None if thetas[0] is None else np.array(thetas),
+                                            *_margin_params(fcs), y_mat[idx], s)
+        else:
+            raise TypeError(f"cdf_rows takes Gaussian and copula-marginal forecasts, "
+                            f"not {kind.__name__}")
+    return out
 
 
 # --- transforms ---------------------------------------------------------------

@@ -390,7 +390,8 @@ def _read_archive_csv(path):
 
 
 def write_archive(archive, path):
-    """Write an archive; suffix '.csv' selects the ensemble shorthand."""
+    """Write an archive; suffix '.csv' selects the ensemble shorthand, which
+    holds no metadata: an archive with metadata raises there."""
     path = Path(path)
     if path.suffix.lower() == ".csv":
         _write_archive_csv(archive, path)
@@ -407,6 +408,9 @@ def _write_archive_jsonl(archive, path):
 
 
 def _write_archive_csv(archive, path):
+    if archive.metadata:
+        raise ValueError("CSV archives hold no metadata; cannot keep the keys "
+                         f"{sorted(archive.metadata)} (write JSON lines instead)")
     ms = {fc.points.shape[0] for fc, _ in archive.cases
           if isinstance(fc, EnsembleForecast)}
     if len(ms) != 1 or any(not isinstance(fc, EnsembleForecast) for fc, _ in archive.cases):

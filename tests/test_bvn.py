@@ -4,11 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
 from scipy.special import ndtr
 
-from coppit.bvn import _GL_RULES, _node_sum, bvn_cdf, bvn_upper
+from coppit.bvn import _GL_RULES, _bounds, _node_sum, bvn_cdf, bvn_cdf_counts, bvn_upper
 
 GRID = np.array([-3.5, -2.0, -1.5, -0.5, 0.0, 0.7, 2.0, 3.5])
 RHOS = (-0.99, -0.95, -0.926, -0.924, -0.6, -0.2, 0.0, 0.3, 0.75, 0.9, 0.924, 0.926, 0.99)
@@ -136,6 +139,57 @@ def test_strided_inputs_match_contiguous_bitwise():
         for fn in (bvn_cdf, bvn_upper):
             got, ref = fn(h, k, rho), fn(h.copy(), k.copy(), rho)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (fn.__name__, rho)
+
+
+def _full_counts(p, w):
+    return np.count_nonzero(p < w), np.count_nonzero(p <= w)
+
+
+def _count_points(rng):
+    """Moderate points, repeats (ties in p), h = k and h = -k (the Frechet
+    bounds meet or reach 0), and bounds past the +-40 saturation."""
+    h, k = rng.normal(size=(2, 300)) * 3.0
+    h[:40], k[:40] = h[40:80], k[40:80]
+    k[80:100] = h[80:100]
+    k[100:120] = -h[100:120]
+    far = np.array([45.0, -45.0, 1e3, -1e3, 1e300, -1e300, 40.0, -40.0, 0.0, 38.5])
+    h[120:220], k[120:220] = np.repeat(far, 10), np.tile(far, 10)
+    return h, k
+
+
+@pytest.mark.parametrize("rho", (*RHOS, -1.0, 1.0))
+def test_bounded_counts_equal_full_sample(rho):
+    # every rule: the 6/12/20-point ones below |rho| = 0.925, the high branch
+    # above, and the |rho| = 1 limits
+    h, k = _count_points(np.random.default_rng(11))
+    p = bvn_cdf(h, k, rho)
+    _, lo, hi = _bounds(h, k)
+    ws = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53], p[::2], lo[::5], hi[::5],
+                         np.random.default_rng(12).random(20)])
+    for w in ws:
+        assert bvn_cdf_counts(h, k, rho, w) == _full_counts(p, w), (rho, w)
+    per_point = np.full(h.shape, rho)
+    for w in ws[::7]:
+        assert bvn_cdf_counts(h, k, per_point, w) == _full_counts(p, w), (rho, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hk=arrays(np.float64, (2, 12), elements=st.one_of(
+           st.floats(-6.0, 6.0), st.sampled_from([-1e300, -45.0, -40.0, 0.0, 40.0, 45.0, 1e300]))),
+       rho=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.925, 0.3, 0.75, 0.925, 1.0])),
+       data=st.data())
+def test_bounded_counts_fuzz(hk, rho, data):
+    h, k = hk
+    p = bvn_cdf(h, k, rho)
+    w = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *p.tolist()]), st.floats(0.0, 1.0)),
+                  label="w")
+    assert bvn_cdf_counts(h, k, rho, w) == _full_counts(p, w)
+
+
+def test_bounded_counts_check_w():
+    for bad in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bvn_cdf_counts([0.0], [0.0], 0.5, bad)
 
 
 def test_large_finite_bounds_saturate():

@@ -469,6 +469,19 @@ def test_csv_archive_errors(tmp_path):
         write_archive(mixed, tmp_path / "mixed.csv")
 
 
+def test_csv_archive_refuses_metadata(tmp_path):
+    cases = ((EnsembleForecast([[0.0, 1.0], [2.0, 3.0]]), np.zeros(2)),)
+    path = tmp_path / "meta.csv"
+    archive = CaseArchive(dim=2, cases=cases, metadata={"source": "toy", "seed": 7})
+    with pytest.raises(ValueError, match=r"metadata.*\['seed', 'source'\]"):
+        write_archive(archive, path)
+    assert not path.exists()
+    write_archive(archive, tmp_path / "meta.jsonl")  # JSON lines keep it
+    assert read_archive(tmp_path / "meta.jsonl").metadata == {"source": "toy", "seed": 7}
+    write_archive(CaseArchive(dim=2, cases=cases, metadata={}), path)
+    assert read_archive(path).metadata == {}
+
+
 def test_result_files_skip_whitespace_lines(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text(" w,lhs,rhs\n0,0,0 \n   \n\t\n1,1,1\n")
