@@ -284,13 +284,12 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     rank, h, _, k_left, k_right = _stacked(cases, seed, signs, grid, k_grid if auto else None)
     ens = rank > 0 if rank is not None else np.zeros(n, dtype=bool)
     other = np.flatnonzero(~ens).tolist()
-    if other:
-        try:
-            h[other] = cdf_rows([cases[i][0] for i in other], np.array([cases[i][1] for i in other]),
-                                signs)
-        except ValueError:  # name the first case that fails on its own
-            _map_cases(lambda i: cases[i][0].cdf(cases[i][1], signs), other, 1)
-            raise
+    try:
+        h[other] = cdf_rows([cases[i][0] for i in other], np.array([cases[i][1] for i in other]),
+                            signs)
+    except ValueError:  # name the first case that fails on its own
+        _map_cases(lambda i: cases[i][0].cdf(cases[i][1], signs), other, 1)
+        raise
     analytic = [i for i in other if kendall_route(cases[i][0], strategy, signs) == "analytic"]
     done = ens & auto  # under mc every case builds its own Kendall function
     done[analytic] = True
@@ -298,12 +297,11 @@ def _analyze(archive, seed, strategy, kendall_n, signs, threads, grid=None):
     # only records its route, which traced runs count against the case mix
     for i in np.flatnonzero(done).tolist():
         select_kendall(cases[i][0], strategy=strategy, signs=signs)
-    if analytic:
-        copulas = [cases[i][0].copula for i in analytic]
-        k_left[analytic] = k_right[analytic] = analytic_kendall_rows(copulas, h[analytic])
-        if grid is not None:
-            k_grid[analytic] = analytic_kendall_rows(
-                copulas, np.broadcast_to(grid, (len(analytic), grid.size)))
+    copulas = [cases[i][0].copula for i in analytic]
+    k_left[analytic] = k_right[analytic] = analytic_kendall_rows(copulas, h[analytic])
+    if grid is not None:
+        k_grid[analytic] = analytic_kendall_rows(copulas,
+                                                 np.broadcast_to(grid, (len(analytic), grid.size)))
 
     def work(i):
         kfn = select_kendall(cases[i][0], strategy=strategy, rng=substream(seed, 3, i),

@@ -357,7 +357,9 @@ def _copula_marginal_cdf(family, theta, mu, sigma, y, signs):
     margins: theta (or None) and mu, sigma (1, d) for one law, or (n,) and
     (n, d) for one law per row.  The '+' coordinates enter by
     inclusion-exclusion over copula CDFs."""
-    u = ndtr((y - mu) / sigma)
+    u = np.empty(y.shape)
+    for j in range(y.shape[1]):  # by columns: one law's (1, d) rows would make 2-long inner loops
+        u[:, j] = ndtr((y[:, j] - mu[:, j]) / sigma[:, j])
     plus = np.flatnonzero(signs > 0)
     if plus.size > 20:
         raise ValueError("inclusion-exclusion over more than 20 '+' coordinates is intractable")
@@ -390,9 +392,9 @@ def cdf_rows(forecasts, y, signs=None):
         raise ValueError(f"y has {y_mat.shape[0]} rows for {len(forecasts)} forecasts")
     s = cone_signs(signs, dim)
     out = np.empty(len(forecasts))
-    kinds = [fc.copula.family if isinstance(fc, CopulaMarginalForecast) else type(fc)
+    kinds = [(type(fc), fc.copula.family if isinstance(fc, CopulaMarginalForecast) else None)
              for fc in forecasts]
-    for kind, idx in _groups(kinds).items():
+    for (kind, family), idx in _groups(kinds).items():
         fcs = [forecasts[i] for i in idx]
         if any(fc.dim != dim for fc in fcs):
             raise ValueError("cdf_rows needs forecasts of one dimension")
@@ -400,9 +402,9 @@ def cdf_rows(forecasts, y, signs=None):
             out[idx] = bvn_cdf(*_gauss_args(y_mat[idx], np.array([fc.mean for fc in fcs]),
                                             np.array([fc._sds for fc in fcs]),
                                             np.array([fc._rho for fc in fcs]), s))
-        elif isinstance(fcs[0], CopulaMarginalForecast):
+        elif kind is CopulaMarginalForecast:
             thetas = [fc.copula.theta for fc in fcs]  # None for the independence family
-            out[idx] = _copula_marginal_cdf(kind, None if thetas[0] is None else np.array(thetas),
+            out[idx] = _copula_marginal_cdf(family, None if thetas[0] is None else np.array(thetas),
                                             *_margin_params(fcs), y_mat[idx], s)
         else:
             raise TypeError(f"cdf_rows takes Gaussian and copula-marginal forecasts, "
