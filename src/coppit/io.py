@@ -18,10 +18,11 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   ``{"metadata": {...}}`` line.  Canonical ensemble lines, laid out as
   ``write_archive`` writes them, are read in blocks of a few hundred: one
   regex per line checks the layout and one m and d for the file, and one
-  ``json.loads`` reads every number of the block.  Every other line, and
+  ``orjson.loads`` reads every number of the block.  Every other line, and
   every line from the first one the block path is unsure of, goes through
   the per-line validator, the one source of archive errors and their line
-  numbers, so both paths give the same archive and the same errors.
+  numbers, so both paths give the same archive and the same errors.  The
+  validator reads each line with stdlib ``json``, which words its errors.
 - CSV ensemble shorthand (suffix ``.csv``): header
   ``y1..yd, x1_1..x1_d, ..., xm_1..xm_d`` and one row of floats per case;
   every case is an m-member ensemble.  ``float()`` reads each field, but a
@@ -29,6 +30,9 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   row is checked in turn, so the first bad line is the one reported; the
   rows then become one array, and each case a row of it, as in the block
   path.
+
+Both archive readers decode bytes that are not UTF-8 to escapes, so the
+line that holds one raises "not UTF-8 text" with its line number.
 
 Result writers serialize copula PIT ``Records``, multivariate ranks,
 histograms, and calibration curves to CSV with 17-significant-digit floats,
@@ -51,6 +55,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .calibration import ClicalCurve, HistogramResult, Records
 from .copulas import ArchimedeanCopula
@@ -218,12 +223,22 @@ def _numbered(lines):
 
 def _read_archive_jsonl(path):
     cases = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         metadata, rest = _read_blocks(_numbered(fh), cases)
         metadata = _validate_lines(rest, cases, metadata)
     if not cases:
         raise ArchiveError("archive contains no cases")
     return CaseArchive(dim=cases[0][0].dim, cases=tuple(cases), metadata=metadata)
+
+
+# a byte that is not UTF-8, as errors="surrogateescape" decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8(text):
+    """Whether ``text`` holds a byte that was not UTF-8; ``isascii`` answers
+    for an ASCII line, most archive lines, without a scan."""
+    return not text.isascii() and _ESCAPED_BYTE.search(text) is not None
 
 
 def _validate_lines(lines, cases, metadata):
@@ -235,6 +250,8 @@ def _validate_lines(lines, cases, metadata):
     """
     dim = cases[0][0].dim if cases else None
     for lineno, text in lines:
+        if _not_utf8(text):
+            raise ArchiveError("not UTF-8 text", lineno)
         try:
             obj = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
@@ -272,7 +289,7 @@ def _validate_lines(lines, cases, metadata):
 # The canonical ensemble line, as write_archive writes it:
 # {"forecast": {"type": "ensemble", "points": [[x, ...], ...]}, "y": [y, ...]}
 _ENSEMBLE_HEAD = '{"forecast": {"type": "ensemble", "points": [['
-# what a JSON number is made of; json.loads decides whether it is one
+# what a JSON number is made of; orjson.loads decides whether it is one
 _NUMBER = r"[-+.0-9eE]+"
 _BLOCK_LINES = 256
 
@@ -280,7 +297,7 @@ _BLOCK_LINES = 256
 def _canonical_pattern(text):
     """(regex, m, d): the regex matches the layout of the canonical ensemble
     line with the member count m and dimension d that ``text`` seems to have;
-    json.loads decides later whether each of its tokens is a JSON number."""
+    orjson.loads decides later whether each of its tokens is a JSON number."""
     d = text[len(_ENSEMBLE_HEAD):].partition("]")[0].count(", ") + 1
     m = text.count("], [") + 1
     member = r"\[%s(?:, %s){%d}\]" % (_NUMBER, _NUMBER, d - 1)
@@ -294,17 +311,20 @@ def _take_block(block, m, d, cases):
     token is a JSON number of magnitude below the largest float, append
     nothing and return ``block``.
 
-    Every token of the block goes through one ``json.loads``, so each is
+    Every token of the block goes through one ``orjson.loads``, so each is
     read by JSON's own number grammar, and one check covers them all: the
-    cases are rows of the block's array, taken without a copy.
+    cases are rows of the block's array, taken without a copy.  orjson
+    reads each number to the bits of ``float(json.loads(token))`` and
+    refuses one that ``json`` reads as infinite, which leaves the block to
+    the validator.
     """
     if not block:
         return block
     numbers = ", ".join(text[len(_ENSEMBLE_HEAD):-2] for _, text in block)
     numbers = numbers.replace("], [", ", ").replace(']]}, "y": [', ", ")
-    try:  # "01", "1." or "+1"; an int past Python's digit limit or the float range
-        values = np.array(json.loads(f"[{numbers}]"), dtype=float)
-    except (ValueError, OverflowError):
+    try:  # "01", "1." or "+1"; a number past the float range
+        values = np.array(orjson.loads(f"[{numbers}]"), dtype=float)
+    except ValueError:
         return block
     if not (np.abs(values) < sys.float_info.max).all():  # also an int rounded to the largest float
         return block
@@ -347,12 +367,14 @@ def _csv_header(d, m):
 
 
 def _read_archive_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]
         except StopIteration:
             raise ArchiveError("empty file", 1) from None
+        if _not_utf8("".join(header)):
+            raise ArchiveError("not UTF-8 text", 1)
         d = 0
         while d < len(header) and header[d] == f"y{d + 1}":
             d += 1
@@ -370,10 +392,13 @@ def _read_archive_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            text = "".join(row)
+            if _not_utf8(text):
+                raise ArchiveError("not UTF-8 text", lineno)
             if len(row) != len(header):
                 raise ArchiveError(f"expected {len(header)} fields, got {len(row)}", lineno)
             try:
-                if "_" in "".join(row):  # float() reads "1_0" as 10.0
+                if "_" in text:  # float() reads "1_0" as 10.0
                     raise ValueError
                 vals = list(map(float, row))
             except ValueError:

@@ -423,6 +423,11 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
                    "{broken\n")
     assert main(["coppit", "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "line 2" in capsys.readouterr().err
+    # a byte that is not UTF-8 is reported at its line too
+    bad.write_bytes(b'{"forecast": {"type": "ensemble", "points": [[0, 0]]}, "y": [0, 0]}\n'
+                    b"\xff\n")
+    assert main(["coppit", "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: line 2: not UTF-8 text\n"
 
     assert main(["coppit", "--in", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "o")]) == 2

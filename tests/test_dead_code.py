@@ -6,8 +6,8 @@ module-level function, class or assignment, and each private method, must
 be loaded by name or as an attribute somewhere besides its definition, and
 each attribute stored on ``self`` must be read somewhere in ``src``,
 ``tests`` or ``bench``.  A name nothing calls, or a field nothing reads,
-should be deleted rather than kept.  ``io`` is the only
-module that imports ``csv`` or ``json`` and the only one that defines the
+should be deleted rather than kept.  ``io`` is the only module that
+imports ``csv``, ``json`` or ``orjson`` and the only one that defines the
 forecast descriptor functions; no class serializes itself, and no function
 body imports a package module.  The cone parser and the quadrant table are
 each defined once.  Kendall functions live in ``kendall``: it alone defines
@@ -122,7 +122,7 @@ def _imports_package(node):
 
 def test_one_home_per_concept():
     trees = _trees()
-    for fmt in ("csv", "json"):
+    for fmt in ("csv", "json", "orjson"):
         assert [m for m, tree in sorted(trees.items()) if fmt in set(_imports(tree))] == ["io.py"], fmt
     descriptors = [m for m, tree in trees.items() for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef)

@@ -1,10 +1,12 @@
 import csv
 import io
+import itertools
 import json
 import sys
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -495,7 +497,7 @@ def test_result_files_skip_whitespace_lines(tmp_path):
 def _validated(path):
     """The archive as the per-line validator alone reads it."""
     cases = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         metadata = coppit_io._validate_lines(coppit_io._numbered(fh), cases, {})
     if not cases:
         raise ArchiveError("archive contains no cases")
@@ -681,6 +683,91 @@ def test_block_path_reads_written_archives(tmp_path, monkeypatch):
     opened.clear()
     assert len(read_archive(path).cases) == 6
     assert calls == [[1], [2, 3, 4, 5, 6, 7]] and opened == [path]
+
+
+def test_block_path_not_utf8(tmp_path):
+    """A byte that is not UTF-8 raises "not UTF-8 text" at its line, on the
+    metadata line, on the first case line and after a full block, on both
+    paths; UTF-8 text beyond ASCII still reads."""
+    line = _canonical_line([["0", "1"], ["2", "3"]], ["0.5", "-1"]).encode()
+    full = [line] * coppit_io._BLOCK_LINES
+    path = tmp_path / "bytes.jsonl"
+    for lines, at in [([b'{"metadata": {"note": "\xff"}}', line], 1),
+                      ([b'{"metadata": {}}', line.replace(b"0.5", b"0.\xff5")], 2),
+                      ([line, b"\xff"], 2),
+                      (full + [line.replace(b'"y"', b'"\xe9"')], len(full) + 1),
+                      (full + [line[:-1] + b"\xc3"], len(full) + 1)]:
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert _read_both(path, coppit_io._BLOCK_LINES) == [f"line {at}: not UTF-8 text"] * 2
+    path.write_bytes('{"metadata": {"note": "\u00e9\u00df"}}\n'.encode() + line + b"\n")
+    assert read_archive(path).metadata == {"note": "\u00e9\u00df"}
+
+
+def test_csv_archive_not_utf8(tmp_path):
+    """A CSV archive reports a byte that is not UTF-8 at its line, before
+    any other check of that line."""
+    path = tmp_path / "bytes.csv"
+    for text, at in [(b"y1,y2,x1_\xff,x1_2\n1,2,3,4\n", 1),
+                     (b"y1,y2,x1_1,x1_2\n1,2,3,4\n1,\xff,3,4\n", 3),
+                     (b"y1,y2,x1_1,x1_2\n1,2,\xe93\n", 2)]:
+        path.write_bytes(text)
+        with pytest.raises(ArchiveError, match=f"^line {at}: not UTF-8 text$"):
+            read_archive(path)
+
+
+def _loads(loads, text):
+    """``loads(text)``, or None where it refuses the text."""
+    try:
+        return loads(text)
+    except ValueError:
+        return None
+
+
+def _decoder_tokens():
+    """Number-like tokens: every one of up to 5 characters over ``-+.019eE``,
+    and a seeded fuzz of 17-digit reprs, subnormals, ``%.16e`` strings and
+    long digit strings with exponents from -340 to 310."""
+    tokens = ["".join(t) for n in range(1, 6) for t in itertools.product("-+.019eE", repeat=n)]
+    rng = np.random.default_rng(32)
+    floats = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    for x in floats[np.isfinite(floats)].tolist() + subnormals.tolist():
+        tokens += [repr(x), "%.17g" % x, "%.16e" % x]
+    for _ in range(3000):
+        digits = "".join(map(str, rng.integers(0, 10, rng.integers(1, 60))))
+        point = int(rng.integers(0, len(digits) + 1))
+        mantissa = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+        tokens.append("%s%se%d" % (rng.choice(["", "-"]), mantissa or "0", rng.integers(-340, 311)))
+    return tokens
+
+
+def test_block_decoder_matches_json(tmp_path):
+    """The block path's decoder, orjson, against stdlib ``json``, with each
+    token first, in the middle and last of a list: orjson never accepts what
+    ``json`` refuses, where both accept the float64 bits are equal, and where
+    only ``json`` accepts, the block path still gives the validator's archive."""
+    only_json = set()
+    for token in _decoder_tokens():
+        for text in (f"[{token}, 0]", f"[0, {token}, 0]", f"[0, {token}]"):
+            ours, theirs = _loads(orjson.loads, text), _loads(json.loads, text)
+            if theirs is None:
+                assert ours is None, text
+            elif ours is None:
+                only_json.add(token)
+            else:
+                assert np.array(ours, float).tobytes() == np.array(theirs, float).tobytes(), text
+    assert only_json  # numbers json reads as infinite, such as 1e400
+    path = tmp_path / "decoder.jsonl"
+    for token in sorted(only_json):
+        for points, y in [([[token], ["0"]], ["1"]), ([["0"], [token]], ["1"]),
+                          ([["0"], ["1"]], [token])]:
+            _write_lines(path, None, [_canonical_line([["0"], ["1"]], ["2"]),
+                                      _canonical_line(points, y)])
+            block, validated = _read_both(path, 4)
+            if isinstance(validated, str):
+                assert block == validated
+            else:
+                _assert_same_archive(block, validated)
 
 
 def test_result_file_row_errors(tmp_path):
