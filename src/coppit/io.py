@@ -16,9 +16,11 @@ case.  Two on-disk forms are supported, chosen by file suffix:
 - JSON lines (any suffix but ``.csv``): one object per line,
   ``{"forecast": {...}, "y": [...]}``, with an optional leading
   ``{"metadata": {...}}`` line.  Canonical ensemble lines, laid out as
-  ``write_archive`` writes them, are read in blocks of a few hundred: one
-  regex per line checks the layout and one m and d for the file, and one
-  ``orjson.loads`` reads every number of the block.  Every other line, and
+  ``write_archive`` writes them, are read in blocks of a few hundred: each
+  line's head and tail are compared literally; in each block, deleting the
+  number alphabet must leave the skeleton of the file's one m and d, with
+  its brackets unbroken, and one ``orjson.loads`` of the block, its layout
+  blanked to whitespace, reads every number.  Every other line, and
   every line from the first one the block path is unsure of, goes through
   the per-line validator, the one source of archive errors and their line
   numbers, so both paths give the same archive and the same errors.  The
@@ -31,8 +33,9 @@ case.  Two on-disk forms are supported, chosen by file suffix:
   rows then become one array, and each case a row of it, as in the block
   path.
 
-Both archive readers decode bytes that are not UTF-8 to escapes, so the
-line that holds one raises "not UTF-8 text" with its line number.
+Every reader, of archives and of result files, decodes bytes that are not
+UTF-8 to escapes, so the line that holds one raises "not UTF-8 text" with
+its line number.
 
 Result writers serialize copula PIT ``Records``, multivariate ranks,
 histograms, and calibration curves to CSV with 17-significant-digit floats,
@@ -289,69 +292,79 @@ def _validate_lines(lines, cases, metadata):
 # The canonical ensemble line, as write_archive writes it:
 # {"forecast": {"type": "ensemble", "points": [[x, ...], ...]}, "y": [y, ...]}
 _ENSEMBLE_HEAD = '{"forecast": {"type": "ensemble", "points": [['
-# what a JSON number is made of; orjson.loads decides whether it is one
-_NUMBER = r"[-+.0-9eE]+"
+_MEMBERS, _Y = b"], [", b']]}, "y": ['
 _BLOCK_LINES = 256
-
-
-def _canonical_pattern(text):
-    """(regex, m, d): the regex matches the layout of the canonical ensemble
-    line with the member count m and dimension d that ``text`` seems to have;
-    orjson.loads decides later whether each of its tokens is a JSON number."""
-    d = text[len(_ENSEMBLE_HEAD):].partition("]")[0].count(", ") + 1
-    m = text.count("], [") + 1
-    member = r"\[%s(?:, %s){%d}\]" % (_NUMBER, _NUMBER, d - 1)
-    pattern = r'\{"forecast": \{"type": "ensemble", "points": \[%s(?:, %s){%d}\]\}, "y": %s\}'
-    return re.compile(pattern % (member, member, m - 1, member)), m, d
+_NUMBER_CHARS = b"-+.0123456789eE"  # what a JSON number is made of
+# every character of the layout but "," becomes JSON whitespace
+_BLANK_LAYOUT = bytes.maketrans(b'[]}":y', b"      ")
 
 
 def _take_block(block, m, d, cases):
-    """Append the cases of ``block``, (line number, text) pairs of canonical
-    lines with m members of dimension d, and return ``[]``; or, unless every
-    token is a JSON number of magnitude below the largest float, append
-    nothing and return ``block``.
+    """Append the cases of ``block``, (line number, text) pairs of lines that
+    start with ``_ENSEMBLE_HEAD`` and end with ``]}``, and return ``[]``; or,
+    unless every line is canonical with m members of dimension d and every
+    token a JSON number below the largest float in magnitude, append nothing
+    and return ``block``.
 
-    Every token of the block goes through one ``orjson.loads``, so each is
-    read by JSON's own number grammar, and one check covers them all: the
-    cases are rows of the block's array, taken without a copy.  orjson
+    The middles of the lines, between head and tail, are checked in one
+    ASCII text joined by ",\\n" (a character past ASCII becomes "?").
+    Deleting the number alphabet must leave the skeleton: ", " between
+    tokens, "], [" between members and ']]}, "y": [' before y.  Each "], ["
+    and ']]}, "y": [' must stand unbroken, or a token moved across a bracket
+    would pass (``[[1, 2], 3[, 4]]``).  With the skeleton blanked to spaces,
+    ``orjson.loads`` must read a flat list: a number character anywhere but
+    inside a token puts two tokens side by side, and an empty token leaves
+    a bare comma, so each stretch between two commas holds one JSON number.
+    A line is thus taken only if ``json`` reads it as the canonical object
+    with these numbers, and every canonical line of JSON numbers is taken:
+    both paths give the same archive, error text and line number.  orjson
     reads each number to the bits of ``float(json.loads(token))`` and
-    refuses one that ``json`` reads as infinite, which leaves the block to
-    the validator.
+    refuses one that ``json`` reads as infinite.  The cases are rows of the
+    block's array, taken without a copy.
     """
     if not block:
         return block
-    numbers = ", ".join(text[len(_ENSEMBLE_HEAD):-2] for _, text in block)
-    numbers = numbers.replace("], [", ", ").replace(']]}, "y": [', ", ")
+    n = len(block)
+    middles = ",\n".join(text[len(_ENSEMBLE_HEAD):-2] for _, text in block)
+    middles = middles.encode("ascii", "replace")
+    member = b", " * (d - 1)
+    skeleton = member + (_MEMBERS + member) * (m - 1) + _Y + member
+    if (middles.translate(None, _NUMBER_CHARS) != b",\n".join([skeleton] * n)
+            or middles.count(_MEMBERS) != n * (m - 1) or middles.count(_Y) != n):
+        return block
     try:  # "01", "1." or "+1"; a number past the float range
-        values = np.array(orjson.loads(f"[{numbers}]"), dtype=float)
+        values = np.array(orjson.loads(b"[%s]" % middles.translate(_BLANK_LAYOUT)), dtype=float)
     except ValueError:
         return block
     if not (np.abs(values) < sys.float_info.max).all():  # also an int rounded to the largest float
         return block
     cases.extend((EnsembleForecast._checked(row[:m]), row[m])
-                 for row in values.reshape(len(block), m + 1, d))
+                 for row in values.reshape(n, m + 1, d))
     return []
 
 
 def _read_blocks(lines, cases):
-    """The block path: read the canonical ensemble lines at the head of
-    ``lines``, after an optional metadata line, ``_BLOCK_LINES`` at a time.
+    """The block path: read the ensemble lines at the head of ``lines``,
+    after an optional metadata line, ``_BLOCK_LINES`` at a time.
 
+    A line stays on the block path while it starts with ``_ENSEMBLE_HEAD``
+    and ends with ``]}``; the first line sets the m and d that
+    ``_take_block`` checks every line of a block against, by its skeleton.
     Appends their cases to ``cases`` and returns the metadata and the lines
-    left to ``_validate_lines``: from the first line that is not canonical
-    or whose m or d differ from the first case's, or from the start of a
-    block that ``_take_block`` leaves.  It raises nothing of its own, so
-    the validator alone words every error.
+    left to ``_validate_lines``: from the first line without that head and
+    tail, or from the start of a block that ``_take_block`` leaves.  It
+    raises nothing of its own, so the validator alone words every error.
     """
-    metadata, block, pattern, m, d = {}, [], None, None, None
+    metadata, block, m, d = {}, [], None, None
     for lineno, text in lines:
         if not cases and not block and text.startswith('{"metadata": '):
             metadata = _validate_lines([(lineno, text)], cases, metadata)
             continue
-        if pattern is None and text.startswith(_ENSEMBLE_HEAD):
-            pattern, m, d = _canonical_pattern(text)
-        if pattern is None or not pattern.fullmatch(text):
+        if not (text.startswith(_ENSEMBLE_HEAD) and text.endswith("]}")):
             return metadata, itertools.chain(_take_block(block, m, d, cases), [(lineno, text)], lines)
+        if m is None:
+            m = text.count("], [") + 1
+            d = text[len(_ENSEMBLE_HEAD):].partition("]")[0].count(", ") + 1
         block.append((lineno, text))
         if len(block) == _BLOCK_LINES:
             left = _take_block(block, m, d, cases)
@@ -462,8 +475,14 @@ def _write_rows(path, header, row_format, rows, trailer=""):
 
 
 def _lines(path):
-    """(line number, stripped text) of each non-blank line of a result file."""
-    return list(_numbered(Path(path).read_text(encoding="utf-8").splitlines()))
+    """(line number, stripped text) of each non-blank line of a result file;
+    a line holding a byte that is not UTF-8 raises."""
+    lines = list(_numbered(
+        Path(path).read_text(encoding="utf-8", errors="surrogateescape").splitlines()))
+    for lineno, text in lines:
+        if _not_utf8(text):
+            raise ArchiveError("not UTF-8 text", lineno)
+    return lines
 
 
 def _parse_rows(lines, header, what, convert):
@@ -569,8 +588,10 @@ def read_curve(path):
 def read_result(path):
     """Load a histogram or a curve written above, told apart by its header line."""
     readers = {"bin_lo,bin_hi,count": read_histogram, "w,lhs,rhs": read_curve}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         head = fh.readline().strip()
+    if _not_utf8(head):
+        raise ArchiveError("not UTF-8 text", 1)
     if head not in readers:
         raise ArchiveError("unrecognized result file", 1)
     return readers[head](path)

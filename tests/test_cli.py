@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from coppit import cli, kendall, simstudy
-from coppit.calibration import coppit, multivariate_rank
+from coppit.calibration import coppit, histogram, multivariate_rank
 from coppit.cli import main
 from coppit.forecasts import EnsembleForecast
-from coppit.io import CaseArchive, read_records, write_archive
+from coppit.io import CaseArchive, read_records, write_archive, write_histogram
 from coppit.kendall import select_kendall
 from coppit.samplers import substream
 
@@ -428,6 +428,15 @@ def test_data_errors(tmp_path, gaussian_archive, capsys):
                     b"\xff\n")
     assert main(["coppit", "--in", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "error: line 2: not UTF-8 text\n"
+    # and in a result file that render reads, at the line of the bad byte
+    hist = tmp_path / "hist.csv"
+    write_histogram(histogram(np.linspace(0.05, 0.95, 10), bins=4), hist)
+    rows = hist.read_bytes().split(b"\r\n")
+    rows[2] = rows[2][:-1] + b"\xff"
+    hist.write_bytes(b"\r\n".join(rows))
+    assert main(["render", "--in", str(hist), "--out", str(tmp_path / "hist.svg")]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+    assert not (tmp_path / "hist.svg").exists()
 
     assert main(["coppit", "--in", str(tmp_path / "missing.jsonl"),
                  "--out", str(tmp_path / "o")]) == 2

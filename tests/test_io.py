@@ -29,6 +29,7 @@ from coppit.io import (
     read_curve,
     read_histogram,
     read_records,
+    read_result,
     render_svg,
     write_archive,
     write_curve,
@@ -494,6 +495,39 @@ def test_result_files_skip_whitespace_lines(tmp_path):
         read_curve(path)
 
 
+def test_result_files_not_utf8(tmp_path):
+    """A result file reports a byte that is not UTF-8 at its line: a records
+    row, a histogram count, a curve value and the header that
+    ``read_result`` reads; UTF-8 text beyond ASCII is a malformed row."""
+    rng = np.random.default_rng(33)
+    records, hist, curve = (tmp_path / f"{name}.csv" for name in ("records", "hist", "curve"))
+    write_records(_random_records(rng, 4, True), records)
+    write_histogram(histogram(rng.random(20), bins=4), hist)
+    write_curve(ClicalCurve(grid=np.linspace(0, 1, 5), lhs=np.linspace(0, 1, 5),
+                            rhs=np.linspace(0, 1, 5)), curve)
+
+    def spoil(path, at, old, new):
+        rows = path.read_bytes().split(b"\r\n")
+        assert old in rows[at - 1]
+        rows[at - 1] = rows[at - 1].replace(old, new, 1)
+        path.write_bytes(b"\r\n".join(rows))
+
+    spoil(records, 3, b",", b",\xff")
+    spoil(hist, 4, b",", b",\xc3")
+    spoil(curve, 5, b"0.", b"0.\xe9")
+    for read, path, at in [(read_records, records, 3), (read_histogram, hist, 4),
+                           (read_curve, curve, 5), (read_result, hist, 4), (read_result, curve, 5)]:
+        with pytest.raises(ArchiveError, match=f"^line {at}: not UTF-8 text$"):
+            read(path)
+    path = tmp_path / "head.csv"
+    path.write_bytes(b"w,lhs,rhs\xff\n0,0,0\n")
+    with pytest.raises(ArchiveError, match="^line 1: not UTF-8 text$"):
+        read_result(path)
+    path.write_bytes("w,lhs,rhs\n0,0,\u00e9\n".encode())
+    with pytest.raises(ArchiveError, match="^line 2: malformed curve row$"):
+        read_curve(path)
+
+
 def _validated(path):
     """The archive as the per-line validator alone reads it."""
     cases = []
@@ -504,17 +538,19 @@ def _validated(path):
     return CaseArchive(dim=cases[0][0].dim, cases=tuple(cases), metadata=metadata)
 
 
+def _read(read, path, block_lines):
+    """``read(path)`` with blocks of ``block_lines``: an archive, or the text
+    of the ArchiveError raised."""
+    try:
+        with mock.patch.object(coppit_io, "_BLOCK_LINES", block_lines):
+            return read(path)
+    except ArchiveError as exc:
+        return str(exc)
+
+
 def _read_both(path, block_lines):
-    """(read_archive's result, the validator's) for ``path``: an archive, or
-    the text of the ArchiveError raised."""
-    out = []
-    for read in (read_archive, _validated):
-        try:
-            with mock.patch.object(coppit_io, "_BLOCK_LINES", block_lines):
-                out.append(read(path))
-        except ArchiveError as exc:
-            out.append(str(exc))
-    return out
+    """(read_archive's result, the validator's) for ``path``."""
+    return [_read(read, path, block_lines) for read in (read_archive, _validated)]
 
 
 def _assert_same_archive(a, b):
@@ -683,6 +719,119 @@ def test_block_path_reads_written_archives(tmp_path, monkeypatch):
     opened.clear()
     assert len(read_archive(path).cases) == 6
     assert calls == [[1], [2, 3, 4, 5, 6, 7]] and opened == [path]
+
+
+def _same_read(block, validated):
+    """Whether two reads agree: the same error text, or the same archive."""
+    if isinstance(block, str) or isinstance(validated, str):
+        assert block == validated
+    else:
+        _assert_same_archive(block, validated)
+
+
+# what a mutation inserts or substitutes: the layout's characters, the
+# number alphabet and a few longer pieces
+_MUTATIONS = list('[]{}",: y') + list("-+.0123456789eE") + ["], [", '"y"', "true", ", ", "]}"]
+_SHORT_NUMBERS = ["0", "1", "-2", "0.5", "3e1", "-0.25", "7E-1", "12"]
+_NUMBER_ALPHABET = set("-+.0123456789eE")
+
+
+def _mutated(line, rng):
+    """``line`` changed by 1 to 3 edits, each landing within 6 characters of
+    the one before: an insertion, deletion or substitution of one character
+    or piece, or a hop, which moves one character of the layout across the
+    number next to it (a deletion and an insertion).  One line in four has
+    its first edit among its last three characters."""
+    at = int(rng.integers(0, len(line)) if rng.random() < 0.75 else len(line) - rng.integers(1, 4))
+    for _ in range(int(rng.integers(1, 4))):
+        op = rng.integers(0, 4)
+        piece = _MUTATIONS[rng.integers(0, len(_MUTATIONS))]
+        if op == 3:
+            edges = [i for i, c in enumerate(line) if c not in _NUMBER_ALPHABET
+                     and _NUMBER_ALPHABET & {line[i - 1:i], line[i + 1:i + 2]}]
+            if not edges:
+                continue
+            at = edges[rng.integers(0, len(edges))]
+            lo = hi = at
+            if line[at + 1:at + 2] in _NUMBER_ALPHABET:
+                while line[hi + 1:hi + 2] in _NUMBER_ALPHABET:
+                    hi += 1
+                line = line[:at] + line[at + 1:hi + 1] + line[at] + line[hi + 1:]
+            else:
+                while line[lo - 1:lo] in _NUMBER_ALPHABET:
+                    lo -= 1
+                line = line[:lo] + line[at] + line[lo:at] + line[at + 1:]
+        elif op == 0:
+            line = line[:at] + piece + line[at:]
+        else:
+            line = line[:at] + (piece if op == 2 else "") + line[at + 1:]
+        at = min(max(at + int(rng.integers(-6, 7)), 0), len(line) - 1)
+    return line
+
+
+def test_block_path_mutated_line(tmp_path):
+    """One line of a canonical archive changed by a few characters: the
+    block path, at block sizes 1, 2 and ``_BLOCK_LINES``, reads the archive
+    as the validator does, bit for bit, or fails with the same error text.
+    Among the changes are tokens moved across a bracket, which leave the
+    skeleton intact and the blanked text a valid flat list."""
+    path = tmp_path / "mutated.jsonl"
+    for m, d, rest in [(2, 2, '[[1, 2], 3[, 4]]}, "y": [5, 6]}'),
+                       (2, 2, '[[1, 2], [3, 4]]}, "y": 5[, 6]}'),
+                       (2, 2, '[[1, 2], [3, 4]]5}, "y": [, 6]}'),
+                       (2, 2, '[[1, 2], [3, ]4]}, "y": [5, 6]}'),
+                       (2, 1, '[[1], [2]]}, "y": 3[]}')]:
+        _write_lines(path, None, [_canonical_line([["0"] * d] * m, ["0"] * d),
+                                  coppit_io._ENSEMBLE_HEAD[:-2] + rest])
+        block, validated = _read_both(path, 4)
+        assert validated.startswith("line 2: invalid JSON") and block == validated
+    rng = np.random.default_rng(33)
+    for _ in range(2000):
+        d, m, n = (int(k) for k in rng.integers(1, 4, 3))
+        lines = [_canonical_line(rng.choice(_SHORT_NUMBERS, (m, d)).tolist(),
+                                 rng.choice(_SHORT_NUMBERS, d).tolist()) for _ in range(n + 1)]
+        at = int(rng.integers(0, len(lines)))
+        lines[at] = _mutated(lines[at], rng)
+        _write_lines(path, '{"metadata": {}}' if rng.random() < 0.3 else None, lines)
+        validated = _read(_validated, path, 1)
+        for block_lines in (1, 2, coppit_io._BLOCK_LINES):
+            _same_read(_read(read_archive, path, block_lines), validated)
+
+
+@pytest.mark.parametrize("kind", ["compact", "more members", "slid"])
+def test_block_path_leaves_one_block(tmp_path, monkeypatch, kind):
+    """A line the block path cannot take, inside the k-th block of four: the
+    validator gets the lines from that block's first line on, or from the
+    line itself when it lacks the canonical head, never a line of an earlier
+    block, and the read equals the validator's."""
+    rng = np.random.default_rng(33)
+    cases = [([list(map(repr, rng.standard_normal(2).tolist())) for _ in range(3)],
+              list(map(repr, rng.standard_normal(2).tolist()))) for _ in range(11)]
+    path = tmp_path / "fallback.jsonl"
+    monkeypatch.setattr(coppit_io, "_BLOCK_LINES", 4)
+    validate = coppit_io._validate_lines
+    calls = []
+
+    def spy(lines, cases, metadata):
+        lines = list(lines)
+        calls.append([n for n, _ in lines])
+        return validate(lines, cases, metadata)
+
+    for at in range(len(cases)):
+        points, y = cases[at]
+        lines = [_canonical_line(p, y) for p, y in cases]
+        lines[at] = {"compact": _changed_line("compact", points, y, 0),
+                     "more members": _canonical_line(points + points[:1], y),
+                     "slid": lines[at].replace(f"], [{points[1][0]}", f"], {points[1][0]}[")}[kind]
+        _write_lines(path, '{"metadata": {"seed": 7}}', lines)
+        validated = _read(_validated, path, 4)
+        assert isinstance(validated, str) == (kind == "slid")
+        with monkeypatch.context() as patch:
+            patch.setattr(coppit_io, "_validate_lines", spy)
+            calls.clear()
+            _same_read(_read(read_archive, path, 4), validated)
+        first = at + 2 if kind == "compact" else 4 * (at // 4) + 2  # the metadata is line 1
+        assert calls == [[1], list(range(first, len(lines) + 2))]
 
 
 def test_block_path_not_utf8(tmp_path):
