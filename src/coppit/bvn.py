@@ -13,9 +13,17 @@ takes the points' shape and runs through the same lines, one rule per point.
 
 ``bvn_cdf`` clips Phi(h) + Phi(k) - 1 + P(X > h, Y > k) into the Frechet
 bounds built from the same ``ndtr`` values.  ``bvn_cdf_counts`` counts the
-points whose value lies below a threshold w with the same expression, and
-runs the quadrature only for the points whose bounds hold w: the others lie
-below or above w whatever the quadrature gives.
+points whose value lies below a threshold w with the same expression, but
+first settles each point by the cheapest exact bound that decides it: its
+score min(h, k) against ndtri(w) and ndtri((1 + w) / 2), with no ``ndtr``;
+then the Frechet bounds; then Slepian's inequality (Slepian 1962), which puts the value on
+the sign-of-rho side of Phi(h) Phi(k).  Each test keeps a margin far above
+the rounding and the quadrature error it has to absorb, so the counts are
+those of the whole sample.  On the Monte Carlo draws of the bench's seed-1
+bivariate archive, ``ndtr`` runs on 47.7% of the draws (at most 88.5% in
+one case) and the quadrature on 18.7% (at most 50.6%); behind the Frechet
+bounds alone, every draw took ``ndtr`` and 32.7% (at most 53.7%) the
+quadrature.
 
 The quadrature terms are laid out node-major, (nodes, points), so every
 elementwise step runs along the points rather than over a 6-20 long inner
@@ -25,7 +33,7 @@ order changes last bits, and the golden digests record those bits.
 """
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .samplers import _check_finite, _check_unit
 
@@ -154,55 +162,69 @@ def _bvnu_high(h, k, r):
     return np.where(neg, neg_part, pos_part)
 
 
-def bvn_upper(h, k, rho):
-    """P(X > h, Y > k) for standard bivariate normal with correlation rho."""
+def _check_args(h, k, rho):
+    """(h, k, rho, scalar): h and k as float arrays broadcast with rho and
+    made at least 1-d, rho as a float array at its own shape or, if it has
+    one, at theirs, and whether all three were scalars; a ValueError unless
+    every bound is finite and every |rho| <= 1."""
     r_arr = np.asarray(rho, dtype=float)
-    h_arr, k_arr = np.broadcast_arrays(
-        np.asarray(h, dtype=float), np.asarray(k, dtype=float), r_arr)[:2]
+    h_arr, k_arr = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float), r_arr)[:2]
     scalar = h_arr.ndim == 0
     h_arr, k_arr = np.atleast_1d(h_arr, k_arr)
     _check_finite(h_arr, "bvn bounds")
     _check_finite(k_arr, "bvn bounds")
     if not (np.abs(r_arr) <= 1.0).all():  # nan fails too
         raise ValueError("correlation must lie in [-1, 1]")
-    if r_arr.ndim:
-        r_arr = np.broadcast_to(r_arr, h_arr.shape)
+    return h_arr, k_arr, np.broadcast_to(r_arr, h_arr.shape) if r_arr.ndim else r_arr, scalar
+
+
+def _upper(h, k, r):
+    """``bvn_upper`` of the arrays ``_check_args`` returns, as an array."""
+    shape = h.shape
     # Phi is exactly 0 or 1 in double beyond |x| = 38.5: saturating the bounds
     # there changes no probability and keeps their squares and products finite
-    h_arr = np.clip(h_arr, -_SATURATE, _SATURATE)
-    k_arr = np.clip(k_arr, -_SATURATE, _SATURATE)
-    out = np.empty(h_arr.shape)
-    ar = np.abs(r_arr)
+    h = np.clip(h, -_SATURATE, _SATURATE).ravel()
+    k = np.clip(k, -_SATURATE, _SATURATE).ravel()
+    r = r.ravel() if r.ndim else r
+    out = np.empty(h.shape)
+    ar = np.abs(r)
     # the branch masks live at rho's shape: for a scalar rho each is one bool,
-    # and indexing rho with it gives the single (1,) value every point shares
-    done = np.zeros(r_arr.shape, dtype=bool)
+    # indexing rho with it gives the single (1,) value every point shares, and
+    # the rule it selects takes the whole point arrays (Ellipsis), ungathered
+    done = np.zeros(r.shape, dtype=bool)
     for hi, x2, w2 in _DOUBLED_RULES:
         m = ~done & (ar < hi)
         if m.any():
-            at = np.broadcast_to(m, out.shape)
-            out[at] = _bvnu_moderate(h_arr[at], k_arr[at], r_arr[m], x2, w2)
+            at = np.broadcast_to(m, out.shape) if m.ndim else Ellipsis
+            out[at] = _bvnu_moderate(h[at], k[at], r[m], x2, w2)
             done |= m
     m = ~done
     if m.any():
-        at = np.broadcast_to(m, out.shape)
-        out[at] = _bvnu_high(h_arr[at], k_arr[at], r_arr[m])
-    out = np.clip(out, 0.0, 1.0)
+        at = np.broadcast_to(m, out.shape) if m.ndim else Ellipsis
+        out[at] = _bvnu_high(h[at], k[at], r[m])
+    return np.clip(out, 0.0, 1.0).reshape(shape)
+
+
+def bvn_upper(h, k, rho):
+    """P(X > h, Y > k) for standard bivariate normal with correlation rho."""
+    h_arr, k_arr, r_arr, scalar = _check_args(h, k, rho)
+    out = _upper(h_arr, k_arr, r_arr)
     return float(out[0]) if scalar else out
 
 
-def _bounds(h, k):
+def _bounds(ph, pk):
     """Phi(h) + Phi(k) - 1 and the Frechet bounds max(that, 0) and
-    min(Phi(h), Phi(k)) that ``bvn_cdf`` clips into, from one ``ndtr`` of
-    each bound."""
-    ph, pk = ndtr(h), ndtr(k)
+    min(Phi(h), Phi(k)) that ``bvn_cdf`` clips into, from the ``ndtr``
+    values ph and pk of the bounds."""
     s = ph + pk - 1.0
     return s, np.maximum(s, 0.0), np.minimum(ph, pk)
 
 
-def _joint(h, k, rho, s, lo, hi):
+def _joint(h, k, r, s, lo, hi):
     """P(X <= h, Y <= k) as s + P(X > h, Y > k), clipped into [lo, hi]:
-    ``bvn_cdf``'s one expression, given ``_bounds(h, k)``."""
-    return np.clip(s + bvn_upper(h, k, rho), lo, hi)
+    ``bvn_cdf``'s one expression, given checked arguments and their
+    ``_bounds``."""
+    return np.clip(s + _upper(h, k, r), lo, hi)
 
 
 def bvn_cdf(h, k, rho):
@@ -212,27 +234,66 @@ def bvn_cdf(h, k, rho):
     Phi(h) + Phi(k) - 1 + P(X > h, Y > k) and clipped into the Frechet
     bounds [max(0, Phi(h)+Phi(k)-1), min(Phi(h), Phi(k))].
     """
-    h_arr = np.asarray(h, dtype=float)
-    k_arr = np.asarray(k, dtype=float)
-    return _joint(h_arr, k_arr, rho, *_bounds(h_arr, k_arr))
+    h_arr, k_arr, r_arr, scalar = _check_args(h, k, rho)
+    p = _joint(h_arr, k_arr, r_arr, *_bounds(ndtr(h_arr), ndtr(k_arr)))
+    return p[0] if scalar else p
+
+
+# The score-space settle: inside this open range of w, a point with
+# min(h, k) < ndtri(w) - delta has Phi(min(h, k)) < w, and one with
+# min(h, k) > ndtri((1 + w) / 2) + delta has Phi(h) + Phi(k) - 1 > w.  The
+# ndtr and ndtri rounding there is below 1e-9 in score units (at most a few
+# ulp of 1 over a density above 2e-6 at the top of the range), so delta =
+# 1e-6 leaves a margin of three orders of magnitude.
+_SCORE_W = (1e-280, 1.0 - 1e-6)
+_SCORE_DELTA = 1e-6
+# Slepian's inequality puts Phi2(h, k; rho) on the sign-of-rho side of
+# Phi(h) Phi(k); the margin covers the quadrature's 5e-16 absolute error and
+# the rounding of ndtr, the bounds and the product, a few 1e-16 in all.
+_SLEPIAN_MARGIN = 1e-13
 
 
 def bvn_cdf_counts(h, k, rho, w):
     """(#{p < w}, #{p <= w}) over the ``bvn_cdf`` values p of the points
     (h, k), with rho one correlation or one per point.
 
-    ``bvn_cdf`` clips p into [min(lo, hi), hi] (np.clip takes hi when the
-    bounds cross), so a point with hi < w counts below w, and one with
-    min(lo, hi) > w above it, without the quadrature.  Only the points whose
-    bounds hold w get the expression of ``bvn_cdf``, and their p carry its
-    bits, so the counts equal those of the whole sample of p.
+    Every point is checked as ``bvn_cdf`` checks it, and then settled by the
+    first of three bounds that decides it, each one exact with a margin far
+    above the rounding it has to absorb:
+
+    1. score space, no ``ndtr``: for w inside ``_SCORE_W``, min(h, k) below
+       ndtri(w) - delta puts Phi(min(h, k)) = hi below w, and min(h, k) above
+       ndtri((1 + w) / 2) + delta puts lo above w;
+    2. the Frechet bounds: ``bvn_cdf`` clips p into [min(lo, hi), hi] (np.clip
+       takes hi when the bounds cross), so hi < w is below w and
+       min(lo, hi) > w above it, from the same ``ndtr`` values as the clip;
+    3. Slepian's inequality: p >= Phi(h) Phi(k) for rho >= 0 and p <=
+       Phi(h) Phi(k) for rho <= 0, so a product beyond w by the margin puts
+       p on that side of w.
+
+    Only the points that none of them settles get the expression of
+    ``bvn_cdf``, and their p carry its bits, so the counts equal those of the
+    whole sample of p.
     """
-    h_arr, k_arr = np.atleast_1d(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    h, k, r, _ = _check_args(h, k, rho)
+    h, k, r = h.ravel(), k.ravel(), r.ravel() if r.ndim else r
     w = _check_unit(w, "count threshold w")
-    s, lo, hi = _bounds(h_arr, k_arr)
+    n_below = 0
+    if _SCORE_W[0] < w < _SCORE_W[1]:
+        t, t2 = ndtri((w, (1.0 + w) / 2.0))
+        m = np.minimum(h, k)
+        low = m < t - _SCORE_DELTA
+        n_below = np.count_nonzero(low)
+        rest = np.flatnonzero(~low & (m <= t2 + _SCORE_DELTA))
+        h, k, r = h[rest], k[rest], r[rest] if r.ndim else r
+    ph, pk = ndtr(h), ndtr(k)
+    s, lo, hi = _bounds(ph, pk)
     below = hi < w
-    near = np.flatnonzero(~below & (np.minimum(lo, hi) <= w))  # indices: cheaper than 5 masks
-    r = np.asarray(rho, dtype=float)
-    p = _joint(h_arr[near], k_arr[near], r[near] if r.ndim else r, s[near], lo[near], hi[near])
-    n_below = np.count_nonzero(below)
+    near = np.flatnonzero(~below & (np.minimum(lo, hi) <= w))  # indices: cheaper than masks
+    r_near = r[near] if r.ndim else r
+    prod = ph[near] * pk[near]
+    slepian_below = (r_near <= 0.0) & (prod < w - _SLEPIAN_MARGIN)
+    left = near[~slepian_below & ~((r_near >= 0.0) & (prod > w + _SLEPIAN_MARGIN))]
+    p = _joint(h[left], k[left], r[left] if r.ndim else r, s[left], lo[left], hi[left])
+    n_below += np.count_nonzero(below) + np.count_nonzero(slepian_below)
     return n_below + np.count_nonzero(p < w), n_below + np.count_nonzero(p <= w)

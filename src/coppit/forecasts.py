@@ -281,13 +281,18 @@ class GaussianForecast:
 
     def _cdf_counts(self, x, w, signs=None):
         """(#{i : H(x_i) < w}, #{i : H(x_i) <= w}) for the cone CDF H over the
-        rows of x, counted by ``bvn_cdf_counts`` through bvn_cdf's bounds."""
+        rows of x, counted by ``bvn_cdf_counts``: each row is settled in score
+        space, by the Frechet bounds or by Slepian's inequality where one of
+        them decides it, and only the rest run the quadrature."""
         x_mat, _ = _as_points(x, 2)
         return bvn_cdf_counts(*_gauss_args(x_mat, self.mean, self._sds, self._rho,
                                            cone_signs(signs, 2)), w)
 
     def sample(self, rng, n):
-        return self.mean + rng.standard_normal((_check_int(n, "n"), 2)) @ self._chol.T
+        x = rng.standard_normal((_check_int(n, "n"), 2)) @ self._chol.T
+        for j in (0, 1):  # in place, one column at a time: a (2,) row broadcast is slower
+            x[:, j] += self.mean[j]
+        return x
 
     def __eq__(self, other):
         return (isinstance(other, GaussianForecast)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.polynomial.legendre import leggauss
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
+from coppit import bvn
 from coppit.bvn import _GL_RULES, _bounds, _node_sum, bvn_cdf, bvn_cdf_counts, bvn_upper
 
 GRID = np.array([-3.5, -2.0, -1.5, -0.5, 0.0, 0.7, 2.0, 3.5])
@@ -145,6 +146,13 @@ def _full_counts(p, w):
     return np.count_nonzero(p < w), np.count_nonzero(p <= w)
 
 
+# thresholds on, just inside and just outside each end of the open w range
+# in which bvn_cdf_counts settles points in score space
+_W_LO, _W_HI = bvn._SCORE_W
+SCORE_EDGES = (_W_LO / 2.0, _W_LO, np.nextafter(_W_LO, 1.0), 2.0 * _W_LO,
+               _W_HI - 1e-9, np.nextafter(_W_HI, 0.0), _W_HI, np.nextafter(_W_HI, 1.0), _W_HI + 1e-9)
+
+
 def _count_points(rng):
     """Moderate points, repeats (ties in p), h = k and h = -k (the Frechet
     bounds meet or reach 0), and bounds past the +-40 saturation."""
@@ -163,9 +171,9 @@ def test_bounded_counts_equal_full_sample(rho):
     # above, and the |rho| = 1 limits
     h, k = _count_points(np.random.default_rng(11))
     p = bvn_cdf(h, k, rho)
-    _, lo, hi = _bounds(h, k)
-    ws = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53], p[::2], lo[::5], hi[::5],
-                         np.random.default_rng(12).random(20)])
+    _, lo, hi = _bounds(ndtr(h), ndtr(k))
+    ws = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0**-53], SCORE_EDGES, p[::2], lo[::5],
+                         hi[::5], np.random.default_rng(12).random(20)])
     for w in ws:
         assert bvn_cdf_counts(h, k, rho, w) == _full_counts(p, w), (rho, w)
     per_point = np.full(h.shape, rho)
@@ -176,14 +184,96 @@ def test_bounded_counts_equal_full_sample(rho):
 @settings(max_examples=200, deadline=None)
 @given(hk=arrays(np.float64, (2, 12), elements=st.one_of(
            st.floats(-6.0, 6.0), st.sampled_from([-1e300, -45.0, -40.0, 0.0, 40.0, 45.0, 1e300]))),
-       rho=st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, -0.925, 0.3, 0.75, 0.925, 1.0])),
+       rho=st.one_of(st.floats(-1.0, 1.0),
+                     st.sampled_from([-1.0, -0.925, 0.0, 0.3, 0.75, 0.925, 1.0])),
        data=st.data())
 def test_bounded_counts_fuzz(hk, rho, data):
     h, k = hk
     p = bvn_cdf(h, k, rho)
-    w = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *p.tolist()]), st.floats(0.0, 1.0)),
-                  label="w")
+    w = data.draw(st.one_of(st.sampled_from([0.0, 1.0, *SCORE_EDGES, *p.tolist()]),
+                            st.floats(0.0, 1.0)), label="w")
     assert bvn_cdf_counts(h, k, rho, w) == _full_counts(p, w)
+
+
+@pytest.mark.parametrize("w", (np.nextafter(_W_LO, 1.0), 1e-200, 1e-12, 0.01, 0.3, 0.5, 0.9,
+                               1.0 - 1e-5, np.nextafter(_W_HI, 0.0)))
+def test_bounded_counts_at_score_cuts(w):
+    # points within a few delta of the score-space cuts ndtri(w) (where
+    # Phi(min(h, k)) crosses w: p = hi at rho = 1) and ndtri((1 + w) / 2)
+    # (where Phi(h) + Phi(k) - 1 does: p = lo at rho = -1), on both sides;
+    # the counts are taken at w and at the points' own values
+    delta = bvn._SCORE_DELTA
+    off = np.array([-3.0, -1.01, -1.0, -0.99, -0.5, -1e-6, 0.0, 1e-6, 0.5, 0.99, 1.0, 1.01, 3.0])
+    t, t2 = ndtri(w) + off * delta, ndtri((1.0 + w) / 2.0) + off * delta
+    h = np.concatenate([t, t + 2.0, t2, t2, np.full(off.size, 40.0)])
+    k = np.concatenate([t + 2.0, t, t2, t2[::-1], t2])
+    for rho in (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0):
+        p = bvn_cdf(h, k, rho)
+        for v in (w, *p):
+            assert bvn_cdf_counts(h, k, rho, v) == _full_counts(p, v), (rho, v)
+
+
+def _settled(h, k, rho, w):
+    """The points that bvn_cdf_counts' score-space, Frechet and Slepian
+    bounds settle, each as a mask."""
+    m = np.minimum(h, k)
+    score = np.zeros(h.shape, dtype=bool)
+    if _W_LO < w < _W_HI:
+        score = ((m < ndtri(w) - bvn._SCORE_DELTA)
+                 | (m > ndtri((1.0 + w) / 2.0) + bvn._SCORE_DELTA))
+    ph, pk = ndtr(h), ndtr(k)
+    _, lo, hi = _bounds(ph, pk)
+    frechet = (hi < w) | (np.minimum(lo, hi) > w)
+    margin = bvn._SLEPIAN_MARGIN
+    slepian = ((rho >= 0.0) & (ph * pk > w + margin)) | ((rho <= 0.0) & (ph * pk < w - margin))
+    return score, frechet, slepian
+
+
+def test_quadrature_gets_only_unsettled_points(monkeypatch):
+    """The quadrature rules receive exactly the points that no bound settles,
+    each once, and each bound settles points the earlier ones leave."""
+    seen = []
+    for name in ("_bvnu_moderate", "_bvnu_high"):
+        def spy(h, k, *args, real=getattr(bvn, name)):
+            seen.append(np.stack([h, k]))
+            return real(h, k, *args)
+
+        monkeypatch.setattr(bvn, name, spy)
+    h, k = _count_points(np.random.default_rng(13))
+    per_point = np.random.default_rng(14).uniform(-1.0, 1.0, h.size)
+    reached = np.zeros(3, dtype=bool)
+    for rho in (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0, per_point):
+        for w in (0.0, 1.0, 1e-290, 1e-9, 0.05, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-7):
+            seen.clear()
+            bvn_cdf_counts(h, k, rho, w)
+            score, frechet, slepian = _settled(h, k, rho, w)
+            left = ~(score | frechet | slepian)
+            got = np.concatenate(seen, axis=1) if seen else np.empty((2, 0))
+            want = np.clip(np.stack([h[left], k[left]]), -40.0, 40.0)
+            assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)]), (rho, w)
+            reached |= [score.any(), (frechet & ~score).any(), (slepian & ~score & ~frechet).any()]
+    assert reached.all()
+
+
+_BOUNDS, _RHO = "^bvn bounds must be finite$", r"^correlation must lie in \[-1, 1\]$"
+
+
+@pytest.mark.parametrize("h, k, rho, message", [
+    ([0.0, np.nan], [0.0, 0.0], 0.5, _BOUNDS),
+    ([-np.inf], [0.0], 0.5, _BOUNDS),
+    ([0.0, 1.0], [np.inf, 0.0], -0.3, _BOUNDS),
+    ([-9.0, 0.0], [0.0, 0.0], [1.5, 0.5], _RHO),
+    ([0.0, 9.0], [0.0, 9.0], [0.5, np.nan], _RHO),
+    ([0.0], [0.0], -1.5, _RHO),
+])
+def test_bounded_counts_check_every_point(h, k, rho, message):
+    # as bvn_cdf refuses them, also where a bound would settle the point
+    # before the quadrature sees it (h = -9 lies below any w of 0.3)
+    with pytest.raises(ValueError, match=message):
+        bvn_cdf(h, k, rho)
+    for w in (0.0, 0.3, 1.0):
+        with pytest.raises(ValueError, match=message):
+            bvn_cdf_counts(h, k, rho, w)
 
 
 def test_bounded_counts_check_w():

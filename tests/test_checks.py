@@ -51,6 +51,10 @@ CASES = {
                              lambda v: forecasts.GaussianForecast([0.0, 0.0], [[2.0, v], [v, 2.0]])),
     "bvn_upper.h": ("bvn bounds", "finite", lambda v: bvn.bvn_upper([0.0, v], 0.0, 0.5)),
     "bvn_upper.k": ("bvn bounds", "finite", lambda v: bvn.bvn_upper(0.0, v, 0.5)),
+    "bvn_cdf_counts.h": ("bvn bounds", "finite",
+                         lambda v: bvn.bvn_cdf_counts([0.0, v], [0.0, 0.0], 0.5, 0.3)),
+    "bvn_cdf_counts.k": ("bvn bounds", "finite",
+                         lambda v: bvn.bvn_cdf_counts([0.0, 0.0], [-9.0, v], 0.5, 0.3)),
     "check_theta": ("gumbel copula parameter", "finite",
                     lambda v: copulas.ArchimedeanCopula("gumbel", theta=1.0 + v)),
 }

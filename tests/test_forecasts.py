@@ -130,6 +130,19 @@ def test_gaussian_orthants_sum_to_one_and_match_mc():
         assert abs(emp - g.cdf(y, s)) <= 0.01
 
 
+@pytest.mark.parametrize("signs", QUADRANTS)
+@pytest.mark.parametrize("cov", ([[2.0, 0.8], [0.8, 1.0]], [[1.5, -1.05], [-1.05, 0.8]]),
+                         ids=("rho>0", "rho<0"))
+def test_gaussian_cdf_counts_match_cdf(cov, signs):
+    # the bounded counts of the Monte Carlo Kendall route equal the counts
+    # of cdf at every draw, in every cone quadrant
+    g = GaussianForecast([0.5, -1.0], cov)
+    x = g.sample(sp.make_rng(9), 3000)
+    p = g.cdf(x, signs)
+    for w in (0.0, 1.0, 1e-300, 0.5, *p[::97], *sp.make_rng(10).random(8)):
+        assert g._cdf_counts(x, w, signs) == (np.count_nonzero(p < w), np.count_nonzero(p <= w))
+
+
 def test_gaussian_validation():
     with pytest.raises(ValueError):
         GaussianForecast([0.0, 0.0, 0.0], np.eye(3))  # bivariate only
