@@ -16,14 +16,15 @@ bounds built from the same ``ndtr`` values.  ``bvn_cdf_counts`` counts the
 points whose value lies below a threshold w with the same expression, but
 first settles each point by the cheapest exact bound that decides it: its
 score min(h, k) against ndtri(w) and ndtri((1 + w) / 2), with no ``ndtr``;
-then the Frechet bounds; then Slepian's inequality (Slepian 1962), which puts the value on
-the sign-of-rho side of Phi(h) Phi(k).  Each test keeps a margin far above
-the rounding and the quadrature error it has to absorb, so the counts are
-those of the whole sample.  On the Monte Carlo draws of the bench's seed-1
-bivariate archive, ``ndtr`` runs on 47.7% of the draws (at most 88.5% in
-one case) and the quadrature on 18.7% (at most 50.6%); behind the Frechet
-bounds alone, every draw took ``ndtr`` and 32.7% (at most 53.7%) the
-quadrature.
+then the Frechet bounds; then a bracket around Phi(h) Phi(k), on the
+sign-of-rho side of it by Slepian's inequality (Slepian 1962) and as wide as
+Plackett's identity allows.  Each test keeps a margin far above the rounding
+and the quadrature error it has to absorb, so the counts are those of the
+whole sample.  On the Monte Carlo draws of the bench's seed-1 bivariate
+archive, ``ndtr`` runs on 47.7% of the draws (at most 88.5% in one case) and
+the quadrature on 7.9% (at most 36.0%); Slepian's side of the bracket alone
+would leave it 18.7%, and the Frechet bounds alone, with ``ndtr`` on every
+draw, 32.7% (at most 53.7%).
 
 The quadrature terms are laid out node-major, (nodes, points), so every
 elementwise step runs along the points rather than over a 6-20 long inner
@@ -168,7 +169,8 @@ def _check_args(h, k, rho):
     one, at theirs, and whether all three were scalars; a ValueError unless
     every bound is finite and every |rho| <= 1."""
     r_arr = np.asarray(rho, dtype=float)
-    h_arr, k_arr = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float), r_arr)[:2]
+    h_arr, k_arr = np.broadcast_arrays(
+        np.asarray(h, dtype=float), np.asarray(k, dtype=float), r_arr)[:2]
     scalar = h_arr.ndim == 0
     h_arr, k_arr = np.atleast_1d(h_arr, k_arr)
     _check_finite(h_arr, "bvn bounds")
@@ -248,9 +250,13 @@ def bvn_cdf(h, k, rho):
 _SCORE_W = (1e-280, 1.0 - 1e-6)
 _SCORE_DELTA = 1e-6
 # Slepian's inequality puts Phi2(h, k; rho) on the sign-of-rho side of
-# Phi(h) Phi(k); the margin covers the quadrature's 5e-16 absolute error and
-# the rounding of ndtr, the bounds and the product, a few 1e-16 in all.
-_SLEPIAN_MARGIN = 1e-13
+# Phi(h) Phi(k), and Plackett's identity, d Phi2 / d rho = phi2, bounds how
+# far: the density phi2(h, k; r) for |r| <= |rho| is at most
+# exp(-(h^2 + k^2) / (2 (1 + |rho|))) / (2 pi sqrt(1 - r^2)), whose integral
+# over r is ``width`` below.  The margin covers the quadrature's 5e-16
+# absolute error and the rounding of ndtr, the product and the width, a few
+# 1e-16 in all.
+_BRACKET_MARGIN = 1e-13
 
 
 def bvn_cdf_counts(h, k, rho, w):
@@ -267,9 +273,10 @@ def bvn_cdf_counts(h, k, rho, w):
     2. the Frechet bounds: ``bvn_cdf`` clips p into [min(lo, hi), hi] (np.clip
        takes hi when the bounds cross), so hi < w is below w and
        min(lo, hi) > w above it, from the same ``ndtr`` values as the clip;
-    3. Slepian's inequality: p >= Phi(h) Phi(k) for rho >= 0 and p <=
-       Phi(h) Phi(k) for rho <= 0, so a product beyond w by the margin puts
-       p on that side of w.
+    3. a bracket around Phi(h) Phi(k): by Slepian's inequality p lies at or
+       above it for rho >= 0 and at or below it for rho <= 0, and by
+       Plackett's identity at most ``width`` from it, so a bracket that
+       clears w by the margin puts p on that side of w.
 
     Only the points that none of them settles get the expression of
     ``bvn_cdf``, and their p carry its bits, so the counts equal those of the
@@ -292,8 +299,12 @@ def bvn_cdf_counts(h, k, rho, w):
     near = np.flatnonzero(~below & (np.minimum(lo, hi) <= w))  # indices: cheaper than masks
     r_near = r[near] if r.ndim else r
     prod = ph[near] * pk[near]
-    slepian_below = (r_near <= 0.0) & (prod < w - _SLEPIAN_MARGIN)
-    left = near[~slepian_below & ~((r_near >= 0.0) & (prod > w + _SLEPIAN_MARGIN))]
+    ar = np.abs(r_near)
+    # saturating the bounds, as the quadrature does, only widens the bracket
+    hn, kn = np.clip(h[near], -_SATURATE, _SATURATE), np.clip(k[near], -_SATURATE, _SATURATE)
+    width = np.arcsin(ar) / (2.0 * np.pi) * np.exp(-(hn * hn + kn * kn) / (2.0 + 2.0 * ar))
+    bracket_below = prod + width * (r_near > 0.0) < w - _BRACKET_MARGIN
+    left = near[~bracket_below & ~(prod - width * (r_near < 0.0) > w + _BRACKET_MARGIN)]
     p = _joint(h[left], k[left], r[left] if r.ndim else r, s[left], lo[left], hi[left])
-    n_below += np.count_nonzero(below) + np.count_nonzero(slepian_below)
+    n_below += np.count_nonzero(below) + np.count_nonzero(bracket_below)
     return n_below + np.count_nonzero(p < w), n_below + np.count_nonzero(p <= w)

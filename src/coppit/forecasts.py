@@ -282,8 +282,8 @@ class GaussianForecast:
     def _cdf_counts(self, x, w, signs=None):
         """(#{i : H(x_i) < w}, #{i : H(x_i) <= w}) for the cone CDF H over the
         rows of x, counted by ``bvn_cdf_counts``: each row is settled in score
-        space, by the Frechet bounds or by Slepian's inequality where one of
-        them decides it, and only the rest run the quadrature."""
+        space, by the Frechet bounds or by a Slepian-Plackett bracket where
+        one of them decides it, and only the rest run the quadrature."""
         x_mat, _ = _as_points(x, 2)
         return bvn_cdf_counts(*_gauss_args(x_mat, self.mean, self._sds, self._rho,
                                            cone_signs(signs, 2)), w)

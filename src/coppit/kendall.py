@@ -178,10 +178,10 @@ def monte_carlo_kendall(forecast, rng, n=DEFAULT_MC_SIZE, signs=None):
     H(X) is evaluated at first use.  A ``GaussianForecast`` counts one point
     through ``bvn_cdf_counts``, which settles each draw by the cheapest exact
     bound that decides it (its score against ndtri of the point, then the
-    Frechet bounds, then Slepian's inequality), so only the draws that none
-    of them settles run the quadrature (a fifth on the bench's seed-1
-    archive, where half need no ``ndtr``); a grid, or a read of ``values``,
-    evaluates H at every draw.
+    Frechet bounds, then a Slepian-Plackett bracket around Phi(h) Phi(k)),
+    so only the draws that none of them settles run the quadrature (8% on
+    the bench's seed-1 archive, where half need no ``ndtr``); a grid, or a
+    read of ``values``, evaluates H at every draw.
     """
     if signs is not None:
         signs = cone_signs(signs, forecast.dim)

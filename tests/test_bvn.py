@@ -214,8 +214,9 @@ def test_bounded_counts_at_score_cuts(w):
 
 
 def _settled(h, k, rho, w):
-    """The points that bvn_cdf_counts' score-space, Frechet and Slepian
-    bounds settle, each as a mask."""
+    """The points that bvn_cdf_counts' score-space and Frechet bounds settle,
+    and those its bracket settles on the Slepian side (the product) and on
+    the Plackett side (the product plus or minus the width), as masks."""
     m = np.minimum(h, k)
     score = np.zeros(h.shape, dtype=bool)
     if _W_LO < w < _W_HI:
@@ -224,9 +225,12 @@ def _settled(h, k, rho, w):
     ph, pk = ndtr(h), ndtr(k)
     _, lo, hi = _bounds(ph, pk)
     frechet = (hi < w) | (np.minimum(lo, hi) > w)
-    margin = bvn._SLEPIAN_MARGIN
-    slepian = ((rho >= 0.0) & (ph * pk > w + margin)) | ((rho <= 0.0) & (ph * pk < w - margin))
-    return score, frechet, slepian
+    prod, ar, margin = ph * pk, np.abs(rho), bvn._BRACKET_MARGIN
+    hs, ks = np.clip(h, -40.0, 40.0), np.clip(k, -40.0, 40.0)
+    width = np.arcsin(ar) / (2.0 * np.pi) * np.exp(-(hs * hs + ks * ks) / (2.0 + 2.0 * ar))
+    slepian = ((rho >= 0.0) & (prod > w + margin)) | ((rho <= 0.0) & (prod < w - margin))
+    plackett = ((rho > 0.0) & (prod + width < w - margin)) | ((rho < 0.0) & (prod - width > w + margin))
+    return score, frechet, slepian, plackett
 
 
 def test_quadrature_gets_only_unsettled_points(monkeypatch):
@@ -241,17 +245,19 @@ def test_quadrature_gets_only_unsettled_points(monkeypatch):
         monkeypatch.setattr(bvn, name, spy)
     h, k = _count_points(np.random.default_rng(13))
     per_point = np.random.default_rng(14).uniform(-1.0, 1.0, h.size)
-    reached = np.zeros(3, dtype=bool)
+    reached = np.zeros(4, dtype=bool)
     for rho in (-1.0, -0.95, -0.5, 0.0, 0.5, 0.95, 1.0, per_point):
         for w in (0.0, 1.0, 1e-290, 1e-9, 0.05, 0.3, 0.5, 0.7, 0.97, 1.0 - 1e-7):
             seen.clear()
             bvn_cdf_counts(h, k, rho, w)
-            score, frechet, slepian = _settled(h, k, rho, w)
-            left = ~(score | frechet | slepian)
+            score, frechet, slepian, plackett = _settled(h, k, rho, w)
+            left = ~(score | frechet | slepian | plackett)
             got = np.concatenate(seen, axis=1) if seen else np.empty((2, 0))
             want = np.clip(np.stack([h[left], k[left]]), -40.0, 40.0)
             assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)]), (rho, w)
-            reached |= [score.any(), (frechet & ~score).any(), (slepian & ~score & ~frechet).any()]
+            earlier = score | frechet
+            reached |= [score.any(), (frechet & ~score).any(), (slepian & ~earlier).any(),
+                        (plackett & ~earlier & ~slepian).any()]
     assert reached.all()
 
 
